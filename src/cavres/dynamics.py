@@ -133,7 +133,9 @@ class TransitOptions:
     """Numeric-integration knobs for one transit.
 
     method            "blockstep" (exact frozen-midpoint two-level steps) or
-                      "rk4" (fixed-step RK4 on the full master equation)
+                      "rk4" (fixed-step RK4 on the full master equation); only
+                      transit_propagate and transit_unitary take "rk4", the
+                      TransitKernel (and so the reservoir) rejects it
     fine_steps        blockstep substeps per dispersive segment
     loss_slices       Strang slices per dispersive segment for the dissipator;
                       keep the slice span well below the pair-rotation period
@@ -227,7 +229,7 @@ def phi0_of(profile: TransitProfile, segment: str = "second") -> float:
 # analytic propagators
 # ---------------------------------------------------------------------------
 
-def _pair_coefficients(omega: float, delta: float, dt: float, cfg: HilbertConfig):
+def _pair_coefficients(omega, delta, dt, cfg: HilbertConfig):
     """Exact exp(-i H dt) for frozen (omega, delta) in the paired basis.
 
     Returns the four coefficient arrays of the step unitary:
@@ -236,7 +238,10 @@ def _pair_coefficients(omega: float, delta: float, dt: float, cfg: HilbertConfig
       bg[n]  amplitude |e,n> -> |g,n+1>         (n = 0..n_max-1)
       bl[n]  amplitude |g,n+1> -> |e,n>
     The lone levels |g,0> and |e,n_max> carry pure detuning phases.
+    omega, delta and dt may be arrays of one shape; the coefficient arrays
+    then carry that shape in front of the level index.
     """
+    omega, delta, dt = (np.asarray(x, dtype=float)[..., None] for x in (omega, delta, dt))
     n = np.arange(cfg.n_max, dtype=float)
     g = 0.5 * omega * np.sqrt(n + 1.0)
     lam = np.hypot(0.5 * delta, g)
@@ -245,15 +250,33 @@ def _pair_coefficients(omega: float, delta: float, dt: float, cfg: HilbertConfig
     # sin(lam dt)/lam with the lam -> 0 limit dt
     s = np.where(lam > 0, np.sin(ang) / np.where(lam > 0, lam, 1.0), dt)
 
-    ag = np.empty(cfg.dim, dtype=complex)
-    ae = np.empty(cfg.dim, dtype=complex)
-    ag[0] = np.exp(+0.5j * delta * dt)
-    ag[1:] = c + 0.5j * delta * s
-    ae[:-1] = c - 0.5j * delta * s
-    ae[-1] = np.exp(-0.5j * delta * dt)
+    shape = g.shape[:-1] + (cfg.dim,)
+    ag = np.empty(shape, dtype=complex)
+    ae = np.empty(shape, dtype=complex)
+    ag[..., :1] = np.exp(+0.5j * delta * dt)
+    ag[..., 1:] = c + 0.5j * delta * s
+    ae[..., :-1] = c - 0.5j * delta * s
+    ae[..., -1:] = np.exp(-0.5j * delta * dt)
     bg = g * s
     bl = -g * s
     return ag, ae, bg.astype(complex), bl.astype(complex)
+
+
+def _compose(later, earlier):
+    """Pair coefficients of the product later @ earlier.
+
+    Each pair {|g,n+1>, |e,n>} carries the 2x2 block [[ag[n+1], bg[n]],
+    [bl[n], ae[n]]]; the lone levels multiply their phases.
+    """
+    AG, AE, BG, BL = later
+    ag, ae, bg, bl = earlier
+    new_ag = AG * ag
+    new_ag[..., 1:] += BG * bl
+    new_ae = AE * ae
+    new_ae[..., :-1] += BL * bg
+    new_bg = AG[..., 1:] * bg + BG * ae[..., :-1]
+    new_bl = BL * ag[..., 1:] + AE[..., :-1] * bl
+    return new_ag, new_ae, new_bg, new_bl
 
 
 def _coeffs_to_matrix(coeffs, cfg: HilbertConfig) -> np.ndarray:
@@ -269,14 +292,15 @@ def _coeffs_to_matrix(coeffs, cfg: HilbertConfig) -> np.ndarray:
 
 
 def _apply_left(coeffs, x: np.ndarray, dim: int) -> np.ndarray:
-    """U @ x using the sparse pair structure (x has 2*dim rows)."""
-    ag, ae, bg, bl = coeffs
+    """U @ x using the sparse pair structure (x has 2*dim rows, any trailing axes)."""
+    ag, ae, bg, bl = (c.reshape(c.shape + (1,) * (x.ndim - 1)) for c in coeffs)
     xg, xe = x[:dim], x[dim:]
-    yg = ag[:, None] * xg
-    yg[1:] += bg[:, None] * xe[:-1]
-    ye = ae[:, None] * xe
-    ye[:-1] += bl[:, None] * xg[1:]
-    return np.concatenate([yg, ye], axis=0)
+    y = np.empty_like(x)
+    np.multiply(ag, xg, out=y[:dim])
+    y[1:dim] += bg * xe[:-1]
+    np.multiply(ae, xe, out=y[dim:])
+    y[dim:-1] += bl * xg[1:]
+    return y
 
 
 def u_resonant(theta: float, cfg: HilbertConfig) -> np.ndarray:
@@ -346,34 +370,42 @@ def validate_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 # numeric integration
 # ---------------------------------------------------------------------------
 
-def _blockstep_segment_unitary(
-    profile: TransitProfile,
-    t0: float,
-    t1: float,
-    delta: float,
-    n_steps: int,
-    cfg: HilbertConfig,
-) -> np.ndarray:
-    """Frozen-midpoint product of exact steps across [t0, t1] at detuning delta."""
-    dim = cfg.dim
-    dt = (t1 - t0) / n_steps
-    mids = t0 + dt * (np.arange(n_steps) + 0.5)
-    omegas = profile.omega0 * np.exp(-((profile.v * mids / profile.w) ** 2))
-    u = np.eye(2 * dim, dtype=complex)
-    for om in omegas:
-        u = _apply_left(_pair_coefficients(om, delta, dt, cfg), u, dim)
-    return u
+def _frozen_midpoint_steps(
+    profile: TransitProfile, t0, span, delta, n_steps: int, cfg: HilbertConfig
+):
+    """Pair coefficients of the product of n_steps exact frozen-midpoint steps
+    across [t0, t0 + span] at detuning delta.
+
+    t0, span and delta may be arrays of one shape (one entry per slice); all
+    slices are then composed together, one substep at a time.
+    """
+    dt = np.asarray(span, dtype=float) / n_steps
+    acc = None
+    for j in range(n_steps):
+        mids = t0 + dt * (j + 0.5)
+        omegas = profile.omega0 * np.exp(-((profile.v * mids / profile.w) ** 2))
+        step = _pair_coefficients(omegas, delta, dt, cfg)
+        acc = step if acc is None else _compose(step, acc)
+    return acc
 
 
 class TransitKernel:
     """Precomputed one-crossing propagation machinery for a fixed scenario.
 
-    The crossing is cut into Strang slices (loss_slices per dispersive
-    segment, the resonant window as one slice).  Each slice carries a dense
-    unitary built from exact frozen-midpoint substeps -- the resonant slice
-    is u_resonant(Theta) exactly, since there H(t) commutes with itself --
-    and, when a cavity is attached, the thermal half-slice propagators that
-    Strang-wrap it.
+    The crossing is cut into Strang slices: loss_slices per dispersive
+    segment, each spanning (t1 - t0) / loss_slices, and the resonant window
+    as one slice.  Every slice conserves excitation number, so it is kept as
+    its pair coefficients (ag, ae, bg, bl; see _pair_coefficients) and acts
+    on joint states as O(dim^2) updates of row pairs and column pairs.  The
+    dispersive slices are products of exact frozen-midpoint substeps,
+    composed for all slices at once; the resonant slice is u_resonant(Theta)
+    exactly, since there H(t) commutes with itself.
+
+    With a cavity attached, each slice is Strang-wrapped in two half-steps
+    of loss.  All of them share one generator, so the two half-steps that
+    meet at a slice boundary are merged into one exact step:
+    loss_steps[k] runs before slice k, and the last one after the final
+    slice.  Steps of equal duration share one ThermalPropagator.
     """
 
     def __init__(
@@ -383,68 +415,71 @@ class TransitKernel:
         cavity: CavityParams | None = None,
         options: TransitOptions = TransitOptions(),
     ):
+        if options.method != "blockstep":
+            raise ValueError(
+                f"the transit kernel integrates with method 'blockstep', got {options.method!r}"
+            )
         self.profile = profile
         self.cfg = cfg
         self.cavity = cavity
         self.options = options
 
         d1, res, d2 = _segments(profile)
-        n_sub = -(-options.fine_steps // options.loss_slices)  # ceil per slice
-        self.slice_unitaries: list[np.ndarray] = []
-        self.slice_durations: list[float] = []
+        n_slices = options.loss_slices
+        n_sub = -(-options.fine_steps // n_slices)  # ceil per slice
+        starts, spans, deltas = [], [], []
         for (t0, t1, delta) in (d1, d2):
-            edges = np.linspace(t0, t1, options.loss_slices + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                self.slice_unitaries.append(
-                    _blockstep_segment_unitary(profile, lo, hi, delta, n_sub, cfg)
-                )
-                self.slice_durations.append(hi - lo)
-        # insert the resonant slice between the two dispersive runs
-        res_u = u_resonant(theta_of(profile), cfg)
-        k = options.loss_slices
-        self.slice_unitaries.insert(k, res_u)
-        self.slice_durations.insert(k, res[1] - res[0])
+            tau = (t1 - t0) / n_slices
+            starts.append(t0 + tau * np.arange(n_slices))
+            spans.append(np.full(n_slices, tau))
+            deltas.append(np.full(n_slices, delta))
+        disp = _frozen_midpoint_steps(
+            profile, np.concatenate(starts), np.concatenate(spans), np.concatenate(deltas),
+            n_sub, cfg,
+        )
+        wings = [tuple(c[k] for c in disp) for k in range(2 * n_slices)]
+        resonant = _pair_coefficients(1.0, 0.0, theta_of(profile), cfg)
+        # the resonant slice sits between the two dispersive runs
+        self.slices = wings[:n_slices] + [resonant] + wings[n_slices:]
+        self._slices_conj = [tuple(c.conj() for c in co) for co in self.slices]
+        self.slice_durations = np.concatenate([spans[0], [res[1] - res[0]], spans[1]])
 
-        self._half_loss: dict[float, ThermalPropagator] = {}
+        self.loss_steps: list[ThermalPropagator] = []
         if cavity is not None:
-            for tau in set(self.slice_durations):
-                self._half_loss[tau] = ThermalPropagator(tau / 2, cavity, cfg.dim)
+            halves = np.append(self.slice_durations, 0.0) / 2
+            merged = (halves + np.roll(halves, 1)).tolist()
+            props = {tau: ThermalPropagator(tau, cavity, cfg.dim) for tau in set(merged)}
+            self.loss_steps = [props[tau] for tau in merged]
 
     def unitary(self) -> np.ndarray:
         """Loss-free transit propagator (ordered product of the slices)."""
-        u = np.eye(2 * self.cfg.dim, dtype=complex)
-        for s in self.slice_unitaries:
-            u = s @ u
-        return u
+        acc = self.slices[0]
+        for coeffs in self.slices[1:]:
+            acc = _compose(coeffs, acc)
+        return _coeffs_to_matrix(acc, self.cfg)
 
     def propagate(self, rho_joint: np.ndarray) -> np.ndarray:
         return self.propagate_batched(rho_joint[None])[0]
 
     def propagate_batched(self, stack: np.ndarray) -> np.ndarray:
         """Propagate a stack (M, 2 dim, 2 dim) of joint states through the crossing."""
-        out = stack
-        for u, tau in zip(self.slice_unitaries, self.slice_durations):
-            if self.cavity is not None:
-                out = self._loss_half_batched(out, tau)
-            out = u @ out @ u.conj().T
-            if self.cavity is not None:
-                out = self._loss_half_batched(out, tau)
-        return out
-
-    def _loss_half_batched(self, stack: np.ndarray, tau: float) -> np.ndarray:
         dim = self.cfg.dim
-        m = stack.shape[0]
-        blocks = (
-            stack.reshape(m, 2, dim, 2, dim)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(m * 4, dim, dim)
-        )
-        relaxed = self._half_loss[tau].apply_batched(np.ascontiguousarray(blocks))
-        return (
-            relaxed.reshape(m, 2, 2, dim, dim)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(m, 2 * dim, 2 * dim)
-        )
+        # states as (2 dim, 2 dim, M): row pairs on axis 0, column pairs on
+        # axis 1, and the batch last, where the loss steps' gather wants it
+        out = np.ascontiguousarray(np.moveaxis(stack, 0, -1), dtype=complex)
+        for k, (coeffs, conj) in enumerate(zip(self.slices, self._slices_conj)):
+            out = self._loss_step(k, out)
+            out = _apply_left(coeffs, out, dim)
+            # rho U' = (conj(U) rho^T)^T: the column pairs take conjugate coefficients
+            out = _apply_left(conj, out.swapaxes(0, 1), dim).swapaxes(0, 1)
+        out = self._loss_step(len(self.slices), out)
+        return np.moveaxis(out, -1, 0)
+
+    def _loss_step(self, k: int, states: np.ndarray) -> np.ndarray:
+        if not self.loss_steps:
+            return states
+        relaxed = self.loss_steps[k].apply_batched(np.moveaxis(states, -1, 0))
+        return np.moveaxis(relaxed, 0, -1)
 
 
 @lru_cache(maxsize=16)
@@ -557,8 +592,8 @@ def segment_unitary(
         raise ValueError(f"segment must be first/resonant/second, got {segment!r}")
     t0, t1, delta = _segments(profile)[order[segment]]
     if method == "blockstep":
-        n = n_steps or 1024
-        return _blockstep_segment_unitary(profile, t0, t1, delta, n, cfg)
+        coeffs = _frozen_midpoint_steps(profile, t0, t1 - t0, delta, n_steps or 1024, cfg)
+        return _coeffs_to_matrix(coeffs, cfg)
     if method == "rk4":
         rate = max(profile.delta_disp, profile.omega0)
         n = n_steps or max(1, int(np.ceil((t1 - t0) * rate / 0.05)))

@@ -191,7 +191,7 @@ def sample_map(
 def build_sample_superop(
     config: ReservoirConfig,
     cfg: HilbertConfig,
-    chunk_size: int = 256,
+    chunk_size: int = 16,
 ) -> np.ndarray:
     """Dense matrix of the deterministic sample map on vectorized states.
 

@@ -11,6 +11,15 @@ and exp(L t) is assembled exactly from per-diagonal expm calls: relaxation
 carries no time-step error here.  All operator products are taken on the
 truncated space (a'|n_max> = 0), which keeps the generator trace-preserving
 and completely positive on the retained levels.
+
+ThermalPropagator keeps the 2 dim - 1 diagonal blocks (the lower diagonal
+of offset -d shares the block of +d) zero-padded into one (2 dim - 1, dim,
+dim) real stack.  Applying exp(L t) to a stack of matrices is one gather of
+every matrix's diagonals into that padded layout, one batched real matmul
+with the complex entries viewed as pairs of real columns, and one inverse
+gather back; there is no loop over diagonals.  Joint (atom x field) matrices
+go through the same gather with all four atom blocks side by side, since the
+jumps act on the field factor only.
 """
 
 from __future__ import annotations
@@ -79,8 +88,32 @@ def rate_block(d: int, dim: int, cavity: CavityParams) -> np.ndarray:
     return block
 
 
+def _stack_indices(dim: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and inverse-gather indices between a padded diagonal stack and
+    a (levels*dim)-square matrix flattened row-major.
+
+    gather[s, m, q] is the flat index of entry m of field diagonal
+    k = s - (dim - 1) (column minus row) in atom block q = levels*a + b;
+    entries past the end of a diagonal point at 0 and meet zero columns of
+    the stack.  scatter[i] is the position of flat entry i in the gathered
+    array.
+    """
+    k = np.arange(2 * dim - 1)[:, None] - (dim - 1)
+    m = np.arange(dim)[None, :]
+    row, col = m + np.maximum(-k, 0), m + np.maximum(k, 0)
+    valid = np.maximum(row, col) < dim
+    a, b = np.divmod(np.arange(levels * levels), levels)
+    size = levels * dim
+    gather = (a * dim + row[..., None]) * size + b * dim + col[..., None]
+    valid = np.broadcast_to(valid[..., None], gather.shape)
+    gather = np.where(valid, gather, 0)
+    scatter = np.empty(size * size, dtype=np.intp)
+    scatter[gather[valid]] = np.flatnonzero(valid)
+    return gather, scatter
+
+
 class ThermalPropagator:
-    """exp(L t) for one fixed duration, applied diagonal by diagonal."""
+    """exp(L t) for one fixed duration, applied to all diagonals at once."""
 
     def __init__(self, duration: float, cavity: CavityParams, dim: int):
         if duration < 0:
@@ -88,26 +121,37 @@ class ThermalPropagator:
         self.duration = duration
         self.cavity = cavity
         self.dim = dim
-        self.blocks = [expm(rate_block(d, dim, cavity) * duration) for d in range(dim)]
-        # index arrays for reading/writing each diagonal
-        self._rows = [np.arange(dim - d) for d in range(dim)]
-        self._cols = [np.arange(d, dim) for d in range(dim)]
+        # slot dim-1+k holds the block of diagonal k; -d and +d share one
+        self.stack = np.zeros((2 * dim - 1, dim, dim))
+        for d in range(dim):
+            block = expm(rate_block(d, dim, cavity) * duration)
+            self.stack[dim - 1 + d, : dim - d, : dim - d] = block
+            self.stack[dim - 1 - d, : dim - d, : dim - d] = block
+        # field matrices (dim square) and joint ones (2 dim square)
+        self._indices = {dim: _stack_indices(dim, 1), 2 * dim: _stack_indices(dim, 2)}
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """exp(L t) rho for a single field density matrix."""
+        """exp(L t) rho for a single field (or joint atom x field) matrix."""
         return self.apply_batched(rho[None, :, :])[0]
 
     def apply_batched(self, mats: np.ndarray) -> np.ndarray:
-        """exp(L t) applied to a stack of field matrices, shape (M, dim, dim)."""
-        out = np.empty_like(mats)
-        for d in range(self.dim):
-            r, c = self._rows[d], self._cols[d]
-            bt = self.blocks[d].T
-            out[:, r, c] = mats[:, r, c] @ bt
-            if d > 0:
-                # lower diagonal obeys the same real rate block
-                out[:, c, r] = mats[:, c, r] @ bt
-        return out
+        """exp(L t) applied to a stack of matrices, shape (M, size, size).
+
+        size is dim for field matrices, or 2 dim for joint (atom x field)
+        matrices, whose four atom blocks relax independently.  The result may
+        be a non-contiguous view.
+        """
+        count, size = mats.shape[0], mats.shape[-1]
+        if size not in self._indices or mats.shape[1] != size:
+            raise ValueError(
+                f"expected matrices of size {self.dim} or {2 * self.dim}, got {mats.shape[1:]}"
+            )
+        gather, scatter = self._indices[size]
+        cols = mats.astype(complex, copy=False).reshape(count, size * size).T
+        picked = cols.take(gather, axis=0).reshape(2 * self.dim - 1, self.dim, -1)
+        relaxed = np.matmul(self.stack, picked.view(float)).view(complex)
+        out = relaxed.reshape(-1, count).take(scatter, axis=0)
+        return out.T.reshape(count, size, size)
 
     def apply_joint(self, rho_joint: np.ndarray) -> np.ndarray:
         """Blockwise application to an (atom x field) density matrix.
@@ -115,24 +159,15 @@ class ThermalPropagator:
         The jump operators act on the field factor only, so each of the four
         atom blocks relaxes independently.
         """
-        dim = self.dim
-        blocks = rho_joint.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3).reshape(4, dim, dim)
-        relaxed = self.apply_batched(np.ascontiguousarray(blocks))
-        return (
-            relaxed.reshape(2, 2, dim, dim).transpose(0, 2, 1, 3).reshape(2 * dim, 2 * dim)
-        )
+        return self.apply(rho_joint)
 
     def superop_matrix(self) -> np.ndarray:
         """Dense (dim^2, dim^2) matrix of exp(L t) in row-major vec ordering."""
         dim = self.dim
+        flat = self._indices[dim][0][..., 0]
         mat = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for d in range(dim):
-            r, c = self._rows[d], self._cols[d]
-            idx_u = r * dim + c
-            mat[np.ix_(idx_u, idx_u)] = self.blocks[d]
-            if d > 0:
-                idx_l = c * dim + r
-                mat[np.ix_(idx_l, idx_l)] = self.blocks[d]
+        # padded entries all land on mat[0, 0] with weight exactly 0
+        np.add.at(mat, (flat[:, :, None], flat[:, None, :]), self.stack)
         return mat
 
 

@@ -1,12 +1,14 @@
 """Transit schedule, analytic propagators, and the numeric integrators."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from cavres.fock import HilbertConfig, coherent_state, density, kerr_propagator
 from cavres import dynamics as dyn
-from cavres.thermal import CavityParams
+from cavres.thermal import CavityParams, rate_block
 
 OMEGA0 = 2 * np.pi * 50e3
 WAIST = 6e-3
@@ -277,6 +279,101 @@ class TestTransitIntegration:
         joint = dyn.embed_with_atom(rho, atom)
         assert np.trace(joint) == pytest.approx(1.0)
         assert np.max(np.abs(dyn.trace_atom(joint) - rho)) < 1e-14
+
+
+@lru_cache(maxsize=4)
+def dense_slices(profile, cfg, options=dyn.TransitOptions()):
+    """Strang slices of the crossing as dense matrices, each the product of
+    its exact frozen-midpoint substeps, paired with the slice duration."""
+    d1, res, d2 = dyn._segments(profile)
+    n_sub = -(-options.fine_steps // options.loss_slices)
+    wings = []
+    for t0, t1, delta in (d1, d2):
+        tau = (t1 - t0) / options.loss_slices
+        dt = tau / n_sub
+        run = []
+        for k in range(options.loss_slices):
+            u = np.eye(2 * cfg.dim, dtype=complex)
+            for j in range(n_sub):
+                mid = t0 + k * tau + dt * (j + 0.5)
+                omega = profile.omega0 * np.exp(-((profile.v * mid / profile.w) ** 2))
+                step = dyn._pair_coefficients(omega, delta, dt, cfg)
+                u = dyn._coeffs_to_matrix(step, cfg) @ u
+            run.append((u, tau))
+        wings.append(run)
+    resonant = (dyn.u_resonant(dyn.theta_of(profile), cfg), res[1] - res[0])
+    return wings[0] + [resonant] + wings[1]
+
+
+def relax_joint_per_diagonal(stack, duration, cavity, blocks_by_duration):
+    """exp(L t) on each atom block of joint states, one field diagonal at a time."""
+    m, size = stack.shape[0], stack.shape[1]
+    dim = size // 2
+    if duration not in blocks_by_duration:
+        blocks_by_duration[duration] = [
+            expm(rate_block(d, dim, cavity) * duration) for d in range(dim)
+        ]
+    blocks = stack.reshape(m, 2, dim, 2, dim).transpose(0, 1, 3, 2, 4).reshape(-1, dim, dim)
+    out = np.empty_like(blocks)
+    for d, block in enumerate(blocks_by_duration[duration]):
+        r, c = np.arange(dim - d), np.arange(d, dim)
+        out[:, r, c] = blocks[:, r, c] @ block.T
+        out[:, c, r] = blocks[:, c, r] @ block.T
+    return out.reshape(m, 2, 2, dim, dim).transpose(0, 1, 3, 2, 4).reshape(m, size, size)
+
+
+def oracle_propagate(stack, profile, cfg, cavity):
+    """Dense slice-by-slice crossing, each slice between two loss half-steps."""
+    cache = {}
+    out = stack
+    for u, tau in dense_slices(profile, cfg):
+        if cavity is not None:
+            out = relax_joint_per_diagonal(out, tau / 2, cavity, cache)
+        out = u @ out @ u.conj().T
+        if cavity is not None:
+            out = relax_joint_per_diagonal(out, tau / 2, cavity, cache)
+    return out
+
+
+def random_joint_states(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, 2 * dim, 2 * dim)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+class TestKernelAgainstDenseOracle:
+    @pytest.mark.parametrize("n_max", [8, 24])
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_propagation_matches(self, n_max, lossy):
+        cfg = HilbertConfig(n_max=n_max)
+        cavity = CavityParams() if lossy else None
+        kernel = dyn.TransitKernel(CAT2, cfg, cavity)
+        stack = random_joint_states(cfg.dim, 5, seed=n_max)
+        want = oracle_propagate(stack, CAT2, cfg, cavity)
+        assert np.max(np.abs(kernel.propagate_batched(stack) - want)) < 1e-12
+        assert np.max(np.abs(kernel.propagate(stack[0]) - want[0])) < 1e-12
+
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_unitary_matches(self, n_max):
+        cfg = HilbertConfig(n_max=n_max)
+        want = np.eye(2 * cfg.dim, dtype=complex)
+        for u, _ in dense_slices(CAT2, cfg):
+            want = u @ want
+        got = dyn.TransitKernel(CAT2, cfg, CavityParams()).unitary()
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_loss_steps_are_merged_and_shared(self):
+        cfg = HilbertConfig(n_max=8)
+        kernel = dyn.TransitKernel(CAT2, cfg, CavityParams())
+        n_slices = len(kernel.slices)
+        assert n_slices == 2 * dyn.TransitOptions().loss_slices + 1
+        assert len(kernel.loss_steps) == n_slices + 1
+        # ends, dispersive-dispersive and dispersive-resonant boundaries
+        assert len({id(p) for p in kernel.loss_steps}) == 3
+        total = sum(p.duration for p in kernel.loss_steps)
+        assert total == pytest.approx(CAT2.t_i, rel=1e-12)
 
 
 @pytest.mark.slow

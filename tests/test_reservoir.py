@@ -12,7 +12,7 @@ from cavres.fock import (
     validate_density,
 )
 from cavres.thermal import CavityParams
-from cavres.dynamics import TransitProfile, theta_of
+from cavres.dynamics import TransitOptions, TransitProfile, theta_of
 import cavres.metrics as met
 import cavres.reservoir as res
 
@@ -98,6 +98,15 @@ class TestSampleMap:
             rho2, config
         )
         assert np.max(np.abs(mixed - parts)) < 1e-10
+
+    def test_rk4_method_is_rejected_not_ignored(self):
+        # the numeric backend integrates with blockstep only
+        cfg = HilbertConfig(n_max=8)
+        config = res.ReservoirConfig(
+            profile=CAT2, u=0.45 * np.pi, options=TransitOptions(method="rk4")
+        )
+        with pytest.raises(ValueError, match="blockstep"):
+            res.sample_map(density(coherent_state(0.5, cfg)), config)
 
     def test_monte_carlo_reproducible(self):
         cfg = HilbertConfig(n_max=12)

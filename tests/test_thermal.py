@@ -39,6 +39,18 @@ def dense_lindblad_rhs(rho, cavity):
     return cavity.kappa * (1 + cavity.n_t) * down + cavity.kappa * cavity.n_t * up
 
 
+def relax_per_diagonal(mats, duration, cavity):
+    """exp(L t) on a stack of field matrices, one diagonal block at a time."""
+    dim = mats.shape[-1]
+    out = np.empty_like(mats)
+    for d in range(dim):
+        block = expm(rate_block(d, dim, cavity) * duration)
+        r, c = np.arange(dim - d), np.arange(d, dim)
+        out[:, r, c] = mats[:, r, c] @ block.T
+        out[:, c, r] = mats[:, c, r] @ block.T
+    return out
+
+
 class TestCavityParams:
     def test_kappa_is_twice_inverse_field_decay_time(self):
         # t_c is the amplitude 1/e time, so the jump rate is 2/t_c
@@ -117,11 +129,29 @@ class TestThermalPropagator:
 
     def test_batched_matches_single(self):
         cav = CavityParams(n_t=0.1)
-        prop = ThermalPropagator(0.02, cav, 15)
-        stack = np.stack([random_density(15, seed=s) for s in range(4)])
-        got = prop.apply_batched(stack.copy())
-        for k in range(4):
-            assert np.max(np.abs(got[k] - prop.apply(stack[k]))) < 1e-13
+        for dim in (1, 2, 15, 40):
+            prop = ThermalPropagator(0.02, cav, dim)
+            stack = np.stack([random_density(dim, seed=s) for s in range(4)])
+            got = prop.apply_batched(stack.copy())
+            # reference: the per-diagonal loop over the same rate blocks
+            want = relax_per_diagonal(stack, 0.02, cav)
+            assert np.max(np.abs(got - want)) < 1e-13
+            for k in range(4):
+                assert np.max(np.abs(got[k] - prop.apply(stack[k]))) < 1e-13
+
+    def test_durations_add(self):
+        # exp(L a) exp(L b) = exp(L (a+b)): adjacent steps merge exactly
+        cav = CavityParams(t_c=0.02, n_t=0.3)
+        dim, a, b = 20, 3.1e-4, 1.7e-4
+        rho = random_density(dim, seed=4)
+        merged = ThermalPropagator(a + b, cav, dim).apply(rho)
+        first = ThermalPropagator(b, cav, dim).apply(rho)
+        split = ThermalPropagator(a, cav, dim).apply(first)
+        assert np.max(np.abs(merged - split)) < 1e-12
+
+    def test_rejects_wrong_size(self):
+        with pytest.raises(ValueError):
+            ThermalPropagator(0.01, CavityParams(), 6).apply(np.eye(7, dtype=complex))
 
     def test_joint_acts_blockwise(self):
         cav = CavityParams(n_t=0.2)
