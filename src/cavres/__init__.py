@@ -22,164 +22,17 @@ if _threads:
     ):
         _os.environ.setdefault(_var, _threads)
 
-from cavres.fock import (
-    COHERENT_GUARD,
-    HilbertConfig,
-    StateInvariantError,
-    TruncationError,
-    canonical_phase,
-    coherent_state,
-    density,
-    fock_state,
-    ideal_mfss,
-    kerr_propagator,
-    make_ladder,
-    number_op,
-    thermal_state,
-    validate_density,
-    validate_ket,
-)
-from cavres.thermal import CavityParams, ThermalPropagator, dissipator_rhs
-from cavres.dynamics import (
-    AtomPreparation,
-    ConvergenceError,
-    ScheduleError,
-    TransitKernel,
-    TransitOptions,
-    TransitProfile,
-    ZeroDetuningError,
-    detuning_schedule,
-    embed_with_atom,
-    jc_hamiltonian,
-    phi0_of,
-    rabi_coupling,
-    theta_of,
-    trace_atom,
-    transit_propagate,
-    transit_unitary,
-    u_composite,
-    u_dispersive,
-    u_resonant,
-)
-from cavres.reservoir import (
-    ReservoirConfig,
-    TrajectoryError,
-    TrajectoryResult,
-    build_sample_superop,
-    micromaser_amplitude,
-    relax,
-    run_trajectory,
-    sample_map,
-    switch_off_decay,
-)
-from cavres.metrics import (
-    CatFitResult,
-    MetricsRecord,
-    WignerGrid,
-    field_moments,
-    fit_cat,
-    mean_photon,
-    overlap_fidelity,
-    purity,
-    records_to_csv,
-    squeezing_db,
-    trust_radius,
-    wigner,
-    wigner_point,
-    wigner_to_text,
-)
-from cavres.scenarios import (
-    AnalysisSpec,
-    ConfigError,
-    PRESET_NAMES,
-    ScenarioConfig,
-    build_config,
-    ideal_target,
-    parse_config_text,
-    preset,
-    run_scenario,
-    serialize_config,
-    state_from_text,
-    state_to_text,
-    sweep_scenario,
-    with_override,
-)
+from cavres.fock import *
+from cavres.thermal import *
+from cavres.dynamics import *
+from cavres.reservoir import *
+from cavres.metrics import *
+from cavres.scenarios import *
+from cavres import dynamics, fock, metrics, reservoir, scenarios, thermal
 
 __version__ = "0.1.0"
 __all__ = [
-    "COHERENT_GUARD",
-    "HilbertConfig",
-    "StateInvariantError",
-    "TruncationError",
-    "canonical_phase",
-    "coherent_state",
-    "density",
-    "fock_state",
-    "ideal_mfss",
-    "kerr_propagator",
-    "make_ladder",
-    "number_op",
-    "thermal_state",
-    "validate_density",
-    "validate_ket",
-    "CavityParams",
-    "ThermalPropagator",
-    "dissipator_rhs",
-    "AtomPreparation",
-    "ConvergenceError",
-    "ScheduleError",
-    "TransitKernel",
-    "TransitOptions",
-    "TransitProfile",
-    "ZeroDetuningError",
-    "detuning_schedule",
-    "embed_with_atom",
-    "jc_hamiltonian",
-    "phi0_of",
-    "rabi_coupling",
-    "theta_of",
-    "trace_atom",
-    "transit_propagate",
-    "transit_unitary",
-    "u_composite",
-    "u_dispersive",
-    "u_resonant",
-    "ReservoirConfig",
-    "TrajectoryError",
-    "TrajectoryResult",
-    "build_sample_superop",
-    "micromaser_amplitude",
-    "relax",
-    "run_trajectory",
-    "sample_map",
-    "switch_off_decay",
-    "CatFitResult",
-    "MetricsRecord",
-    "WignerGrid",
-    "field_moments",
-    "fit_cat",
-    "mean_photon",
-    "overlap_fidelity",
-    "purity",
-    "records_to_csv",
-    "squeezing_db",
-    "trust_radius",
-    "wigner",
-    "wigner_point",
-    "wigner_to_text",
-    "AnalysisSpec",
-    "ConfigError",
-    "PRESET_NAMES",
-    "ScenarioConfig",
-    "build_config",
-    "ideal_target",
-    "parse_config_text",
-    "preset",
-    "run_scenario",
-    "serialize_config",
-    "state_from_text",
-    "state_to_text",
-    "sweep_scenario",
-    "with_override",
-    "__version__",
-]
+    name
+    for module in (fock, thermal, dynamics, reservoir, metrics, scenarios)
+    for name in module.__all__
+] + ["__version__"]

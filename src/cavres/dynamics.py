@@ -12,9 +12,9 @@ schedule: +Delta (dispersive), 0 for a span t_r centered on the waist
     H(t) = (delta(t)/2) (|e><e| - |g><g|) +
            i (Omega(t)/2) (|g><e| a' - |e><g| a)
 
-which couples only the pairs {|e,n>, |g,n+1>}.  Every exact-step,
-analytic, and RK4 propagator below lives on the joint space ordered
-atom (x) field with atom basis (|g>, |e>), joint dimension 2*(n_max+1).
+which couples only the pairs {|e,n>, |g,n+1>}.  Every exact-step and
+analytic propagator below lives on the joint space ordered atom (x) field
+with atom basis (|g>, |e>), joint dimension 2*(n_max+1).
 
 Analytic limits: a resonant segment of pulse area Theta realizes the
 block rotation u_resonant(Theta); a far-detuned segment realizes the
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from cavres.fock import HilbertConfig
-from cavres.thermal import CavityParams, ThermalPropagator, dissipator_rhs
+from cavres.thermal import CavityParams, ThermalPropagator
 
 __all__ = [
     "TransitProfile",
@@ -59,9 +59,8 @@ __all__ = [
     "transit_unitary",
     "transit_propagate",
     "segment_unitary",
-    "rk4_propagator",
-    "rk4_master",
     "validate_unitary",
+    "TransitKernel",
     "get_kernel",
 ]
 
@@ -130,32 +129,22 @@ class AtomPreparation:
 
 @dataclass(frozen=True)
 class TransitOptions:
-    """Numeric-integration knobs for one transit.
+    """Step settings of the transit kernel.
 
-    method            "blockstep" (exact frozen-midpoint two-level steps) or
-                      "rk4" (fixed-step RK4 on the full master equation); only
-                      transit_propagate and transit_unitary take "rk4", the
-                      TransitKernel (and so the reservoir) rejects it
-    fine_steps        blockstep substeps per dispersive segment
-    loss_slices       Strang slices per dispersive segment for the dissipator;
-                      keep the slice span well below the pair-rotation period
-                      2 pi / sqrt((delta/2)^2 + g_n^2), otherwise the O(tau^3)
-                      splitting errors add coherently instead of averaging out
-    rk4_phase_per_step   step bound max(|delta|, omega0)*dt for the rk4 method
+    fine_steps   exact frozen-midpoint pair-block substeps per dispersive
+                 segment
+    loss_slices  Strang slices per dispersive segment for the dissipator;
+                 keep the slice span well below the pair-rotation period
+                 2 pi / sqrt((delta/2)^2 + g_n^2), otherwise the O(tau^3)
+                 splitting errors add coherently instead of averaging out
     """
 
-    method: str = "blockstep"
     fine_steps: int = 1024
     loss_slices: int = 32
-    rk4_phase_per_step: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.method not in ("blockstep", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.fine_steps < 1 or self.loss_slices < 1:
             raise ValueError("fine_steps and loss_slices must be >= 1")
-        if not 0 < self.rk4_phase_per_step <= 0.05:
-            raise ValueError("rk4_phase_per_step must be in (0, 0.05]")
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +404,6 @@ class TransitKernel:
         cavity: CavityParams | None = None,
         options: TransitOptions = TransitOptions(),
     ):
-        if options.method != "blockstep":
-            raise ValueError(
-                f"the transit kernel integrates with method 'blockstep', got {options.method!r}"
-            )
         self.profile = profile
         self.cfg = cfg
         self.cavity = cavity
@@ -492,115 +477,20 @@ def get_kernel(
     return TransitKernel(profile, cfg, cavity, options)
 
 
-def rk4_propagator(
-    omega_fn,
-    delta: float,
-    t0: float,
-    t1: float,
-    n_steps: int,
-    cfg: HilbertConfig,
-) -> np.ndarray:
-    """Fixed-step RK4 for dU/dt = -i H(t) U over one constant-delta span."""
-    dim = cfg.dim
-    dt = (t1 - t0) / n_steps
-    u = np.eye(2 * dim, dtype=complex)
-
-    def f(t, m):
-        co = _h_coeffs(omega_fn(t), delta, cfg)
-        return -1j * _h_apply(co, m, dim)
-
-    t = t0
-    for _ in range(n_steps):
-        k1 = f(t, u)
-        k2 = f(t + dt / 2, u + dt / 2 * k1)
-        k3 = f(t + dt / 2, u + dt / 2 * k2)
-        k4 = f(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    return u
-
-
-def _h_coeffs(omega: float, delta: float, cfg: HilbertConfig):
-    g = 0.5 * omega * np.sqrt(np.arange(1, cfg.dim, dtype=float))
-    return 0.5 * delta, g
-
-
-def _h_apply(coeffs, x: np.ndarray, dim: int) -> np.ndarray:
-    """H @ x via the pair structure."""
-    half_delta, g = coeffs
-    xg, xe = x[:dim], x[dim:]
-    yg = -half_delta * xg
-    yg[1:] += 1j * g[:, None] * xe[:-1]
-    ye = +half_delta * xe
-    ye[:-1] += -1j * g[:, None] * xg[1:]
-    return np.concatenate([yg, ye], axis=0)
-
-
-def rk4_master(
-    rho_joint: np.ndarray,
-    profile: TransitProfile,
-    cavity: CavityParams | None,
-    cfg: HilbertConfig,
-    phase_per_step: float = 0.05,
-) -> np.ndarray:
-    """Fixed-step RK4 of the full master equation across the crossing.
-
-    Step bound: max(|delta|, omega0) * dt <= phase_per_step, with step
-    boundaries aligned to the three segment edges.  This is the reference
-    integrator the fast blockstep path is validated against.
-    """
-    dim = cfg.dim
-    rho = rho_joint.astype(complex)
-    rate = max(profile.delta_disp, profile.omega0)
-
-    def f(t, r, delta):
-        co = _h_coeffs(rabi_coupling(t, profile), delta, cfg)
-        comm = _h_apply(co, r, dim) - _h_apply(co, r.conj().T, dim).conj().T
-        out = -1j * comm
-        if cavity is not None:
-            out = out + dissipator_rhs(r, cavity, joint=True)
-        return out
-
-    for (t0, t1, delta) in _segments(profile):
-        n_steps = max(1, int(np.ceil((t1 - t0) * rate / phase_per_step)))
-        dt = (t1 - t0) / n_steps
-        t = t0
-        for _ in range(n_steps):
-            k1 = f(t, rho, delta)
-            k2 = f(t + dt / 2, rho + dt / 2 * k1, delta)
-            k3 = f(t + dt / 2, rho + dt / 2 * k2, delta)
-            k4 = f(t + dt, rho + dt * k3, delta)
-            rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-            t += dt
-    return rho
-
-
-def segment_unitary(
-    profile: TransitProfile,
-    segment: str,
-    cfg: HilbertConfig,
-    method: str = "blockstep",
-    n_steps: int | None = None,
-) -> np.ndarray:
+def segment_unitary(profile: TransitProfile, segment: str, cfg: HilbertConfig) -> np.ndarray:
     """Loss-free numeric propagator of one schedule segment.
 
-    segment is "first", "resonant", or "second".
+    segment is "first", "resonant", or "second"; it is integrated in
+    TransitOptions().fine_steps exact frozen-midpoint steps.
     """
     order = {"first": 0, "resonant": 1, "second": 2}
     if segment not in order:
         raise ValueError(f"segment must be first/resonant/second, got {segment!r}")
     t0, t1, delta = _segments(profile)[order[segment]]
-    if method == "blockstep":
-        coeffs = _frozen_midpoint_steps(profile, t0, t1 - t0, delta, n_steps or 1024, cfg)
-        return _coeffs_to_matrix(coeffs, cfg)
-    if method == "rk4":
-        rate = max(profile.delta_disp, profile.omega0)
-        n = n_steps or max(1, int(np.ceil((t1 - t0) * rate / 0.05)))
-        return rk4_propagator(
-            lambda t: rabi_coupling(t, profile), delta, t0, t1, n, cfg
-        )
-    raise ValueError(f"unknown method {method!r}")
+    coeffs = _frozen_midpoint_steps(
+        profile, t0, t1 - t0, delta, TransitOptions().fine_steps, cfg
+    )
+    return _coeffs_to_matrix(coeffs, cfg)
 
 
 def transit_unitary(
@@ -609,11 +499,6 @@ def transit_unitary(
     options: TransitOptions = TransitOptions(),
 ) -> np.ndarray:
     """Loss-free numeric propagator of the whole crossing."""
-    if options.method == "rk4":
-        u = np.eye(2 * cfg.dim, dtype=complex)
-        for seg in ("first", "resonant", "second"):
-            u = segment_unitary(profile, seg, cfg, method="rk4") @ u
-        return u
     return get_kernel(profile, cfg, None, options).unitary()
 
 
@@ -648,23 +533,11 @@ def transit_propagate(
     if backend != "numeric":
         raise ValueError(f"unknown backend {backend!r}")
 
-    if options.method == "rk4":
-        out = rk4_master(rho_joint, profile, cavity, cfg, options.rk4_phase_per_step)
-        if check_convergence:
-            finer = rk4_master(
-                rho_joint, profile, cavity, cfg, options.rk4_phase_per_step / 2
-            )
-            _check_step_convergence(out, finer, cfg)
-        return out
-
     kernel = get_kernel(profile, cfg, cavity, options)
     out = kernel.propagate(rho_joint)
     if check_convergence:
         finer_opts = TransitOptions(
-            method=options.method,
-            fine_steps=2 * options.fine_steps,
-            loss_slices=2 * options.loss_slices,
-            rk4_phase_per_step=options.rk4_phase_per_step,
+            fine_steps=2 * options.fine_steps, loss_slices=2 * options.loss_slices
         )
         finer = get_kernel(profile, cfg, cavity, finer_opts).propagate(rho_joint)
         _check_step_convergence(out, finer, cfg)
@@ -673,14 +546,11 @@ def transit_propagate(
 
 def _check_step_convergence(coarse: np.ndarray, fine: np.ndarray, cfg: HilbertConfig):
     n_op = np.arange(cfg.dim)
-    for rho_c, rho_f in ((coarse, fine),):
-        fc, ff = trace_atom(rho_c), trace_atom(rho_f)
-        d_nbar = abs(np.real(np.diag(fc) @ n_op) - np.real(np.diag(ff) @ n_op))
-        d_pur = abs(
-            np.real(np.trace(fc @ fc)) - np.real(np.trace(ff @ ff))
+    fc, ff = trace_atom(coarse), trace_atom(fine)
+    d_nbar = abs(np.real(np.diag(fc) @ n_op) - np.real(np.diag(ff) @ n_op))
+    d_pur = abs(np.real(np.trace(fc @ fc)) - np.real(np.trace(ff @ ff)))
+    if d_nbar > 1e-4 or d_pur > 1e-4:
+        raise ConvergenceError(
+            f"halving the step moved nbar by {d_nbar:.2e} and purity by "
+            f"{d_pur:.2e} (tolerance 1e-4); refine the step settings"
         )
-        if d_nbar > 1e-4 or d_pur > 1e-4:
-            raise ConvergenceError(
-                f"halving the step moved nbar by {d_nbar:.2e} and purity by "
-                f"{d_pur:.2e} (tolerance 1e-4); refine the step settings"
-            )

@@ -20,6 +20,7 @@ from math import lgamma
 import numpy as np
 
 __all__ = [
+    "COHERENT_GUARD",
     "HilbertConfig",
     "TruncationError",
     "StateInvariantError",

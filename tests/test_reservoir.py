@@ -12,7 +12,7 @@ from cavres.fock import (
     validate_density,
 )
 from cavres.thermal import CavityParams
-from cavres.dynamics import TransitOptions, TransitProfile, theta_of
+from cavres.dynamics import TransitProfile, theta_of
 import cavres.metrics as met
 import cavres.reservoir as res
 
@@ -98,15 +98,6 @@ class TestSampleMap:
             rho2, config
         )
         assert np.max(np.abs(mixed - parts)) < 1e-10
-
-    def test_rk4_method_is_rejected_not_ignored(self):
-        # the numeric backend integrates with blockstep only
-        cfg = HilbertConfig(n_max=8)
-        config = res.ReservoirConfig(
-            profile=CAT2, u=0.45 * np.pi, options=TransitOptions(method="rk4")
-        )
-        with pytest.raises(ValueError, match="blockstep"):
-            res.sample_map(density(coherent_state(0.5, cfg)), config)
 
     def test_monte_carlo_reproducible(self):
         cfg = HilbertConfig(n_max=12)
@@ -275,21 +266,6 @@ class TestSuperoperatorCache:
             got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
             assert np.max(np.abs(got - want)) < 1e-8
 
-    def test_matches_direct_analytic_map(self):
-        cfg = HilbertConfig(n_max=14)
-        config = res.ReservoirConfig(
-            profile=CAT2,
-            u=0.45 * np.pi,
-            cavity=CavityParams(),
-            p_at=0.3,
-            backend="analytic",
-        )
-        s_mat = res.build_sample_superop(config, cfg)
-        rho = random_density(cfg.dim, seed=9)
-        want = res.sample_map(rho, config)
-        got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
-        assert np.max(np.abs(got - want)) < 1e-12
-
     def test_no_atoms_reduces_to_relaxation(self):
         cfg = HilbertConfig(n_max=9)
         config = res.ReservoirConfig(
@@ -302,24 +278,36 @@ class TestSuperoperatorCache:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rejects_monte_carlo(self):
+        # the cache holds the deterministic numeric map only; the size rule
+        # in run_trajectory never sends other configurations here
         cfg = HilbertConfig(n_max=8)
-        config = res.ReservoirConfig(
-            profile=CAT2, u=0.1, mixing_mode="monte_carlo", seed=1
-        )
-        with pytest.raises(ValueError):
-            res.build_sample_superop(config, cfg)
+        for config in (
+            res.ReservoirConfig(profile=CAT2, u=0.1, mixing_mode="monte_carlo", seed=1),
+            res.ReservoirConfig(profile=CAT2, u=0.1, backend="analytic"),
+        ):
+            with pytest.raises(ValueError):
+                res.build_sample_superop(config, cfg)
 
-    def test_cached_trajectory_matches_direct(self):
+    def test_cached_trajectory_matches_direct(self, monkeypatch):
+        # n_samples >= dim^2 / 2 = 60 sends the run through the dense cache;
+        # u = 0.3 pi keeps the field well inside n_max 10 for 60 samples
         cfg = HilbertConfig(n_max=10)
         rho0 = density(fock_state(0, cfg))
         config = res.ReservoirConfig(
-            profile=CAT2, u=0.45 * np.pi, cavity=CavityParams(), n_samples=20
+            profile=CAT2, u=0.3 * np.pi, cavity=CavityParams(), n_samples=60
         )
-        direct = res.run_trajectory(rho0, config, use_cache=False)
-        cached = res.run_trajectory(rho0, config, use_cache=True)
-        assert np.max(np.abs(direct.final_state - cached.final_state)) < 1e-10
-        for a, b in zip(direct.records, cached.records):
-            assert a.n_bar == pytest.approx(b.n_bar, abs=1e-10)
+        builds = []
+        build = res.build_sample_superop
+        monkeypatch.setattr(
+            res, "build_sample_superop", lambda *a: builds.append(a) or build(*a)
+        )
+        cached = res.run_trajectory(rho0, config)
+        assert len(builds) == 1
+        rho = rho0
+        for j in range(1, config.n_samples + 1):
+            rho = res.sample_map(rho, config)
+            assert met.mean_photon(rho) == pytest.approx(cached.records[j].n_bar, abs=1e-10)
+        assert np.max(np.abs(rho - cached.final_state)) < 1e-10
 
 
 class TestMicromaser:
