@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import StateInvariantError, TruncationError
+from .fock import StateInvariantError, TruncationError, validate_density
 from .dynamics import ConvergenceError, ScheduleError, ZeroDetuningError
 from .reservoir import TrajectoryError
 from . import metrics as met
@@ -178,7 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
-    rho = sc.state_from_text(_read_text(args.state, "state file"))
+    rho = validate_density(sc.state_from_text(_read_text(args.state, "state file")))
     axes = sc.grid_axes(sc.parse_grid(args.grid))
     grid = met.wigner(rho, axes, axes)
     sys.stdout.write(met.wigner_to_text(grid))

@@ -218,18 +218,24 @@ def validate_density(
     eig_tol: float = 1e-8,
     check_positivity: bool = True,
 ) -> np.ndarray:
-    """Check Hermiticity, unit trace and positive semidefiniteness."""
+    """Check Hermiticity, unit trace and positive semidefiniteness.
+
+    Each check is written so that a NaN fails it: a non-finite entry makes
+    the Hermiticity defect NaN (inf - inf against its own mirror), so it is
+    rejected without a separate pass over the matrix.
+    """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise StateInvariantError(f"density matrix must be square, got {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    with np.errstate(invalid="ignore"):
+        herm = np.max(np.abs(rho - rho.conj().T))
+    if not herm <= herm_tol:
         raise StateInvariantError(f"Hermiticity defect {herm:.3e} > {herm_tol}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise StateInvariantError(f"trace {tr} deviates from 1 by more than {trace_tol}")
     if check_positivity:
         w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if w.min() < -eig_tol:
+        if not w.min() >= -eig_tol:
             raise StateInvariantError(f"negative eigenvalue {w.min():.3e} < -{eig_tol}")
     return rho

@@ -163,6 +163,18 @@ class TestWigner:
             assert cli.main(["wigner", "--state", str(bad), "--grid=-1:1:1"]) == 2
             assert message in capsys.readouterr().err
 
+    def test_rejects_invalid_state(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        for text, message in (
+            ("# dim: 2\n5,0,0,0\n0,0,1,0\n", "trace"),
+            ("# dim: 2\n1,0,nan,0\n0,0,0,0\n", "Hermiticity"),
+        ):
+            bad.write_text(text)
+            assert cli.main(["wigner", "--state", str(bad), "--grid=-1:1:1"]) == 3
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
+
 
 def test_console_script_help():
     proc = subprocess.run(

@@ -183,6 +183,15 @@ class TestValidators:
         neg = 1.5 * rho - 0.5 * density(fock_state(0, CFG20))
         with pytest.raises(StateInvariantError):
             validate_density(neg)  # negative eigenvalue
+        for bad_value in (np.nan, np.inf, complex(0, np.nan)):
+            for index in ((0, 0), (0, 1), (3, 2)):
+                bad = rho.copy()
+                bad[index] = bad_value
+                with pytest.raises(StateInvariantError):
+                    validate_density(bad)  # non-finite entry
+                bad[index[::-1]] = np.conj(bad_value)
+                with pytest.raises(StateInvariantError):
+                    validate_density(bad)  # non-finite, mirrored
 
     def test_thermal_state(self):
         rho = thermal_state(0.05, CFG60)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from cavres.fock import (
+    COHERENT_GUARD,
     HilbertConfig,
     coherent_state,
     density,
@@ -16,6 +18,7 @@ from cavres.fock import (
     thermal_state,
 )
 import cavres.metrics as met
+from oracles import wigner_laguerre
 
 
 def random_density(dim, seed):
@@ -23,6 +26,25 @@ def random_density(dim, seed):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def squeezed_vacuum(r, phi, cfg):
+    """S(r e^{i phi})|0>, truncated and renormalized: even Fock amplitudes
+    (-e^{i phi} tanh r)^j sqrt((2j)!) / (2^j j!), formed in log space."""
+    j = np.arange((cfg.dim + 1) // 2)
+    log_fact = gammaln(np.arange(cfg.dim) + 1.0)
+    log_mag = (j * math.log(math.tanh(r)) + 0.5 * log_fact[2 * j]
+               - j * math.log(2.0) - log_fact[j])
+    ket = np.zeros(cfg.dim, dtype=complex)
+    ket[2 * j] = np.exp(log_mag) * (-np.exp(1j * phi)) ** j
+    return ket / np.linalg.norm(ket)
+
+
+def guard_coherent_density(cfg):
+    """The largest coherent state the truncation guard admits, |alpha|^2 =
+    COHERENT_GUARD * n_max, near the grid diagonal."""
+    alpha = math.sqrt(COHERENT_GUARD * cfg.n_max) * np.exp(1j * (np.pi / 4 + 0.1))
+    return density(coherent_state(alpha, cfg))
 
 
 class TestScalars:
@@ -167,6 +189,37 @@ class TestWigner:
                 psi[n] = norm * hermval(np.sqrt(2) * x, coefs) * np.exp(-x * x)
             want[i] = np.real(psi @ rho @ psi)
         assert np.max(np.abs(marginal - want)) < 1e-3
+
+    @pytest.mark.parametrize("state, half_width", [
+        ("coherent_guard", 4.2),
+        ("squeezed_strong", 2.5),
+    ])
+    def test_grid_matches_laguerre_oracle(self, state, half_width):
+        cfg = HilbertConfig(n_max=60)
+        if state == "coherent_guard":
+            rho = guard_coherent_density(cfg)
+        else:
+            rho = density(squeezed_vacuum(1.1, 0.7, cfg))
+        ax = np.linspace(-half_width, half_width, 15)
+        grid = met.wigner(rho, ax, ax)
+        want = wigner_laguerre(rho, ax[None, :] + 1j * ax[:, None])
+        assert np.max(np.abs(grid.values - want)) < 1e-10
+
+    def test_point_matches_laguerre_oracle_far_out(self):
+        rho = random_density(61, seed=5)
+        xi = 3.5 + 3.5j
+        assert met.wigner_point(rho, xi) == pytest.approx(
+            wigner_laguerre(rho, xi), abs=1e-10
+        )
+
+    def test_guard_coherent_state_integrates_to_one(self):
+        # the truncated state's map is still 4e-5 at |xi| = 8, past the trust radius
+        rho = guard_coherent_density(HilbertConfig(n_max=60))
+        ax = np.linspace(-9, 9, 181)
+        with pytest.warns(UserWarning, match="trust radius"):
+            grid = met.wigner(rho, ax, ax)
+        step = ax[1] - ax[0]
+        assert abs(grid.values.sum() * step * step - 1.0) < 1e-6
 
     def test_trust_radius_warning(self):
         cfg = HilbertConfig(n_max=10)
