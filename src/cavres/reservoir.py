@@ -14,10 +14,17 @@ operators and composes relaxation over t_i afterwards.  The deterministic
 mixing mode averages the atom/no-atom branches; monte_carlo draws one branch
 per sample from a seeded generator.
 
-The deterministic map is affine in the state, so a numeric trajectory long
-enough to pay for it (n_samples >= dim^2 / 2) first builds the map as one
-dense (dim^2, dim^2) matrix and then iterates matrix-vector products; every
-other trajectory applies sample_map directly.
+The deterministic numeric map is linear in the state, so a trajectory long
+enough to pay for it (n_samples >= 3 dim) first builds the map as one sparse
+(dim^2, dim^2) operator and then iterates sparse matrix-vector products;
+Monte-Carlo runs, the analytic backend and shorter runs apply sample_map
+directly.  Transit and loss conserve the joint excitation difference, so
+the crossing maps each field diagonal only to its neighbours: the operator
+is assembled from three branch maps K_gg, K_ee and K_ge read off 3 dim
+probe propagations (column grouping over the known diagonal structure, as
+for sparse Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117
+(1974)).  The branch maps depend on neither u nor p_at and are cached, so
+runs in one process that differ only in those two reuse one build.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from cavres.fock import HilbertConfig, TruncationError, validate_density
 from cavres.thermal import CavityParams, ThermalPropagator
@@ -189,51 +197,116 @@ def sample_map(
 
 
 # ---------------------------------------------------------------------------
-# superoperator cache
+# sample operator
 # ---------------------------------------------------------------------------
 
-def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> np.ndarray:
-    """Dense matrix of the deterministic numeric sample map on vectorized states.
+_PROBE_BATCH = 8  # probe matrices per kernel call; small batches stay in cache
 
-    Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  Built by
-    propagating basis matrices through the same slice decomposition as the
-    direct path, so the two agree to rounding.
+
+def _probes(dim: int) -> np.ndarray:
+    """Stack of dim probe matrices: probe p is 1 where min(row, col) = p,
+    so it holds element p of every field diagonal at once."""
+    levels = np.arange(dim)
+    return (np.minimum.outer(levels, levels) == levels[:, None, None]).astype(complex)
+
+
+def _diagonal_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
+    """CSR matrix, on row-major vec, of a field map that sends diagonal k
+    (column - row) only to diagonal k + shift, read off the images of the
+    _probes: entry (r, c) of images[p] is the map's element from element p
+    of input diagonal c - r - shift to output entry (r, c).
+    """
+    dim = images.shape[-1]
+    levels = np.arange(dim)
+    k_in = levels[None, :] - levels[:, None] - shift
+    p = levels[:, None, None]
+    valid = np.abs(k_in) + p < dim
+    cols = (p + np.maximum(-k_in, 0)) * dim + p + np.maximum(k_in, 0)
+    rows = np.broadcast_to(np.arange(dim * dim).reshape(dim, dim), valid.shape)
+    out = sparse.csr_matrix(
+        (images[valid], (rows[valid], cols[valid])), shape=(dim * dim, dim * dim)
+    )
+    out.eliminate_zeros()
+    return out
+
+
+@lru_cache(maxsize=4)
+def _branch_maps(
+    profile: TransitProfile,
+    cfg: HilbertConfig,
+    cavity: CavityParams | None,
+    options: TransitOptions,
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]:
+    """K_gg, K_ee and K_ge, with K_ab(X) = Tr_atom K(|a><b| tensor X) for the
+    lossy crossing K.  Transit and loss both conserve the joint excitation
+    difference, so K_gg and K_ee keep each field diagonal k on k and K_ge
+    sends it to k + 1; dim probes per map therefore read off every element.
+    None of the three depends on the atom state u or on p_at.
+    """
+    kernel = get_kernel(profile, cfg, cavity, options)
+    dim = cfg.dim
+    probes = _probes(dim)
+    maps = []
+    for a, b in ((0, 0), (1, 1), (0, 1)):
+        images = np.empty_like(probes)
+        for start in range(0, dim, _PROBE_BATCH):
+            chunk = probes[start:start + _PROBE_BATCH]
+            joint = np.zeros((len(chunk), 2 * dim, 2 * dim), dtype=complex)
+            joint[:, a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = chunk
+            out = kernel.propagate_batched(joint).reshape(len(chunk), 2, dim, 2, dim)
+            images[start:start + len(chunk)] = out[:, 0, :, 0, :] + out[:, 1, :, 1, :]
+        maps.append(_diagonal_map(images, shift=b - a))
+    return tuple(maps)
+
+
+def _adjoint_branch(k_ge: sparse.csr_matrix, dim: int) -> sparse.csr_matrix:
+    """K_eg from K_ge: K_eg(X) = K_ge(X')', a transpose permutation of the
+    vec indices on both sides plus a complex conjugation."""
+    perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    coo = k_ge.tocoo()
+    return sparse.csr_matrix(
+        (coo.data.conj(), (perm[coo.row], perm[coo.col])), shape=k_ge.shape
+    )
+
+
+def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
+    """Sparse matrix S = (1 - p_at) R + p_at A_u of the deterministic numeric
+    sample map on vectorized states.
+
+    Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  R is the
+    thermal relaxation over t_i (identity without a cavity); the atom branch
+    is A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge + c.c., built
+    from the cached u-independent branch maps.  Every map is read off probes
+    sent through the same steps as the direct path, so the two agree to
+    rounding.
     """
     if config.mixing_mode != "deterministic" or config.backend != "numeric":
         raise ValueError(
-            "the superoperator cache applies to deterministic mixing with the numeric "
+            "the sample operator applies to deterministic mixing with the numeric "
             f"backend only, got {config.mixing_mode!r} mixing, {config.backend!r} backend"
         )
     dim = cfg.dim
-    nvec = dim * dim
 
     if config.cavity is not None:
-        r_mat = _relax_propagator(config.profile.t_i, config.cavity, dim).superop_matrix()
+        prop = _relax_propagator(config.profile.t_i, config.cavity, dim)
+        r_map = _diagonal_map(prop.apply_batched(_probes(dim)), shift=0)
     else:
-        r_mat = np.eye(nvec, dtype=complex)
+        r_map = sparse.identity(dim * dim, dtype=complex, format="csr")
     if config.p_at == 0.0:
-        return r_mat
+        return r_map
 
-    kernel = get_kernel(config.profile, cfg, config.cavity, config.options)
-    atom = config.atom.ket()
-    proj = np.outer(atom, atom.conj())
-    atom_full = np.empty((nvec, nvec), dtype=complex)
-    chunk = 16  # basis matrices per batch; small batches stay in cache
-    for start in range(0, nvec, chunk):
-        cols = np.arange(start, min(start + chunk, nvec))
-        basis = np.zeros((cols.size, dim, dim), dtype=complex)
-        basis[np.arange(cols.size), cols // dim, cols % dim] = 1.0
-        joint = (
-            proj[None, :, None, :, None] * basis[:, None, :, None, :]
-        ).reshape(cols.size, 2 * dim, 2 * dim)
-        out = kernel.propagate_batched(joint)
-        blocks = out.reshape(cols.size, 2, dim, 2, dim)
-        traced = blocks[:, 0, :, 0, :] + blocks[:, 1, :, 1, :]
-        atom_full[:, cols] = traced.reshape(cols.size, nvec).T
-
+    k_gg, k_ee, k_ge = _branch_maps(config.profile, cfg, config.cavity, config.options)
+    psi_g, psi_e = config.atom.ket()
+    cross = psi_g * np.conj(psi_e)
+    a_map = (
+        abs(psi_g) ** 2 * k_gg
+        + abs(psi_e) ** 2 * k_ee
+        + cross * k_ge
+        + np.conj(cross) * _adjoint_branch(k_ge, dim)
+    )
     if config.p_at == 1.0:
-        return atom_full
-    return (1.0 - config.p_at) * r_mat + config.p_at * atom_full
+        return a_map
+    return (1.0 - config.p_at) * r_map + config.p_at * a_map
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +357,26 @@ def run_trajectory(
     observer(j, rho_copy) is called after every recorded sample (including
     j = 0); non-None return values are collected into observations.
     reference, when given, is the pure state fidelity is tracked against.
-    Deterministic numeric runs with n_samples >= dim^2 / 2 iterate the dense
-    matrix of build_sample_superop; all others call sample_map each sample.
-    The two paths agree to rounding.
+    Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
+    operator of build_sample_superop, whose 3 dim probe propagations cost
+    no more than 3 dim direct samples; all others call sample_map each
+    sample.  The two paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     validate_density(rho0)
     t_i = config.profile.t_i
 
-    dense = (
+    use_operator = (
         config.mixing_mode == "deterministic"
         and config.backend == "numeric"
-        and config.n_samples >= cfg.dim * cfg.dim // 2
+        and config.n_samples >= 3 * cfg.dim
     )
 
     rng = None
     if config.mixing_mode == "monte_carlo":
         rng = np.random.default_rng(config.seed)
 
-    superop = build_sample_superop(config, cfg) if dense else None
+    superop = build_sample_superop(config, cfg) if use_operator else None
 
     rho = rho0.astype(complex).copy()
     records = [_snapshot(0, t_i, rho, reference)]

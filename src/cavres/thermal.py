@@ -152,13 +152,3 @@ class ThermalPropagator:
         relaxed = np.matmul(self.stack, picked.view(float)).view(complex)
         out = relaxed.reshape(-1, count).take(scatter, axis=0)
         return out.T.reshape(count, size, size)
-
-    def superop_matrix(self) -> np.ndarray:
-        """Dense (dim^2, dim^2) matrix of exp(L t) in row-major vec ordering."""
-        dim = self.dim
-        flat = self._indices[dim][0][..., 0]
-        mat = np.zeros((dim * dim, dim * dim), dtype=complex)
-        # padded entries all land on mat[0, 0] with weight exactly 0
-        np.add.at(mat, (flat[:, :, None], flat[:, None, :]), self.stack)
-        return mat
-

@@ -1,4 +1,4 @@
-"""Per-sample reservoir map, trajectories, and the superoperator cache."""
+"""Per-sample reservoir map, trajectories, and the sparse sample operator."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,18 @@ from cavres.fock import (
     validate_density,
 )
 from cavres.thermal import CavityParams
-from cavres.dynamics import TransitProfile, theta_of
+from cavres.dynamics import TransitKernel, TransitProfile, theta_of
 import cavres.metrics as met
 import cavres.reservoir as res
+import cavres.scenarios as sc
 
 OMEGA0 = 2 * np.pi * 50e3
 WAIST = 6e-3
 
 CAT2 = TransitProfile(omega0=OMEGA0, w=WAIST, v=70.0, delta_disp=2.2 * OMEGA0, t_r=5e-6)
 RESONANT = TransitProfile(omega0=OMEGA0, w=WAIST, v=300.0, delta_disp=0.0, t_r=1.7e-6)
+# atom angles of the gate tests: below, at and above the cat presets' u
+U_VALUES = (0.3 * np.pi, 0.45 * np.pi, 0.5 * np.pi)
 
 
 def random_density(dim, seed):
@@ -278,8 +281,8 @@ class TestSuperoperatorCache:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rejects_monte_carlo(self):
-        # the cache holds the deterministic numeric map only; the size rule
-        # in run_trajectory never sends other configurations here
+        # the operator holds the deterministic numeric map only; the path
+        # rule in run_trajectory never sends other configurations here
         cfg = HilbertConfig(n_max=8)
         for config in (
             res.ReservoirConfig(profile=CAT2, u=0.1, mixing_mode="monte_carlo", seed=1),
@@ -288,9 +291,79 @@ class TestSuperoperatorCache:
             with pytest.raises(ValueError):
                 res.build_sample_superop(config, cfg)
 
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_matches_sample_map_for_every_u_and_p_at(self, n_max):
+        cfg = HilbertConfig(n_max=n_max)
+        states = [random_density(cfg.dim, seed=seed) for seed in (11, 12)]
+        for cavity in (CavityParams(), None):
+            for u in U_VALUES:
+                for p_at in (0.3, 1.0):
+                    config = res.ReservoirConfig(
+                        profile=CAT2, u=u, cavity=cavity, p_at=p_at
+                    )
+                    s_mat = res.build_sample_superop(config, cfg)
+                    for rho in states:
+                        want = res.sample_map(rho, config)
+                        got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
+                        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_branch_maps_are_built_once_for_all_u(self, monkeypatch, tmp_path):
+        # the three branch maps hold no u: three values of u cost 3 dim probe
+        # propagations in all, whether built directly or by a serial sweep
+        pushed = []
+        propagate = TransitKernel.propagate_batched
+
+        def spy(kernel, stack):
+            pushed.append(len(stack))
+            return propagate(kernel, stack)
+
+        monkeypatch.setattr(TransitKernel, "propagate_batched", spy)
+        cfg = HilbertConfig(n_max=8)
+        res._branch_maps.cache_clear()
+        for u in U_VALUES:
+            config = res.ReservoirConfig(profile=CAT2, u=u, cavity=CavityParams())
+            res.build_sample_superop(config, cfg)
+        assert sum(pushed) == 3 * cfg.dim
+
+        pushed.clear()
+        res._branch_maps.cache_clear()
+        dim = 16
+        config = sc.build_config({
+            "hilbert.n_max": str(dim - 1),
+            "profile.v": "70",
+            "profile.t_r": "5 us",
+            "profile.delta": "2.2 omega0",
+            "reservoir.u": "0.3pi",
+            "reservoir.n_samples": str(3 * dim),
+            "analysis.wigner_grid": "-1:1:1",
+        })
+        sc.sweep_scenario(
+            config, "reservoir.u", ["0.3pi", "0.45pi", "0.5pi"], out_dir=tmp_path
+        )
+        assert sum(pushed) == 3 * dim
+
+    @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 1)])
+    def test_path_rule_boundary(self, monkeypatch, extra, builds_expected):
+        # run_trajectory switches to the operator at n_samples = 3 dim = 33,
+        # not one sample earlier
+        cfg = HilbertConfig(n_max=10)
+        rho0 = density(fock_state(0, cfg))
+        config = res.ReservoirConfig(
+            profile=CAT2, u=0.3 * np.pi, cavity=CavityParams(),
+            n_samples=3 * cfg.dim + extra,
+        )
+        builds = []
+        build = res.build_sample_superop
+        monkeypatch.setattr(
+            res, "build_sample_superop", lambda *a: builds.append(a) or build(*a)
+        )
+        res.run_trajectory(rho0, config)
+        assert len(builds) == builds_expected
+
     def test_cached_trajectory_matches_direct(self, monkeypatch):
-        # n_samples >= dim^2 / 2 = 60 sends the run through the dense cache;
-        # u = 0.3 pi keeps the field well inside n_max 10 for 60 samples
+        # n_samples = 60 >= 3 dim = 33 sends the run through the sparse
+        # operator; u = 0.3 pi keeps the field well inside n_max 10 for 60
+        # samples
         cfg = HilbertConfig(n_max=10)
         rho0 = density(fock_state(0, cfg))
         config = res.ReservoirConfig(

@@ -13,6 +13,8 @@ from cavres.fock import (
     thermal_state,
     validate_density,
 )
+from cavres.dynamics import TransitProfile
+from cavres.reservoir import ReservoirConfig, build_sample_superop
 from cavres.thermal import CavityParams, ThermalPropagator, rate_block
 from oracles import dissipator_rhs
 
@@ -164,12 +166,18 @@ class TestThermalPropagator:
                 assert np.max(np.abs(got[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] - want)) < 1e-12
 
     def test_superop_matrix_matches_apply(self):
+        # the sparse relaxation operator is read off probe matrices sent
+        # through apply_batched; with p_at = 0 it is the whole sample operator
         cav = CavityParams(n_t=0.15)
         dim = 8
-        prop = ThermalPropagator(0.03, cav, dim)
-        mat = prop.superop_matrix()
+        omega0 = 2 * np.pi * 50e3
+        profile = TransitProfile(
+            omega0=omega0, w=6e-3, v=70.0, delta_disp=2.2 * omega0, t_r=5e-6
+        )
+        config = ReservoirConfig(profile=profile, u=0.3, cavity=cav, p_at=0.0)
+        mat = build_sample_superop(config, HilbertConfig(n_max=dim - 1))
         rho = random_density(dim, seed=2)
-        want = prop.apply(rho)
+        want = ThermalPropagator(profile.t_i, cav, dim).apply(rho)
         got = (mat @ rho.reshape(-1)).reshape(dim, dim)
         assert np.max(np.abs(got - want)) < 1e-12
 
