@@ -91,16 +91,19 @@ def fock_state(n: int, cfg: HilbertConfig) -> np.ndarray:
     return ket
 
 
-def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Unnormalized truncated coherent amplitudes, log-space magnitudes."""
+def _coherent_amplitudes(alpha: "complex | np.ndarray", dim: int) -> np.ndarray:
+    """Unnormalized truncated coherent amplitudes, log-space magnitudes.
+
+    alpha may be an array; the amplitudes then run along a new last axis.
+    """
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
     n = np.arange(dim)
     mag = np.abs(alpha)
-    if mag == 0.0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
     lg = np.array([lgamma(k + 1) for k in range(dim)])
-    log_mag = -0.5 * mag**2 + n * np.log(mag) - 0.5 * lg
+    # alpha = 0 is the vacuum: n log|alpha| is 0 at n = 0 and -inf above
+    log_pow = n * np.log(np.where(mag > 0, mag, 1.0))
+    log_pow = np.where((mag == 0) & (n > 0), -np.inf, log_pow)
+    log_mag = -0.5 * mag**2 + log_pow - 0.5 * lg
     phase = np.angle(alpha) * n
     return np.exp(log_mag + 1j * phase)
 

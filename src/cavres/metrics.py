@@ -25,18 +25,33 @@ the diagonals, as in QuTiP's wigner(method="clenshaw") (Johansson, Nation
 and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  That is O(dim^2) per
 point with no cancelling sums, so W is the exact Wigner function of the
 truncated state at every xi.
+
+The best-fit cat is found by variable projection.  At a fixed component
+amplitude alpha the overlap with a k-component cat is a ratio c'Mc / c'Gc
+of k x k forms in the component coefficients c = (1, e^{i theta_1}, ...),
+so the relative phases are solved exactly: in closed form for k = 2, by
+coordinate ascent in closed-form steps for k >= 3.  Nelder-Mead then
+searches alpha alone, at one product with rho per step.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
-from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss, make_ladder
+from cavres.fock import (
+    COHERENT_GUARD,
+    HilbertConfig,
+    _coherent_amplitudes,
+    ideal_mfss,
+    make_ladder,
+)
 
 __all__ = [
     "MetricsRecord",
@@ -229,15 +244,139 @@ def squeezing_db(rho: np.ndarray) -> tuple[float, float]:
 # cat fitting
 # ---------------------------------------------------------------------------
 
-def _cat_overlap(x: np.ndarray, rho: np.ndarray, k: int, cfg: HilbertConfig) -> float:
-    alpha = complex(x[0], x[1])
-    if abs(alpha) ** 2 > COHERENT_GUARD * cfg.n_max:
-        return 0.0
-    try:
-        ref = ideal_mfss(alpha, k, tuple(x[2:]), cfg)
-    except ValueError:
-        return 0.0
-    return overlap_fidelity(rho, ref)
+# The amplitude search of fit_cat: scipy's Nelder-Mead tolerances, and the
+# cap on coordinate-ascent sweeps of the phase step.
+_SIMPLEX = {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000}
+_MAX_SWEEPS = 200
+
+
+def _best_phase(
+    a: float, b: float, c: float, d: float, e: float, f: float
+) -> tuple[float, float]:
+    """(theta, value): the maximum of (a + b cos theta + c sin theta) /
+    (d + e cos theta + f sin theta), for a denominator that stays positive.
+
+    The stationary points solve p sin theta + q cos theta + r = 0 with
+    p = ae - bd, q = cd - af and r = ce - bf; the better of its two roots
+    is returned.
+    """
+    p, q, r = a * e - b * d, c * d - a * f, c * e - b * f
+    # p sin + q cos = h cos(theta - phi); h = 0 only where the quotient is flat
+    h = math.hypot(p, q)
+    phi = math.atan2(p, q)
+    half = math.acos(max(-1.0, min(1.0, -r / h))) if h > 0 else 0.0
+    best = None
+    for theta in (phi + half, phi - half):
+        cos, sin = math.cos(theta), math.sin(theta)
+        value = (a + b * cos + c * sin) / (d + e * cos + f * sin)
+        if best is None or value > best[1]:
+            best = (theta, value)
+    return best
+
+
+def _phase_ascent(
+    m: np.ndarray, g: np.ndarray, theta: np.ndarray
+) -> tuple[float, list[float]]:
+    """(value, theta): cyclic coordinate ascent of c'Mc / c'Gc over
+    c = (1, e^{i theta_1}, ..., e^{i theta_{k-1}}) from the given phases.
+
+    With theta_j free and the others held, c'Mc = A + 2 Re(w e^{-i theta_j})
+    with w = (Mc)_j - M_jj c_j and A = c'Mc - 2 Re(conj(c_j) w) at the
+    current c_j, and likewise for G, so each step is _best_phase's closed
+    form and none lowers the quotient.  For k = 2 the first step is already
+    the maximum.  The sweeps stop once one gains at most 1e-15.  Plain
+    Python arithmetic: the matrices are k x k, where numpy's per-call cost
+    would dominate.
+    """
+    k = m.shape[0]
+    mats = (m.tolist(), g.tolist())
+    theta = [float(t) for t in theta]
+    c = [1.0 + 0j] + [cmath.exp(1j * t) for t in theta]
+    prods = [[sum(row[l] * c[l] for l in range(k)) for row in mat] for mat in mats]
+    value = -math.inf
+    for _ in range(_MAX_SWEEPS):
+        prev = value
+        for j in range(1, k):
+            parts = []
+            for mat, prod in zip(mats, prods):
+                w = prod[j] - mat[j][j] * c[j]
+                total = sum(ci.conjugate() * pi for ci, pi in zip(c, prod)).real
+                parts += [total - 2 * (c[j].conjugate() * w).real, 2 * w.real, 2 * w.imag]
+            theta[j - 1], value = _best_phase(*parts)
+            new = cmath.exp(1j * theta[j - 1])
+            for mat, prod in zip(mats, prods):
+                for i in range(k):
+                    prod[i] += mat[i][j] * (new - c[j])
+            c[j] = new
+        if k == 2 or value - prev <= 1e-15:
+            break
+    return value, theta
+
+
+def _cat_matrices(
+    rho: np.ndarray, alphas: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, G) of shape (B, k, k) for each amplitude of a 1-d array.
+
+    V = [v_0 ... v_{k-1}] holds the truncated unnormalized components
+    v_j = |alpha omega^j> (omega = e^{2 pi i/k}); M = V' rho V and G = V'V
+    is the truncated Gram matrix.  Since ideal_mfss renormalizes by the
+    truncated norm, the overlap of rho with ideal_mfss(alpha, k, theta) is
+    c'Mc / c'Gc with c = (1, e^{i theta_1}, ...).
+    """
+    dim = rho.shape[0]
+    v = _coherent_amplitudes(alphas[:, None] * np.exp(2j * np.pi * np.arange(k) / k), dim)
+    rho_v = (v.reshape(-1, dim) @ rho.T).reshape(v.shape)
+    return v.conj() @ rho_v.transpose(0, 2, 1), v.conj() @ v.transpose(0, 2, 1)
+
+
+@lru_cache(maxsize=None)
+def _phase_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 8^(k-1) grid of relative phases, and its rows of coefficients
+    c = (1, e^{i theta_1}, ...); read-only, shared by every fit."""
+    axis = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+    nodes = np.stack(np.meshgrid(*([axis] * (k - 1)), indexing="ij"), axis=-1)
+    nodes = nodes.reshape(-1, k - 1)
+    coeff = np.exp(1j * np.concatenate([np.zeros((len(nodes), 1)), nodes], axis=1))
+    nodes.flags.writeable = coeff.flags.writeable = False
+    return nodes, coeff
+
+
+def _phase_grid(m: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best value of c'Mc / c'Gc on the 8^(k-1) grid of relative phases, and
+    its node, for each pair of a (B, k, k) stack."""
+    nodes, c = _phase_nodes(m.shape[-1])
+    num = np.einsum("pi,bij,pj->bp", c.conj(), m, c).real
+    vals = num / np.einsum("pi,bij,pj->bp", c.conj(), g, c).real
+    best = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), best], nodes[best]
+
+
+def _cat_profile(rho: np.ndarray, alpha: complex, k: int) -> tuple[float, list[float]]:
+    """(value, theta): the best overlap of rho with a k-component cat of
+    amplitude alpha over the relative phases theta, which the best node of
+    the phase grid seeds and _phase_ascent solves.  Zero past the coherent
+    guard."""
+    if abs(alpha) ** 2 > COHERENT_GUARD * (rho.shape[0] - 1):
+        return 0.0, [0.0] * (k - 1)
+    if alpha == 0:  # every component is the vacuum
+        return float(rho[0, 0].real), [0.0] * (k - 1)
+    m, g = _cat_matrices(rho, np.array([alpha]), k)
+    return _phase_ascent(m[0], g[0], _phase_grid(m, g)[1][0])
+
+
+def _cat_result(
+    rho: np.ndarray, alpha: complex, phases, k: int, cfg: HilbertConfig
+) -> CatFitResult:
+    """The cat (alpha, phases) with its fidelity evaluated from ideal_mfss."""
+    phases = tuple(float(p % (2 * np.pi)) for p in phases)
+    reference = ideal_mfss(alpha, k, phases, cfg)
+    return CatFitResult(
+        alpha=alpha,
+        rel_phases=phases,
+        fidelity=overlap_fidelity(rho, reference),
+        reference=reference,
+    )
 
 
 def fit_cat(
@@ -247,86 +386,57 @@ def fit_cat(
 ) -> CatFitResult:
     """Best ideal k-component cat approximation of rho.
 
-    Maximizes <ref| rho |ref> over the complex component amplitude and the
-    k-1 relative phases with Nelder-Mead restarts; falls back to a coarse
-    16 x 16 x 8^(k-1) grid when the simplex stalls.  Deterministic, and the
-    returned fidelity is never below the initialization's.
+    Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): for a fixed component amplitude alpha the best k-1 relative
+    phases are solved exactly (_cat_profile), so Nelder-Mead searches only
+    (Re alpha, Im alpha), with one product with rho per evaluation.  Rotating
+    alpha by 2 pi/k only relabels the components, so one start per basin
+    suffices: init.alpha when given, the k-th-moment direction at
+    |alpha| = sqrt(nbar), and the best node of a 16 x 16 rake over
+    |Re alpha|, |Im alpha| <= sqrt(nbar) + 1, ranked by the phase grid.
+    Deterministic, and the returned fidelity, re-evaluated from ideal_mfss,
+    is never below the initialization's.
     """
     if k < 2:
         raise ValueError("a cat needs at least 2 components")
     cfg = HilbertConfig(n_max=rho.shape[0] - 1)
 
-    starts: list[np.ndarray] = []
-    if init is not None:
-        starts.append(
-            np.array([init.alpha.real, init.alpha.imag, *init.rel_phases])
-        )
-    amp, amp2, nbar = field_moments(rho)
+    def loss(x: np.ndarray) -> float:
+        return -_cat_profile(rho, complex(x[0], x[1]), k)[0]
+
+    starts = [] if init is None else [complex(init.alpha)]
+    _, _, nbar = field_moments(rho)
     # <a^k> of an equally spaced cat is alpha^k regardless of the phases,
     # so the k-th moment pins the pointer direction up to relabeling
-    n = np.arange(cfg.dim)
-    mom = np.diag(rho, k=-k)
-    fact = np.exp(
-        0.5
-        * (
-            np.cumsum(np.concatenate([[0.0], np.log(np.maximum(n[1:], 1))]))[k:]
-            - np.cumsum(np.concatenate([[0.0], np.log(np.maximum(n[1:], 1))]))[:-k]
-        )
-    )
-    a_k = complex(np.sum(fact * mom))
+    log_fact = np.cumsum(np.log(np.maximum(np.arange(cfg.dim), 1)))
+    a_k = complex(np.sum(np.exp(0.5 * (log_fact[k:] - log_fact[:-k])) * np.diag(rho, k=-k)))
     direction = np.angle(a_k) / k if abs(a_k) > 1e-12 else 0.0
     mag = float(np.sqrt(max(nbar, 1e-6)))
-    for jrot in range(k):
-        base = mag * np.exp(1j * (direction + 2 * np.pi * jrot / k))
-        for phase_seed in np.linspace(0, 2 * np.pi, 4, endpoint=False):
-            starts.append(
-                np.array([base.real, base.imag, *([phase_seed] * (k - 1))])
-            )
+    starts.append(mag * np.exp(1j * direction))
+    # the profile can hold more than one local maximum in alpha; a rake
+    # ranked by the phase grid alone finds the basin of the best one
+    axis = np.linspace(-(mag + 1.0), mag + 1.0, 16)
+    rake = (axis[:, None] + 1j * axis[None, :]).ravel()
+    coarse = _phase_grid(*_cat_matrices(rho, rake, k))[0]
+    coarse[np.abs(rake) ** 2 > COHERENT_GUARD * cfg.n_max] = 0.0
+    starts.append(rake[int(np.argmax(coarse))])
 
-    best_x, best_f = None, -1.0
-    for x0 in starts:
-        res = minimize(
-            lambda x: -_cat_overlap(x, rho, k, cfg),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000},
-        )
+    best_x, best_f = None, -np.inf
+    for a0 in starts:
+        res = minimize(loss, [a0.real, a0.imag], method="Nelder-Mead", options=_SIMPLEX)
         if -res.fun > best_f:
             best_f, best_x = -res.fun, res.x
-
-    init_f = -1.0 if init is None else _cat_overlap(
-        np.array([init.alpha.real, init.alpha.imag, *init.rel_phases]), rho, k, cfg
-    )
-    if best_f < max(init_f, 0.0) + 1e-9:
-        # simplex stalled; rake a coarse grid and polish the best cell
-        span = mag + 1.0
-        axes = np.linspace(-span, span, 16)
-        phase_axis = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-        grids = np.meshgrid(axes, axes, *([phase_axis] * (k - 1)), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        vals = np.array([_cat_overlap(p, rho, k, cfg) for p in pts])
-        x0 = pts[int(np.argmax(vals))]
-        res = minimize(
-            lambda x: -_cat_overlap(x, rho, k, cfg),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000},
-        )
-        if -res.fun > best_f:
-            best_f, best_x = -res.fun, res.x
-
-    if init is not None and init_f >= best_f:
-        best_x = np.array([init.alpha.real, init.alpha.imag, *init.rel_phases])
-
     alpha = complex(best_x[0], best_x[1])
-    phases = tuple(float(p % (2 * np.pi)) for p in best_x[2:])
-    reference = ideal_mfss(alpha, k, phases, cfg)
-    return CatFitResult(
-        alpha=alpha,
-        rel_phases=phases,
-        fidelity=overlap_fidelity(rho, reference),
-        reference=reference,
-    )
+    fit = _cat_result(rho, alpha, _cat_profile(rho, alpha, k)[1], k, cfg)
+
+    if init is not None and abs(init.alpha) ** 2 <= COHERENT_GUARD * cfg.n_max:
+        try:
+            start = _cat_result(rho, complex(init.alpha), init.rel_phases, k, cfg)
+        except ValueError:  # a degenerate superposition has no reference
+            return fit
+        if start.fidelity >= fit.fidelity:
+            return start
+    return fit
 
 
 # ---------------------------------------------------------------------------

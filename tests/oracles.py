@@ -1,21 +1,25 @@
 """Reference forms the library is validated against.
 
 Fixed-step RK4 on the Schrodinger equation and on the full master equation,
-the dissipator in plain matrix form, and the Wigner function summed term by
-term from scipy's Laguerre polynomials.  None of this runs in the library:
-every transit there goes through the exact pair-block kernel, every
-relaxation through the per-diagonal exponentials of ThermalPropagator and
-every Wigner map through a Clenshaw recurrence.  Tests compare those fast
-paths with the brute-force forms kept here.
+the dissipator in plain matrix form, the Wigner function summed term by
+term from scipy's Laguerre polynomials, and the cat fit as a Nelder-Mead
+search over the amplitude and the phases together.  None of this runs in
+the library: every transit there goes through the exact pair-block kernel,
+every relaxation through the per-diagonal exponentials of
+ThermalPropagator, every Wigner map through a Clenshaw recurrence and every
+cat fit through the amplitude-only search with exact phases.  Tests compare
+those fast paths with the brute-force forms kept here.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln
 
 from cavres.dynamics import _segments, rabi_coupling
-from cavres.fock import HilbertConfig
+from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss
+from cavres.metrics import CatFitResult, field_moments, overlap_fidelity
 from cavres.thermal import CavityParams, _aadag_diag
 
 
@@ -174,3 +178,103 @@ def wigner_laguerre(rho: np.ndarray, xi) -> np.ndarray:
     coef = rho[m, n] * np.where(m % 2, -1.0, 1.0) * np.where(n == m, 1.0, 2.0)
     terms = coef[:, None] * mag * laguerre * phase
     return (2.0 / np.pi * terms.real.sum(axis=0)).reshape(xi.shape)
+
+
+def _cat_overlap(x: np.ndarray, rho: np.ndarray, k: int, cfg: HilbertConfig) -> float:
+    alpha = complex(x[0], x[1])
+    if abs(alpha) ** 2 > COHERENT_GUARD * cfg.n_max:
+        return 0.0
+    try:
+        ref = ideal_mfss(alpha, k, tuple(x[2:]), cfg)
+    except ValueError:
+        return 0.0
+    return overlap_fidelity(rho, ref)
+
+
+def fit_cat_nelder_mead(
+    rho: np.ndarray,
+    k: int,
+    init: CatFitResult | None = None,
+) -> CatFitResult:
+    """Best ideal k-component cat approximation of rho.
+
+    Maximizes <ref| rho |ref> over the complex component amplitude and the
+    k-1 relative phases with Nelder-Mead restarts; falls back to a coarse
+    16 x 16 x 8^(k-1) grid when the simplex stalls.  Deterministic, and the
+    returned fidelity is never below the initialization's.
+    """
+    if k < 2:
+        raise ValueError("a cat needs at least 2 components")
+    cfg = HilbertConfig(n_max=rho.shape[0] - 1)
+
+    starts: list[np.ndarray] = []
+    if init is not None:
+        starts.append(
+            np.array([init.alpha.real, init.alpha.imag, *init.rel_phases])
+        )
+    amp, amp2, nbar = field_moments(rho)
+    # <a^k> of an equally spaced cat is alpha^k regardless of the phases,
+    # so the k-th moment pins the pointer direction up to relabeling
+    n = np.arange(cfg.dim)
+    mom = np.diag(rho, k=-k)
+    fact = np.exp(
+        0.5
+        * (
+            np.cumsum(np.concatenate([[0.0], np.log(np.maximum(n[1:], 1))]))[k:]
+            - np.cumsum(np.concatenate([[0.0], np.log(np.maximum(n[1:], 1))]))[:-k]
+        )
+    )
+    a_k = complex(np.sum(fact * mom))
+    direction = np.angle(a_k) / k if abs(a_k) > 1e-12 else 0.0
+    mag = float(np.sqrt(max(nbar, 1e-6)))
+    for jrot in range(k):
+        base = mag * np.exp(1j * (direction + 2 * np.pi * jrot / k))
+        for phase_seed in np.linspace(0, 2 * np.pi, 4, endpoint=False):
+            starts.append(
+                np.array([base.real, base.imag, *([phase_seed] * (k - 1))])
+            )
+
+    best_x, best_f = None, -1.0
+    for x0 in starts:
+        res = minimize(
+            lambda x: -_cat_overlap(x, rho, k, cfg),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000},
+        )
+        if -res.fun > best_f:
+            best_f, best_x = -res.fun, res.x
+
+    init_f = -1.0 if init is None else _cat_overlap(
+        np.array([init.alpha.real, init.alpha.imag, *init.rel_phases]), rho, k, cfg
+    )
+    if best_f < max(init_f, 0.0) + 1e-9:
+        # simplex stalled; rake a coarse grid and polish the best cell
+        span = mag + 1.0
+        axes = np.linspace(-span, span, 16)
+        phase_axis = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        grids = np.meshgrid(axes, axes, *([phase_axis] * (k - 1)), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        vals = np.array([_cat_overlap(p, rho, k, cfg) for p in pts])
+        x0 = pts[int(np.argmax(vals))]
+        res = minimize(
+            lambda x: -_cat_overlap(x, rho, k, cfg),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000},
+        )
+        if -res.fun > best_f:
+            best_f, best_x = -res.fun, res.x
+
+    if init is not None and init_f >= best_f:
+        best_x = np.array([init.alpha.real, init.alpha.imag, *init.rel_phases])
+
+    alpha = complex(best_x[0], best_x[1])
+    phases = tuple(float(p % (2 * np.pi)) for p in best_x[2:])
+    reference = ideal_mfss(alpha, k, phases, cfg)
+    return CatFitResult(
+        alpha=alpha,
+        rel_phases=phases,
+        fidelity=overlap_fidelity(rho, reference),
+        reference=reference,
+    )

@@ -18,14 +18,25 @@ from cavres.fock import (
     thermal_state,
 )
 import cavres.metrics as met
-from oracles import wigner_laguerre
+from oracles import fit_cat_nelder_mead, wigner_laguerre
 
 
-def random_density(dim, seed):
+def random_density(dim, seed, rank=None):
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    shape = (dim, dim if rank is None else rank)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def dephased_cat(k, seed, cfg):
+    """A cat with a drawn amplitude and phases, its Fock coherences scaled
+    down by a drawn 5-20 % (Hermitian, positive, unit trace)."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(1.2, 1.65) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    pure = density(ideal_mfss(alpha, k, tuple(rng.uniform(0, 2 * np.pi, k - 1)), cfg))
+    noise = rng.uniform(0.05, 0.2)
+    return (1 - noise) * pure + noise * np.diag(np.diag(pure))
 
 
 def squeezed_vacuum(r, phi, cfg):
@@ -295,6 +306,95 @@ class TestCatFit:
         cfg = HilbertConfig(n_max=10)
         with pytest.raises(ValueError):
             met.fit_cat(density(fock_state(0, cfg)), 1)
+
+    @pytest.mark.parametrize("phase", [0.0, np.pi])
+    def test_init_at_zero_amplitude(self, phase):
+        # every component of an alpha = 0 cat is the vacuum; with phase pi
+        # the superposition vanishes and the init has no reference at all
+        cfg = HilbertConfig(n_max=30)
+        rho = 0.7 * density(fock_state(0, cfg)) + 0.3 * density(fock_state(2, cfg))
+        init = met.CatFitResult(
+            alpha=0.0, rel_phases=(phase,), fidelity=0.0, reference=None
+        )
+        fit = met.fit_cat(rho, 2, init=init)
+        assert fit.fidelity >= 0.7 - 1e-12
+        assert fit.fidelity == pytest.approx(
+            met.overlap_fidelity(rho, fit.reference), abs=1e-14
+        )
+
+    def test_refit_from_optimum_keeps_it(self):
+        cfg = HilbertConfig(n_max=40)
+        pure = ideal_mfss(1.4, 2, (np.pi / 2,), cfg)
+        rho = 0.8 * density(pure) + 0.2 * thermal_state(0.3, cfg)
+        fit = met.fit_cat(rho, 2)
+        refit = met.fit_cat(rho, 2, init=fit)
+        assert abs(refit.fidelity - fit.fidelity) <= 1e-15
+        assert abs(refit.alpha - fit.alpha) <= 1e-6
+
+    @pytest.mark.parametrize("label, n_max, k", [
+        ("cat2-seed1", 40, 2),
+        ("cat2-seed2", 60, 2),
+        ("cat3-seed1", 40, 3),
+        ("cat3-seed2", 60, 3),
+        ("fock0", 30, 2),
+        ("fock3", 30, 2),
+        ("thermal1", 30, 2),
+        ("coherent1.5", 40, 3),
+        ("rank3", 60, 3),
+    ])
+    def test_matches_nelder_mead_oracle(self, label, n_max, k):
+        # the amplitude-only search with exact phases reaches what the joint
+        # Nelder-Mead search over amplitude and phases reaches, or more; the
+        # coherent and rank-3 states have more than one local maximum in alpha
+        cfg = HilbertConfig(n_max=n_max)
+        if label.startswith("cat"):
+            rho = dephased_cat(k, int(label[-1]), cfg)
+        else:
+            rho = {
+                "fock0": lambda: density(fock_state(0, cfg)),
+                "fock3": lambda: density(fock_state(3, cfg)),
+                "thermal1": lambda: thermal_state(1.0, cfg),
+                "coherent1.5": lambda: density(coherent_state(1.5, cfg)),
+                "rank3": lambda: random_density(cfg.dim, 3, rank=3),
+            }[label]()
+        fit = met.fit_cat(rho, k)
+        assert fit.fidelity >= fit_cat_nelder_mead(rho, k).fidelity - 1e-12
+
+
+class TestPhaseStep:
+    """The exact phase step inside fit_cat, at fixed amplitudes."""
+
+    ALPHAS = (1.3 * np.exp(0.4j), 0.6 - 0.2j, -2.1 + 0.9j)
+
+    @staticmethod
+    def scan(m, g, k, points):
+        axis = np.linspace(0, 2 * np.pi, points, endpoint=False)
+        nodes = np.stack(np.meshgrid(*([axis] * (k - 1)), indexing="ij"), axis=-1)
+        c = np.exp(1j * np.concatenate(
+            [np.zeros(nodes.shape[:-1] + (1,)), nodes], axis=-1))
+        num = np.einsum("...i,ij,...j->...", c.conj(), m, c).real
+        return np.max(num / np.einsum("...i,ij,...j->...", c.conj(), g, c).real)
+
+    @pytest.mark.parametrize("k, points", [(2, 10_000), (3, 256)])
+    def test_beats_or_ties_phase_scan(self, k, points):
+        cfg = HilbertConfig(n_max=30)
+        for rho in (random_density(cfg.dim, 7), dephased_cat(k, 4, cfg)):
+            for alpha in self.ALPHAS:
+                value, _ = met._cat_profile(rho, alpha, k)
+                m, g = met._cat_matrices(rho, np.array([alpha]), k)
+                assert value >= self.scan(m[0], g[0], k, points) - 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_profile_is_the_truncated_overlap(self, k):
+        # ideal_mfss renormalizes by the truncated norm, so the quotient must
+        # use the truncated Gram matrix V'V: at n_max 20 and |alpha| = 2.28
+        # the closed-form Gram matrix differs from it by 1.6e-7
+        cfg = HilbertConfig(n_max=20)
+        rho = random_density(cfg.dim, 11)
+        for alpha in self.ALPHAS:
+            value, theta = met._cat_profile(rho, alpha, k)
+            ref = ideal_mfss(alpha, k, tuple(theta), cfg)
+            assert value == pytest.approx(met.overlap_fidelity(rho, ref), abs=1e-14)
 
 
 class TestSerialization:
