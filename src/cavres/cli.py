@@ -3,9 +3,8 @@ stored state's Wigner function.
 
 Exit codes: 0 on success, 2 for configuration problems (bad files, keys,
 values, unknown presets), 3 for numerical failures (truncation overflow,
-invariant violations, non-convergence).  The CAVRES_THREADS environment
-variable caps BLAS threads (applied on package import) and sets the worker
-count for sweeps.
+invariant violations).  The CAVRES_THREADS environment variable caps BLAS
+threads (applied on package import) and sets the worker count for sweeps.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import StateInvariantError, TruncationError, validate_density
-from .dynamics import ConvergenceError, ScheduleError, ZeroDetuningError
+from .dynamics import ScheduleError, ZeroDetuningError
 from .reservoir import TrajectoryError
 from . import metrics as met
 from . import scenarios as sc
@@ -27,7 +26,6 @@ _NUMERICAL_ERRORS = (
     TruncationError,
     StateInvariantError,
     TrajectoryError,
-    ConvergenceError,
     ScheduleError,
     ZeroDetuningError,
     FloatingPointError,

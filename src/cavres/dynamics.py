@@ -44,36 +44,21 @@ __all__ = [
     "AtomPreparation",
     "TransitOptions",
     "ZeroDetuningError",
-    "ConvergenceError",
     "ScheduleError",
     "rabi_coupling",
-    "detuning_schedule",
     "theta_of",
     "phi0_of",
-    "jc_hamiltonian",
     "u_resonant",
     "u_dispersive",
     "u_composite",
     "embed_with_atom",
     "trace_atom",
-    "transit_unitary",
-    "transit_propagate",
-    "segment_unitary",
-    "validate_unitary",
     "TransitKernel",
     "get_kernel",
 ]
 
-ATOM_G = np.array([1.0, 0.0], dtype=complex)
-ATOM_E = np.array([0.0, 1.0], dtype=complex)
-
-
 class ZeroDetuningError(ValueError):
     """Dispersive phase requested for a schedule with no detuning."""
-
-
-class ConvergenceError(RuntimeError):
-    """Halving the integrator step still moves the result too much."""
 
 
 class ScheduleError(ValueError):
@@ -158,19 +143,6 @@ def rabi_coupling(t: float, profile: TransitProfile) -> float:
         raise ScheduleError(f"t = {t} outside the transit window +-{half}")
     x = profile.v * t / profile.w
     return profile.omega0 * float(np.exp(-x * x))
-
-
-def detuning_schedule(t: float, profile: TransitProfile) -> float:
-    """delta(t): +Delta, then 0 on [-t_r/2, t_r/2], then -Delta.
-
-    The boundaries |t| = t_r/2 belong to the resonant window.
-    """
-    half = profile.t_i / 2
-    if abs(t) > half * (1 + 1e-12):
-        raise ScheduleError(f"t = {t} outside the transit window +-{half}")
-    if abs(t) <= profile.t_r / 2:
-        return 0.0
-    return profile.delta_disp if t < 0 else -profile.delta_disp
 
 
 def _segments(profile: TransitProfile) -> list[tuple[float, float, float]]:
@@ -323,19 +295,6 @@ def u_composite(theta: float, phi0: float, cfg: HilbertConfig) -> np.ndarray:
     return ud @ u_resonant(theta, cfg) @ ud.conj().T
 
 
-def jc_hamiltonian(omega: float, delta: float, cfg: HilbertConfig) -> np.ndarray:
-    """Dense interaction-frame Hamiltonian for frozen (omega, delta)."""
-    dim = cfg.dim
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    idx = np.arange(dim)
-    h[idx, idx] = -0.5 * delta
-    h[dim + idx, dim + idx] = +0.5 * delta
-    g = 0.5 * omega * np.sqrt(idx[:-1] + 1.0)
-    h[1 + idx[:-1], dim + idx[:-1]] = +1j * g   # <g,n+1| H |e,n>
-    h[dim + idx[:-1], 1 + idx[:-1]] = -1j * g
-    return h
-
-
 def embed_with_atom(rho_field: np.ndarray, atom_ket: np.ndarray) -> np.ndarray:
     """rho_field tensor |atom><atom| in atom (x) field ordering."""
     return np.kron(np.outer(atom_ket, atom_ket.conj()), rho_field)
@@ -346,13 +305,6 @@ def trace_atom(rho_joint: np.ndarray) -> np.ndarray:
     dim = rho_joint.shape[0] // 2
     blocks = rho_joint.reshape(2, dim, 2, dim)
     return blocks[0, :, 0, :] + blocks[1, :, 1, :]
-
-
-def validate_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol:
-        raise ValueError(f"unitarity defect {defect:.3e} > {tol}")
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -475,82 +427,3 @@ def get_kernel(
     options: TransitOptions,
 ) -> TransitKernel:
     return TransitKernel(profile, cfg, cavity, options)
-
-
-def segment_unitary(profile: TransitProfile, segment: str, cfg: HilbertConfig) -> np.ndarray:
-    """Loss-free numeric propagator of one schedule segment.
-
-    segment is "first", "resonant", or "second"; it is integrated in
-    TransitOptions().fine_steps exact frozen-midpoint steps.
-    """
-    order = {"first": 0, "resonant": 1, "second": 2}
-    if segment not in order:
-        raise ValueError(f"segment must be first/resonant/second, got {segment!r}")
-    t0, t1, delta = _segments(profile)[order[segment]]
-    coeffs = _frozen_midpoint_steps(
-        profile, t0, t1 - t0, delta, TransitOptions().fine_steps, cfg
-    )
-    return _coeffs_to_matrix(coeffs, cfg)
-
-
-def transit_unitary(
-    profile: TransitProfile,
-    cfg: HilbertConfig,
-    options: TransitOptions = TransitOptions(),
-) -> np.ndarray:
-    """Loss-free numeric propagator of the whole crossing."""
-    return get_kernel(profile, cfg, None, options).unitary()
-
-
-def transit_propagate(
-    rho_joint: np.ndarray,
-    profile: TransitProfile,
-    cavity: CavityParams | None = None,
-    backend: str = "numeric",
-    options: TransitOptions = TransitOptions(),
-    check_convergence: bool = False,
-) -> np.ndarray:
-    """Propagate a joint (atom x field) state through one crossing.
-
-    backend "numeric" integrates the schedule (with cavity loss interleaved
-    when a cavity is given); "analytic" applies the instantaneous composite
-    propagator and requires loss to be disabled here (the reservoir layer
-    composes relaxation separately).
-    """
-    dim2 = rho_joint.shape[0]
-    if dim2 % 2:
-        raise ValueError("joint state dimension must be even")
-    cfg = HilbertConfig(n_max=dim2 // 2 - 1)
-
-    if backend == "analytic":
-        if cavity is not None:
-            raise ValueError("analytic transit backend requires cavity loss disabled")
-        theta = theta_of(profile)
-        phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile, "second")
-        u = u_composite(theta, phi0, cfg)
-        return u @ rho_joint @ u.conj().T
-
-    if backend != "numeric":
-        raise ValueError(f"unknown backend {backend!r}")
-
-    kernel = get_kernel(profile, cfg, cavity, options)
-    out = kernel.propagate(rho_joint)
-    if check_convergence:
-        finer_opts = TransitOptions(
-            fine_steps=2 * options.fine_steps, loss_slices=2 * options.loss_slices
-        )
-        finer = get_kernel(profile, cfg, cavity, finer_opts).propagate(rho_joint)
-        _check_step_convergence(out, finer, cfg)
-    return out
-
-
-def _check_step_convergence(coarse: np.ndarray, fine: np.ndarray, cfg: HilbertConfig):
-    n_op = np.arange(cfg.dim)
-    fc, ff = trace_atom(coarse), trace_atom(fine)
-    d_nbar = abs(np.real(np.diag(fc) @ n_op) - np.real(np.diag(ff) @ n_op))
-    d_pur = abs(np.real(np.trace(fc @ fc)) - np.real(np.trace(ff @ ff)))
-    if d_nbar > 1e-4 or d_pur > 1e-4:
-        raise ConvergenceError(
-            f"halving the step moved nbar by {d_nbar:.2e} and purity by "
-            f"{d_pur:.2e} (tolerance 1e-4); refine the step settings"
-        )

@@ -25,7 +25,6 @@ __all__ = [
     "TruncationError",
     "StateInvariantError",
     "make_ladder",
-    "number_op",
     "fock_state",
     "coherent_state",
     "thermal_state",
@@ -40,6 +39,12 @@ __all__ = [
 # Fraction of the cutoff that a coherent amplitude may occupy before the
 # truncated Poisson tail is no longer negligible.
 COHERENT_GUARD = 0.6
+
+# Tolerances of validate_density: largest Hermiticity defect |rho - rho'|,
+# largest trace deviation from 1 and most negative eigenvalue it admits.
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-8
+EIG_TOL = 1e-8
 
 
 class TruncationError(ValueError):
@@ -76,11 +81,6 @@ def make_ladder(cfg: HilbertConfig) -> np.ndarray:
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
-
-
-def number_op(cfg: HilbertConfig) -> np.ndarray:
-    """Photon number operator N = a†a (diagonal 0..n_max)."""
-    return np.diag(np.arange(cfg.dim, dtype=float)).astype(complex)
 
 
 def fock_state(n: int, cfg: HilbertConfig) -> np.ndarray:
@@ -214,13 +214,7 @@ def validate_ket(ket: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return ket
 
 
-def validate_density(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-8,
-    eig_tol: float = 1e-8,
-    check_positivity: bool = True,
-) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positive semidefiniteness.
 
     Each check is written so that a NaN fails it: a non-finite entry makes
@@ -232,13 +226,12 @@ def validate_density(
         raise StateInvariantError(f"density matrix must be square, got {rho.shape}")
     with np.errstate(invalid="ignore"):
         herm = np.max(np.abs(rho - rho.conj().T))
-    if not herm <= herm_tol:
-        raise StateInvariantError(f"Hermiticity defect {herm:.3e} > {herm_tol}")
+    if not herm <= HERM_TOL:
+        raise StateInvariantError(f"Hermiticity defect {herm:.3e} > {HERM_TOL}")
     tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= trace_tol:
-        raise StateInvariantError(f"trace {tr} deviates from 1 by more than {trace_tol}")
-    if check_positivity:
-        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if not w.min() >= -eig_tol:
-            raise StateInvariantError(f"negative eigenvalue {w.min():.3e} < -{eig_tol}")
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise StateInvariantError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
+    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if not w.min() >= -EIG_TOL:
+        raise StateInvariantError(f"negative eigenvalue {w.min():.3e} < -{EIG_TOL}")
     return rho

@@ -50,7 +50,6 @@ from cavres.fock import (
     HilbertConfig,
     _coherent_amplitudes,
     ideal_mfss,
-    make_ladder,
 )
 
 __all__ = [

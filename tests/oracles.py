@@ -1,6 +1,7 @@
 """Reference forms the library is validated against.
 
-Fixed-step RK4 on the Schrodinger equation and on the full master equation,
+The dense Jaynes-Cummings Hamiltonian for frozen coupling and detuning,
+fixed-step RK4 on the Schrodinger equation and on the full master equation,
 the dissipator in plain matrix form, the Wigner function summed term by
 term from scipy's Laguerre polynomials, and the cat fit as a Nelder-Mead
 search over the amplitude and the phases together.  None of this runs in
@@ -21,6 +22,19 @@ from cavres.dynamics import _segments, rabi_coupling
 from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss
 from cavres.metrics import CatFitResult, field_moments, overlap_fidelity
 from cavres.thermal import CavityParams, _aadag_diag
+
+
+def jc_hamiltonian(omega: float, delta: float, cfg: HilbertConfig) -> np.ndarray:
+    """Dense interaction-frame Hamiltonian for frozen (omega, delta)."""
+    dim = cfg.dim
+    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    idx = np.arange(dim)
+    h[idx, idx] = -0.5 * delta
+    h[dim + idx, dim + idx] = +0.5 * delta
+    g = 0.5 * omega * np.sqrt(idx[:-1] + 1.0)
+    h[1 + idx[:-1], dim + idx[:-1]] = +1j * g   # <g,n+1| H |e,n>
+    h[dim + idx[:-1], 1 + idx[:-1]] = -1j * g
+    return h
 
 
 def rk4_propagator(

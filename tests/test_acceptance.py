@@ -95,9 +95,13 @@ def test_c02_transit_matches_closed_forms():
     u_num = rk4_propagator(lambda t: omega0, 0.0, 0.0, t_span, 512, cfg)
     res_norm = float(np.linalg.norm(u_num - dyn.u_resonant(theta, cfg), 2))
 
-    # far-detuned wing of the squeeze profile vs pure number-dependent phases
+    # far-detuned exit wing of the squeeze profile (the kernel's slices after
+    # the resonant one) vs pure number-dependent phases
     prof = sc.preset("squeeze").reservoir.profile
-    u = dyn.segment_unitary(prof, "second", cfg)
+    kernel = dyn.TransitKernel(prof, cfg)
+    u = np.eye(2 * cfg.dim, dtype=complex)
+    for coeffs in kernel.slices[kernel.options.loss_slices + 1:]:
+        u = dyn._coeffs_to_matrix(coeffs, cfg) @ u
     phi0 = dyn.phi0_of(prof, "second")
     n = np.arange(cfg.dim)
     gg = np.diag(u)[: cfg.dim]
