@@ -132,22 +132,18 @@ def _config_from_args(args: argparse.Namespace) -> sc.ScenarioConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise sc.ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        if key not in sc.KEYS:
-            raise sc.ConfigError(f"unknown key {key!r}")
         raw[key] = value
-
-    config = sc.build_config(raw, preset_name=args.preset)
 
     # dedicated flags win over file values and --set overrides
     if args.no_loss:
-        config = sc.with_override(config, "reservoir.loss", "off")
+        raw["reservoir.loss"] = "off"
     if getattr(args, "seed", None) is not None:
-        config = sc.with_override(config, "reservoir.seed", str(args.seed))
+        raw["reservoir.seed"] = str(args.seed)
     if getattr(args, "backend", None) is not None:
-        config = sc.with_override(config, "reservoir.backend", args.backend)
+        raw["reservoir.backend"] = args.backend
     if args.out:
-        config = sc.with_override(config, "output.dir", args.out)
-    return config
+        raw["output.dir"] = args.out
+    return sc.build_config(raw, preset_name=args.preset)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

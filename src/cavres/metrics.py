@@ -61,8 +61,6 @@ __all__ = [
     "field_moments",
     "overlap_fidelity",
     "wigner",
-    "wigner_point",
-    "default_grid_axes",
     "trust_radius",
     "squeezing_db",
     "fit_cat",
@@ -154,12 +152,6 @@ def trust_radius(cfg: HilbertConfig) -> float:
     return float(np.sqrt(COHERENT_GUARD * cfg.n_max))
 
 
-def default_grid_axes() -> tuple[np.ndarray, np.ndarray]:
-    """x, y in [-3.5, 3.5] at step 0.07 (101 points per axis)."""
-    ax = np.linspace(-3.5, 3.5, 101)
-    return ax, ax.copy()
-
-
 def _laguerre_series(coef: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     """sum_m coef[m] l_m(x) by Clenshaw's recurrence, for the normalized
     Laguerre functions l_m = (-1)^m sqrt(m! k!/(m+k)!) L_m^(k)(x), which obey
@@ -185,25 +177,12 @@ def _wigner_values(rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return 2.0 / np.pi * np.exp(-0.5 * x) * w.real
 
 
-def wigner_point(rho: np.ndarray, xi: complex) -> float:
-    """W at a single phase-space point."""
-    return float(_wigner_values(rho, np.array([xi], dtype=complex))[0])
-
-
-def wigner(
-    rho: np.ndarray,
-    xs: np.ndarray | None = None,
-    ys: np.ndarray | None = None,
-) -> WignerGrid:
-    """Wigner function on a cartesian grid, exact for the truncated state."""
+def wigner(rho: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> WignerGrid:
+    """Wigner function on the cartesian grid xs x ys, exact for the
+    truncated state."""
     cfg = HilbertConfig(n_max=rho.shape[0] - 1)
-    if xs is None or ys is None:
-        dxs, dys = default_grid_axes()
-        xs = dxs if xs is None else np.asarray(xs, dtype=float)
-        ys = dys if ys is None else np.asarray(ys, dtype=float)
-    else:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
 
     radius = float(np.hypot(np.max(np.abs(xs)), np.max(np.abs(ys))))
     if radius > trust_radius(cfg):

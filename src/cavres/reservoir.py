@@ -29,7 +29,7 @@ runs in one process that differ only in those two reuse one build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -118,8 +118,6 @@ class TrajectoryResult:
     final_state: np.ndarray
     records: list[MetricsRecord]
     truncation_peak: float
-    seed: int | None = None
-    observations: list = field(default_factory=list)
 
 
 @lru_cache(maxsize=64)
@@ -355,15 +353,16 @@ def run_trajectory(
     """Iterate the sample map n_samples times, recording metrics each period.
 
     observer(j, rho_copy) is called after every recorded sample (including
-    j = 0); non-None return values are collected into observations.
-    reference, when given, is the pure state fidelity is tracked against.
+    j = 0).  reference, when given, is the pure state fidelity is tracked
+    against.  rho0 is policed before anything is built.
     Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
     operator of build_sample_superop, whose 3 dim probe propagations cost
     no more than 3 dim direct samples; all others call sample_map each
     sample.  The two paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
-    validate_density(rho0)
+    rho = rho0.astype(complex)
+    peak = _police_state(rho, 0, cfg)
     t_i = config.profile.t_i
 
     use_operator = (
@@ -378,14 +377,9 @@ def run_trajectory(
 
     superop = build_sample_superop(config, cfg) if use_operator else None
 
-    rho = rho0.astype(complex).copy()
     records = [_snapshot(0, t_i, rho, reference)]
-    observations: list = []
     if observer is not None:
-        out = observer(0, rho.copy())
-        if out is not None:
-            observations.append((0, out))
-    peak = _police_state(rho, 0, cfg)
+        observer(0, rho.copy())
 
     for j in range(1, config.n_samples + 1):
         if superop is not None:
@@ -395,17 +389,9 @@ def run_trajectory(
         peak = max(peak, _police_state(rho, j, cfg))
         records.append(_snapshot(j, t_i, rho, reference))
         if observer is not None:
-            out = observer(j, rho.copy())
-            if out is not None:
-                observations.append((j, out))
+            observer(j, rho.copy())
 
-    return TrajectoryResult(
-        final_state=rho,
-        records=records,
-        truncation_peak=peak,
-        seed=config.seed,
-        observations=observations,
-    )
+    return TrajectoryResult(final_state=rho, records=records, truncation_peak=peak)
 
 
 def switch_off_decay(
@@ -416,8 +402,9 @@ def switch_off_decay(
 ) -> TrajectoryResult:
     """Continue a finished trajectory with the atom stream off.
 
-    Pure relaxation in steps of t_i, metrics sampled on the same period
-    grid; extends the records past the last sample index.
+    Pure relaxation in steps of t_i: the deterministic sample map with
+    p_at = 0, run through run_trajectory.  Metrics are sampled on the same
+    period grid, and the records continue past the last sample index.
     """
     if extra_time < 0:
         raise ValueError(f"extra_time must be >= 0, got {extra_time}")
@@ -426,24 +413,18 @@ def switch_off_decay(
     if n_extra == 0:
         return traj
 
-    cfg = HilbertConfig(n_max=traj.final_state.shape[0] - 1)
-    rho = traj.final_state.copy()
-    records = list(traj.records)
-    start = records[-1].sample_index
-    peak = traj.truncation_peak
-    for step in range(1, n_extra + 1):
-        if config.cavity is not None:
-            rho = relax(rho, t_i, config.cavity)
-        j = start + step
-        peak = max(peak, _police_state(rho, j, cfg))
-        records.append(_snapshot(j, t_i, rho, reference))
-
+    off = replace(config, p_at=0.0, n_samples=n_extra, mixing_mode="deterministic")
+    tail = run_trajectory(traj.final_state, off, reference=reference)
+    start = traj.records[-1].sample_index
+    continued = [
+        replace(rec, sample_index=start + rec.sample_index,
+                time=(start + rec.sample_index) * t_i)
+        for rec in tail.records[1:]
+    ]
     return TrajectoryResult(
-        final_state=rho,
-        records=records,
-        truncation_peak=peak,
-        seed=traj.seed,
-        observations=list(traj.observations),
+        final_state=tail.final_state,
+        records=traj.records + continued,
+        truncation_peak=max(traj.truncation_peak, tail.truncation_peak),
     )
 
 

@@ -70,9 +70,7 @@ class AnalysisSpec:
 
     def __post_init__(self):
         if self.wigner_grid is not None:
-            xmin, xmax, step = self.wigner_grid
-            if not (xmax > xmin and step > 0):
-                raise ValueError("wigner grid needs xmax > xmin and step > 0")
+            _check_grid(*self.wigner_grid)
         if self.cat_k != 0 and self.cat_k < 2:
             raise ValueError("cat_k must be 0 (off) or >= 2")
 
@@ -154,9 +152,16 @@ def parse_grid(text: str) -> tuple[float, float, float]:
         xmin, xmax, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"grid spec must be numeric, got {text!r}") from None
+    _check_grid(xmin, xmax, step)
+    return (xmin, xmax, step)
+
+
+def _check_grid(xmin: float, xmax: float, step: float) -> None:
     if not (xmax > xmin and step > 0):
         raise ConfigError("grid needs xmax > xmin and step > 0")
-    return (xmin, xmax, step)
+    # an infinite bound or step, or a span that overflows, has no point count
+    if not (math.isfinite(step) and math.isfinite((xmax - xmin) / step)):
+        raise ConfigError(f"grid bounds and step must be finite, got {xmin}:{xmax}:{step}")
 
 
 def grid_axes(spec: tuple[float, float, float]) -> np.ndarray:
@@ -582,12 +587,6 @@ def run_scenario(
 SWEEP_HEADER = "index,param,value,nbar,purity,fidelity,squeezing_db,truncation_peak"
 
 
-def _sweep_one(args) -> dict:
-    config, key, value, out_dir = args
-    derived = with_override(config, key, value)
-    return run_scenario(derived, out_dir=out_dir)
-
-
 def sweep_scenario(
     config: ScenarioConfig,
     param: str,
@@ -604,20 +603,17 @@ def sweep_scenario(
         raise ConfigError(f"unknown sweep parameter {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # every config is built before any trajectory runs, so a bad value
+    # fails the sweep before it writes anything
+    configs = [with_override(config, param, value) for value in values]
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (config, param, value, out / f"value_{i}")
-        for i, value in enumerate(values)
-    ]
-    # surface bad values as config errors before any trajectory runs
-    for job in jobs:
-        with_override(config, param, job[2])
+    dirs = [out / f"value_{i}" for i in range(len(values))]
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            summaries = list(pool.map(_sweep_one, jobs))
+            summaries = list(pool.map(run_scenario, configs, dirs))
     else:
-        summaries = [_sweep_one(job) for job in jobs]
+        summaries = list(map(run_scenario, configs, dirs))
 
     lines = [SWEEP_HEADER]
     for i, (value, summary) in enumerate(zip(values, summaries)):

@@ -1,10 +1,11 @@
 """Reference forms the library is validated against.
 
-The dense Jaynes-Cummings Hamiltonian for frozen coupling and detuning,
-fixed-step RK4 on the Schrodinger equation and on the full master equation,
-the dissipator in plain matrix form, the Wigner function summed term by
-term from scipy's Laguerre polynomials, and the cat fit as a Nelder-Mead
-search over the amplitude and the phases together.  None of this runs in
+The dense annihilation operator, the thermal state, the dense
+Jaynes-Cummings Hamiltonian for frozen coupling and detuning, fixed-step RK4
+on the Schrodinger equation and on the full master equation, the dissipator
+in plain matrix form, the Wigner function summed term by term from scipy's
+Laguerre polynomials, and the cat fit as a Nelder-Mead search over the
+amplitude and the phases together.  None of this runs in
 the library: every transit there goes through the exact pair-block kernel,
 every relaxation through the per-diagonal exponentials of
 ThermalPropagator, every Wigner map through a Clenshaw recurrence and every
@@ -22,6 +23,27 @@ from cavres.dynamics import _segments, rabi_coupling
 from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss
 from cavres.metrics import CatFitResult, field_moments, overlap_fidelity
 from cavres.thermal import CavityParams, _aadag_diag
+
+
+def make_ladder(cfg: HilbertConfig) -> np.ndarray:
+    """Annihilation operator a with a[n-1, n] = sqrt(n)."""
+    dim = cfg.dim
+    a = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a
+
+
+def thermal_state(n_bar: float, cfg: HilbertConfig) -> np.ndarray:
+    """Thermal (geometric) density matrix with mean occupation n_bar."""
+    if n_bar == 0:
+        p = np.zeros(cfg.dim)
+        p[0] = 1.0
+    else:
+        n = np.arange(cfg.dim)
+        p = np.exp(n * np.log(n_bar / (1.0 + n_bar)))
+        p /= p.sum()
+    return np.diag(p).astype(complex)
 
 
 def jc_hamiltonian(omega: float, delta: float, cfg: HilbertConfig) -> np.ndarray:

@@ -69,6 +69,18 @@ class TestRun:
         assert "reservoir.loss = off" in summary
         assert "seed = 9" in summary
 
+    def test_seed_flag_completes_a_monte_carlo_config(self, tmp_path):
+        # the flags join the --set entries before the one config build, so a
+        # Monte-Carlo run may take its seed from --seed
+        out = tmp_path / "r"
+        code = cli.main([
+            "run", "--preset", "cat2", *TINY,
+            "--set", "reservoir.mixing_mode=monte_carlo", "--seed", "7",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert "seed = 7" in (out / "summary.txt").read_text()
+
     def test_backend_flag(self, tmp_path):
         out = tmp_path / "r"
         code = cli.main([
@@ -88,7 +100,9 @@ class TestRun:
 
     def test_bad_set_syntax(self, capsys):
         assert cli.main(["run", "--preset", "cat2", "--set", "oops"]) == 2
+        capsys.readouterr()
         assert cli.main(["run", "--preset", "cat2", "--set", "bogus.key=1"]) == 2
+        assert "config error: unknown key 'bogus.key'" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = cli.main([
@@ -104,6 +118,16 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--preset", "nope"])
         assert exc.value.code == 2
+
+    def test_non_finite_grid_fails_before_the_trajectory(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main([
+            "run", "--preset", "cat2", *TINY,
+            "--set", "analysis.wigner_grid=-inf:inf:1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -162,6 +186,14 @@ class TestWigner:
             bad.write_text(text)
             assert cli.main(["wigner", "--state", str(bad), "--grid=-1:1:1"]) == 2
             assert message in capsys.readouterr().err
+
+    def test_rejects_non_finite_grid(self, tmp_path, capsys):
+        state = tmp_path / "vacuum.txt"
+        state.write_text("# dim: 2\n1,0,0,0\n0,0,0,0\n")
+        assert cli.main(["wigner", "--state", str(state), "--grid=0:inf:1"]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
 
     def test_rejects_invalid_state(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

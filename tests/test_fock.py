@@ -17,11 +17,9 @@ from cavres.fock import (
     fock_state,
     ideal_mfss,
     kerr_propagator,
-    make_ladder,
-    thermal_state,
     validate_density,
-    validate_ket,
 )
+from oracles import make_ladder, thermal_state
 
 CFG20 = HilbertConfig(n_max=20)
 CFG60 = HilbertConfig(n_max=60)
@@ -139,7 +137,7 @@ class TestMfss:
         assert abs(np.vdot(target, psi)) > 1 - 1e-9
 
     def test_small_overlap_regime_norm(self):
-        # alpha small: heavy component overlap; Gram normalization still unit norm
+        # alpha small: heavy component overlap; the superposition is still unit norm
         for theta in (0.0, 1.0, np.pi):
             psi = ideal_mfss(0.5, 2, [theta], CFG60)
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
@@ -154,6 +152,19 @@ class TestMfss:
         assert abs(psi[0]) < 1e-12
         assert psi[1].real > 0 and abs(psi[1].imag) < 1e-12
 
+    def test_vanishing_superposition_raises(self):
+        # at alpha = 0 every component is the vacuum: |0> - |0> and the sum of
+        # the three cube roots of unity leave only rounding residue
+        with pytest.raises(ValueError, match="degenerate"):
+            ideal_mfss(0.0, 2, [np.pi], CFG20)
+        with pytest.raises(ValueError, match="degenerate"):
+            ideal_mfss(0.0, 3, [2 * np.pi / 3, 4 * np.pi / 3], CFG20)
+
+    def test_tiny_odd_cat_is_one_photon(self):
+        # |alpha> - |-alpha> = 2 alpha |1> + O(alpha^3): small, but no residue
+        psi = ideal_mfss(1e-6, 2, [np.pi], CFG20)
+        assert abs(psi[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
+
     def test_bad_phase_count(self):
         with pytest.raises(ValueError):
             ideal_mfss(1.0, 3, [0.1], CFG60)
@@ -164,11 +175,6 @@ class TestMfss:
 
 
 class TestValidators:
-    def test_ket_norm(self):
-        validate_ket(fock_state(3, CFG20))
-        with pytest.raises(StateInvariantError):
-            validate_ket(1.01 * fock_state(3, CFG20))
-
     def test_density_checks(self):
         rho = density(coherent_state(1.0, CFG20))
         validate_density(rho)

@@ -14,11 +14,19 @@ from cavres.fock import (
     fock_state,
     ideal_mfss,
     kerr_propagator,
-    make_ladder,
-    thermal_state,
 )
 import cavres.metrics as met
-from oracles import fit_cat_nelder_mead, wigner_laguerre
+from oracles import fit_cat_nelder_mead, make_ladder, thermal_state, wigner_laguerre
+
+
+# the -3.5:3.5:0.07 grid of the run configs
+AXIS = np.linspace(-3.5, 3.5, 101)
+
+
+def wigner_at(rho, xi):
+    """W at one phase-space point, as a one-point grid."""
+    xi = complex(xi)
+    return met.wigner(rho, [xi.real], [xi.imag]).values[0, 0]
 
 
 def random_density(dim, seed, rank=None):
@@ -128,21 +136,21 @@ class TestWigner:
 
     def test_vacuum_gaussian(self):
         rho = density(fock_state(0, self.cfg))
-        assert met.wigner_point(rho, 0.0) == pytest.approx(2 / np.pi, abs=1e-12)
+        assert wigner_at(rho, 0.0) == pytest.approx(2 / np.pi, abs=1e-12)
         for xi in (0.7, 0.3 - 1.1j, 1.5j):
             want = 2 / np.pi * np.exp(-2 * abs(xi) ** 2)
-            assert met.wigner_point(rho, xi) == pytest.approx(want, abs=1e-12)
+            assert wigner_at(rho, xi) == pytest.approx(want, abs=1e-12)
 
     def test_fock_one_negativity(self):
         rho = density(fock_state(1, self.cfg))
-        assert met.wigner_point(rho, 0.0) == pytest.approx(-2 / np.pi, abs=1e-12)
+        assert wigner_at(rho, 0.0) == pytest.approx(-2 / np.pi, abs=1e-12)
 
     def test_coherent_displaced_gaussian(self):
         alpha = 0.8 - 0.5j
         rho = density(coherent_state(alpha, self.cfg))
         for xi in (alpha, 0.0, 0.2 + 0.1j):
             want = 2 / np.pi * np.exp(-2 * abs(xi - alpha) ** 2)
-            assert met.wigner_point(rho, xi) == pytest.approx(want, abs=1e-10)
+            assert wigner_at(rho, xi) == pytest.approx(want, abs=1e-10)
 
     def test_grid_matches_pointwise(self):
         rho = density(ideal_mfss(1.0, 2, (np.pi / 2,), self.cfg))
@@ -151,13 +159,13 @@ class TestWigner:
         grid = met.wigner(rho, xs, ys)
         for iy in (0, 2, 4):
             for ix in (0, 4, 8):
-                want = met.wigner_point(rho, xs[ix] + 1j * ys[iy])
+                want = wigner_at(rho, xs[ix] + 1j * ys[iy])
                 assert grid.values[iy, ix] == pytest.approx(want, abs=1e-12)
 
     def test_normalization_riemann_sum(self):
         cfg = HilbertConfig(n_max=60)
         rho = density(ideal_mfss(1.65, 2, (np.pi / 2,), cfg))
-        grid = met.wigner(rho)
+        grid = met.wigner(rho, AXIS, AXIS)
         dx = grid.xs[1] - grid.xs[0]
         dy = grid.ys[1] - grid.ys[0]
         assert abs(grid.values.sum() * dx * dy - 1.0) < 0.02
@@ -177,7 +185,7 @@ class TestWigner:
         # X = (a + a')/2 so psi_n(x) are Hermite functions of sqrt(2) x
         cfg = HilbertConfig(n_max=50)
         rho = density(ideal_mfss(1.5, 2, (np.pi / 2,), cfg))
-        grid = met.wigner(rho)
+        grid = met.wigner(rho, AXIS, AXIS)
         dy = grid.ys[1] - grid.ys[0]
         marginal = grid.values.sum(axis=0) * dy
 
@@ -219,7 +227,7 @@ class TestWigner:
     def test_point_matches_laguerre_oracle_far_out(self):
         rho = random_density(61, seed=5)
         xi = 3.5 + 3.5j
-        assert met.wigner_point(rho, xi) == pytest.approx(
+        assert wigner_at(rho, xi) == pytest.approx(
             wigner_laguerre(rho, xi), abs=1e-10
         )
 

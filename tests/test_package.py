@@ -1,5 +1,6 @@
-"""The package namespace is the union of its modules' public names, and
-every module-level import in the package is used."""
+"""The package namespace is the union of its modules' public names, every
+module-level import in the package is used, and every module-level private
+name is read somewhere in the package."""
 
 import ast
 import importlib
@@ -45,3 +46,38 @@ def test_module_imports_are_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def test_private_helpers_are_referenced():
+    # a module-level _name that no code in the package reads is a helper
+    # left behind by a deletion
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(cavres.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    orphans = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and name not in read:
+                    orphans.append(f"{filename}:{node.lineno} {name}")
+    assert not orphans, orphans

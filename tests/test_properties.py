@@ -10,9 +10,10 @@ from numpy.polynomial.hermite import hermval
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
-from cavres.fock import HilbertConfig, make_ladder, validate_density
+from cavres.fock import HilbertConfig, validate_density
 from cavres.thermal import CavityParams
 from cavres.dynamics import TransitProfile
+from oracles import make_ladder
 
 OMEGA0 = 2 * np.pi * 50e3
 

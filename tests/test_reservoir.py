@@ -26,6 +26,15 @@ RESONANT = TransitProfile(omega0=OMEGA0, w=WAIST, v=300.0, delta_disp=0.0, t_r=1
 U_VALUES = (0.3 * np.pi, 0.45 * np.pi, 0.5 * np.pi)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Arguments of every build_sample_superop call run_trajectory makes."""
+    calls = []
+    build = res.build_sample_superop
+    monkeypatch.setattr(res, "build_sample_superop", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
 def random_density(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -208,7 +217,6 @@ class TestTrajectory:
 
         traj = res.run_trajectory(rho0, config, observer=observer)
         assert calls == [0, 1, 2, 3]
-        assert traj.observations == [(0, 0), (1, 10), (2, 20), (3, 30)]
         assert abs(np.trace(traj.final_state) - 1.0) < 1e-10
 
     def test_truncation_abort_names_the_sample(self):
@@ -254,6 +262,34 @@ class TestSwitchOff:
         assert longer.records[len(traj.records)].sample_index == 4
         step = longer.records[-1].time - longer.records[-2].time
         assert step == pytest.approx(CAT2.t_i, rel=1e-12)
+
+    @pytest.mark.parametrize("mixing_mode", ["deterministic", "monte_carlo"])
+    @pytest.mark.parametrize("n_extra, builds_expected", [(5, 0), (30, 1)])
+    def test_matches_relaxation_loop(self, builds, mixing_mode, n_extra, builds_expected):
+        # the switch-off is run_trajectory with p_at = 0 in deterministic
+        # mode: below 3 dim = 27 steps it relaxes directly, from there on it
+        # iterates the operator R, even when the run itself was Monte-Carlo
+        cfg = HilbertConfig(n_max=8)
+        cav = CavityParams(t_c=5e-3, n_t=0.05)
+        config = res.ReservoirConfig(
+            profile=CAT2, u=0.3 * np.pi, cavity=cav, p_at=1.0, n_samples=2,
+            mixing_mode=mixing_mode, seed=4,
+        )
+        traj = res.run_trajectory(density(fock_state(0, cfg)), config)
+        vac = fock_state(0, cfg)
+        off = res.switch_off_decay(traj, n_extra * CAT2.t_i, config, reference=vac)
+        assert len(builds) == builds_expected
+        assert off.records[:3] == traj.records
+        assert len(off.records) == 3 + n_extra
+        rho = traj.final_state
+        for j in range(3, 3 + n_extra):
+            rho = res.relax(rho, CAT2.t_i, cav)
+            rec = off.records[j]
+            assert rec.sample_index == j
+            assert rec.time == j * CAT2.t_i
+            assert rec.n_bar == pytest.approx(met.mean_photon(rho), abs=1e-12)
+            assert rec.fidelity == pytest.approx(met.overlap_fidelity(rho, vac), abs=1e-12)
+        assert np.max(np.abs(off.final_state - rho)) < 1e-12
 
 
 class TestSuperoperatorCache:
@@ -343,7 +379,7 @@ class TestSuperoperatorCache:
         assert sum(pushed) == 3 * dim
 
     @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 1)])
-    def test_path_rule_boundary(self, monkeypatch, extra, builds_expected):
+    def test_path_rule_boundary(self, builds, extra, builds_expected):
         # run_trajectory switches to the operator at n_samples = 3 dim = 33,
         # not one sample earlier
         cfg = HilbertConfig(n_max=10)
@@ -352,15 +388,10 @@ class TestSuperoperatorCache:
             profile=CAT2, u=0.3 * np.pi, cavity=CavityParams(),
             n_samples=3 * cfg.dim + extra,
         )
-        builds = []
-        build = res.build_sample_superop
-        monkeypatch.setattr(
-            res, "build_sample_superop", lambda *a: builds.append(a) or build(*a)
-        )
         res.run_trajectory(rho0, config)
         assert len(builds) == builds_expected
 
-    def test_cached_trajectory_matches_direct(self, monkeypatch):
+    def test_cached_trajectory_matches_direct(self, builds):
         # n_samples = 60 >= 3 dim = 33 sends the run through the sparse
         # operator; u = 0.3 pi keeps the field well inside n_max 10 for 60
         # samples
@@ -368,11 +399,6 @@ class TestSuperoperatorCache:
         rho0 = density(fock_state(0, cfg))
         config = res.ReservoirConfig(
             profile=CAT2, u=0.3 * np.pi, cavity=CavityParams(), n_samples=60
-        )
-        builds = []
-        build = res.build_sample_superop
-        monkeypatch.setattr(
-            res, "build_sample_superop", lambda *a: builds.append(a) or build(*a)
         )
         cached = res.run_trajectory(rho0, config)
         assert len(builds) == 1

@@ -119,6 +119,11 @@ class TestGrammar:
             "profile.w = 2.2 omega0",
             "analysis.wigner_grid = 1:2",
             "analysis.wigner_grid = 2:1:0.5",
+            "analysis.wigner_grid = -inf:inf:1",
+            "analysis.wigner_grid = 0:inf:1",
+            "analysis.wigner_grid = 0:1:inf",
+            "analysis.wigner_grid = nan:1:0.5",
+            "analysis.wigner_grid = -1e308:1e308:1",
             "reservoir.loss = maybe",
             "hilbert.n_max = twelve",
             "reservoir.u =",
@@ -128,6 +133,11 @@ class TestGrammar:
     def test_rejects_malformed_lines(self, line):
         with pytest.raises(sc.ConfigError):
             sc.build_config(sc.parse_config_text(line), preset_name="cat2")
+
+    def test_analysis_spec_rejects_non_finite_grid(self):
+        for grid in ((-math.inf, math.inf, 1.0), (0.0, 1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                sc.AnalysisSpec(wigner_grid=grid)
 
     def test_rejects_duplicate_key(self):
         with pytest.raises(sc.ConfigError, match="duplicate"):
@@ -301,6 +311,27 @@ class TestSweep:
         assert lines[2].startswith("1,reservoir.u,0.45pi,")
         assert (out / "value_0" / "metrics.csv").exists()
         assert (out / "value_1" / "metrics.csv").exists()
+
+    def test_process_pool_writes_the_serial_artifacts(self, tmp_path):
+        config = sc.build_config(tiny_raw(**{"reservoir.n_samples": "3"}))
+        values = ["0.3pi", "0.45pi"]
+        sc.sweep_scenario(config, "reservoir.u", values, out_dir=tmp_path / "serial")
+        sc.sweep_scenario(
+            config, "reservoir.u", values, out_dir=tmp_path / "pool", max_workers=2
+        )
+        serial, pool = tmp_path / "serial", tmp_path / "pool"
+        assert (pool / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+        for i in range(len(values)):
+            for name in ("metrics.csv", "state_final.txt", "wigner_final.txt"):
+                want = (serial / f"value_{i}" / name).read_bytes()
+                assert (pool / f"value_{i}" / name).read_bytes() == want
+            # summary.txt differs in its wall time only
+            want, got = (
+                [line for line in (d / f"value_{i}" / "summary.txt").read_text().splitlines()
+                 if not line.startswith("wall_time_s")]
+                for d in (serial, pool)
+            )
+            assert got == want
 
     def test_single_value_single_run(self, tmp_path):
         config = sc.build_config(tiny_raw(**{"reservoir.n_samples": "2"}))

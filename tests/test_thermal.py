@@ -9,14 +9,12 @@ from cavres.fock import (
     coherent_state,
     density,
     fock_state,
-    make_ladder,
-    thermal_state,
     validate_density,
 )
 from cavres.dynamics import TransitProfile
 from cavres.reservoir import ReservoirConfig, build_sample_superop
 from cavres.thermal import CavityParams, ThermalPropagator, rate_block
-from oracles import dissipator_rhs
+from oracles import dissipator_rhs, make_ladder, thermal_state
 
 
 def random_density(dim, seed):
