@@ -234,12 +234,13 @@ def _branch_maps(
     cfg: HilbertConfig,
     cavity: CavityParams | None,
     options: TransitOptions,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]:
-    """K_gg, K_ee and K_ge, with K_ab(X) = Tr_atom K(|a><b| tensor X) for the
-    lossy crossing K.  Transit and loss both conserve the joint excitation
-    difference, so K_gg and K_ee keep each field diagonal k on k and K_ge
-    sends it to k + 1; dim probes per map therefore read off every element.
-    None of the three depends on the atom state u or on p_at.
+) -> tuple[sparse.csr_matrix, ...]:
+    """K_gg, K_ee, K_ge and K_eg, with K_ab(X) = Tr_atom K(|a><b| tensor X)
+    for the lossy crossing K.  Transit and loss both conserve the joint
+    excitation difference, so K_gg and K_ee keep each field diagonal k on k
+    and K_ge sends it to k + 1; dim probes per map therefore read off every
+    element.  K_eg(X) = K_ge(X')' needs no probes of its own.  None of the
+    four depends on the atom state u or on p_at.
     """
     kernel = get_kernel(profile, cfg, cavity, options)
     dim = cfg.dim
@@ -254,17 +255,9 @@ def _branch_maps(
             out = kernel.propagate_batched(joint).reshape(len(chunk), 2, dim, 2, dim)
             images[start:start + len(chunk)] = out[:, 0, :, 0, :] + out[:, 1, :, 1, :]
         maps.append(_diagonal_map(images, shift=b - a))
+    # K_eg(X) = K_ge(X')' and the probes are real symmetric
+    maps.append(_diagonal_map(images.conj().transpose(0, 2, 1), shift=-1))
     return tuple(maps)
-
-
-def _adjoint_branch(k_ge: sparse.csr_matrix, dim: int) -> sparse.csr_matrix:
-    """K_eg from K_ge: K_eg(X) = K_ge(X')', a transpose permutation of the
-    vec indices on both sides plus a complex conjugation."""
-    perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    coo = k_ge.tocoo()
-    return sparse.csr_matrix(
-        (coo.data.conj(), (perm[coo.row], perm[coo.col])), shape=k_ge.shape
-    )
 
 
 def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
@@ -293,14 +286,14 @@ def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.
     if config.p_at == 0.0:
         return r_map
 
-    k_gg, k_ee, k_ge = _branch_maps(config.profile, cfg, config.cavity, config.options)
+    k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity, config.options)
     psi_g, psi_e = config.atom.ket()
     cross = psi_g * np.conj(psi_e)
     a_map = (
         abs(psi_g) ** 2 * k_gg
         + abs(psi_e) ** 2 * k_ee
         + cross * k_ge
-        + np.conj(cross) * _adjoint_branch(k_ge, dim)
+        + np.conj(cross) * k_eg
     )
     if config.p_at == 1.0:
         return a_map

@@ -129,6 +129,16 @@ class TestRun:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_grid_fails_before_the_trajectory(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main([
+            "run", "--preset", "cat2", *TINY,
+            "--set", "analysis.wigner_grid=-3.5:3.5:0.001", "--out", str(out),
+        ])
+        assert code == 2
+        assert "points per axis" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_combined_csv(self, tmp_path):
@@ -193,6 +203,14 @@ class TestWigner:
         assert cli.main(["wigner", "--state", str(state), "--grid=0:inf:1"]) == 2
         captured = capsys.readouterr()
         assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_rejects_oversized_grid(self, tmp_path, capsys):
+        state = tmp_path / "vacuum.txt"
+        state.write_text("# dim: 2\n1,0,0,0\n0,0,0,0\n")
+        assert cli.main(["wigner", "--state", str(state), "--grid=-3.5:3.5:0.001"]) == 2
+        captured = capsys.readouterr()
+        assert "points per axis" in captured.err
         assert captured.out == ""
 
     def test_rejects_invalid_state(self, tmp_path, capsys):

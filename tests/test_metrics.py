@@ -37,11 +37,12 @@ def random_density(dim, seed, rank=None):
     return rho / np.trace(rho)
 
 
-def dephased_cat(k, seed, cfg):
-    """A cat with a drawn amplitude and phases, its Fock coherences scaled
-    down by a drawn 5-20 % (Hermitian, positive, unit trace)."""
+def dephased_cat(k, seed, cfg, size=(1.2, 1.65)):
+    """A cat with a drawn amplitude (|alpha| uniform in size) and phases, its
+    Fock coherences scaled down by a drawn 5-20 % (Hermitian, positive, unit
+    trace)."""
     rng = np.random.default_rng(seed)
-    alpha = rng.uniform(1.2, 1.65) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    alpha = rng.uniform(*size) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     pure = density(ideal_mfss(alpha, k, tuple(rng.uniform(0, 2 * np.pi, k - 1)), cfg))
     noise = rng.uniform(0.05, 0.2)
     return (1 - noise) * pure + noise * np.diag(np.diag(pure))
@@ -292,16 +293,12 @@ class TestCatFit:
             met.overlap_fidelity(rho, fit.reference), abs=1e-14
         )
 
-    def test_never_below_init(self):
+    def test_never_below_generating_cat(self):
         cfg = HilbertConfig(n_max=30)
         pure = ideal_mfss(1.4, 2, (np.pi / 2,), cfg)
         rho = 0.8 * density(pure) + 0.2 * thermal_state(0.3, cfg)
-        init = met.CatFitResult(
-            alpha=1.4, rel_phases=(np.pi / 2,), fidelity=0.0, reference=pure
-        )
-        init_f = met.overlap_fidelity(rho, pure)
-        fit = met.fit_cat(rho, 2, init=init)
-        assert fit.fidelity >= init_f - 1e-12
+        fit = met.fit_cat(rho, 2)
+        assert fit.fidelity >= met.overlap_fidelity(rho, pure) - 1e-12
 
     def test_three_component_kerr_state(self):
         # a pi/3 Kerr kick turns a coherent state into an exact 3-cat
@@ -315,35 +312,22 @@ class TestCatFit:
         with pytest.raises(ValueError):
             met.fit_cat(density(fock_state(0, cfg)), 1)
 
-    @pytest.mark.parametrize("phase", [0.0, np.pi])
-    def test_init_at_zero_amplitude(self, phase):
-        # every component of an alpha = 0 cat is the vacuum; with phase pi
-        # the superposition vanishes and the init has no reference at all
+    def test_vacuum_heavy_state(self):
+        # an alpha = 0 cat is the vacuum, which alone reaches 0.7
         cfg = HilbertConfig(n_max=30)
         rho = 0.7 * density(fock_state(0, cfg)) + 0.3 * density(fock_state(2, cfg))
-        init = met.CatFitResult(
-            alpha=0.0, rel_phases=(phase,), fidelity=0.0, reference=None
-        )
-        fit = met.fit_cat(rho, 2, init=init)
+        fit = met.fit_cat(rho, 2)
         assert fit.fidelity >= 0.7 - 1e-12
         assert fit.fidelity == pytest.approx(
             met.overlap_fidelity(rho, fit.reference), abs=1e-14
         )
 
-    def test_refit_from_optimum_keeps_it(self):
-        cfg = HilbertConfig(n_max=40)
-        pure = ideal_mfss(1.4, 2, (np.pi / 2,), cfg)
-        rho = 0.8 * density(pure) + 0.2 * thermal_state(0.3, cfg)
-        fit = met.fit_cat(rho, 2)
-        refit = met.fit_cat(rho, 2, init=fit)
-        assert abs(refit.fidelity - fit.fidelity) <= 1e-15
-        assert abs(refit.alpha - fit.alpha) <= 1e-6
-
     @pytest.mark.parametrize("label, n_max, k", [
         ("cat2-seed1", 40, 2),
         ("cat2-seed2", 60, 2),
-        ("cat3-seed1", 40, 3),
         ("cat3-seed2", 60, 3),
+        ("cat2-alpha4-seed1", 60, 2),
+        ("cat3-alpha4-seed1", 60, 3),
         ("fock0", 30, 2),
         ("fock3", 30, 2),
         ("thermal1", 30, 2),
@@ -353,10 +337,12 @@ class TestCatFit:
     def test_matches_nelder_mead_oracle(self, label, n_max, k):
         # the amplitude-only search with exact phases reaches what the joint
         # Nelder-Mead search over amplitude and phases reaches, or more; the
-        # coherent and rank-3 states have more than one local maximum in alpha
+        # coherent and rank-3 states have more than one local maximum in alpha;
+        # the |alpha| ~ 4 cats check the alpha rake where its nodes lie 0.67 apart
         cfg = HilbertConfig(n_max=n_max)
         if label.startswith("cat"):
-            rho = dephased_cat(k, int(label[-1]), cfg)
+            size = (3.9, 4.1) if "alpha4" in label else (1.2, 1.65)
+            rho = dephased_cat(k, int(label[-1]), cfg, size)
         else:
             rho = {
                 "fock0": lambda: density(fock_state(0, cfg)),

@@ -124,6 +124,7 @@ class TestGrammar:
             "analysis.wigner_grid = 0:1:inf",
             "analysis.wigner_grid = nan:1:0.5",
             "analysis.wigner_grid = -1e308:1e308:1",
+            "analysis.wigner_grid = -3.5:3.5:0.001",
             "reservoir.loss = maybe",
             "hilbert.n_max = twelve",
             "reservoir.u =",
@@ -138,6 +139,11 @@ class TestGrammar:
         for grid in ((-math.inf, math.inf, 1.0), (0.0, 1.0, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 sc.AnalysisSpec(wigner_grid=grid)
+
+    def test_analysis_spec_bounds_grid_points(self):
+        sc.AnalysisSpec(wigner_grid=(-5.0, 5.0, 0.01))  # 1001 points per axis
+        with pytest.raises(ValueError, match="points per axis"):
+            sc.AnalysisSpec(wigner_grid=(-5.0, 5.0, 0.00999))
 
     def test_rejects_duplicate_key(self):
         with pytest.raises(sc.ConfigError, match="duplicate"):
