@@ -31,8 +31,8 @@ amplitude alpha the overlap with a k-component cat is a ratio c'Mc / c'Gc
 of k x k forms in the component coefficients c = (1, e^{i theta_1}, ...),
 so the relative phases are solved exactly: in closed form for k = 2, by
 coordinate ascent in closed-form steps for k >= 3.  Nelder-Mead then
-searches alpha alone, at one product with rho per step, in one run from the
-best node of a coarse alpha rake ranked by the phase grid.
+searches alpha alone, at one product with rho per step, from the k-th-moment
+direction and from the best node of a coarse alpha rake.
 """
 
 from __future__ import annotations
@@ -350,25 +350,38 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): for a fixed component amplitude alpha the best k-1 relative
     phases are solved exactly (_cat_profile), so Nelder-Mead searches only
-    (Re alpha, Im alpha), with one product with rho per evaluation.  The
-    profile can hold more than one local maximum in alpha, so the one search
-    starts from the best node of a 16 x 16 rake over |Re alpha|, |Im alpha|
-    <= sqrt(nbar) + 1, ranked by the phase grid alone.  Deterministic; the
-    fidelity is re-evaluated from ideal_mfss.
+    (Re alpha, Im alpha), with one product with rho per evaluation.  Rotating
+    alpha by 2 pi/k only relabels the components, so one start per basin
+    suffices.  The profile can hold more than one local maximum in alpha, so
+    there are two: the k-th-moment direction at |alpha| = sqrt(nbar), and the
+    best node of a 16 x 16 rake over |Re alpha|, |Im alpha| <= sqrt(nbar) + 1,
+    ranked by the phase grid alone.  On random states each start reaches
+    maxima the other misses.  Deterministic; the fidelity of the better
+    search is re-evaluated from ideal_mfss.
     """
     if k < 2:
         raise ValueError("a cat needs at least 2 components")
     cfg = HilbertConfig(n_max=rho.shape[0] - 1)
 
-    span = math.sqrt(max(mean_photon(rho), 1e-6)) + 1.0
-    axis = np.linspace(-span, span, 16)
+    mag = math.sqrt(max(mean_photon(rho), 1e-6))
+    # <a^k> of an equally spaced cat is alpha^k regardless of the phases,
+    # so the k-th moment pins the pointer direction up to relabeling
+    log_fact = np.cumsum(np.log(np.maximum(np.arange(cfg.dim), 1)))
+    a_k = complex(np.sum(np.exp(0.5 * (log_fact[k:] - log_fact[:-k])) * np.diag(rho, k=-k)))
+    direction = np.angle(a_k) / k if abs(a_k) > 1e-12 else 0.0
+    axis = np.linspace(-(mag + 1.0), mag + 1.0, 16)
     rake = (axis[:, None] + 1j * axis[None, :]).ravel()
     coarse = _phase_grid(*_cat_matrices(rho, rake, k))[0]
     coarse[np.abs(rake) ** 2 > COHERENT_GUARD * cfg.n_max] = 0.0
-    start = rake[int(np.argmax(coarse))]
 
-    res = minimize(lambda x: -_cat_profile(rho, complex(x[0], x[1]), k)[0],
-                   [start.real, start.imag], method="Nelder-Mead", options=_SIMPLEX)
+    def loss(x: np.ndarray) -> float:
+        return -_cat_profile(rho, complex(x[0], x[1]), k)[0]
+
+    runs = [
+        minimize(loss, [a0.real, a0.imag], method="Nelder-Mead", options=_SIMPLEX)
+        for a0 in (mag * np.exp(1j * direction), rake[int(np.argmax(coarse))])
+    ]
+    res = min(runs, key=lambda r: r.fun)  # the first on a tie
     alpha = complex(res.x[0], res.x[1])
     phases = tuple(float(p % (2 * np.pi)) for p in _cat_profile(rho, alpha, k)[1])
     reference = ideal_mfss(alpha, k, phases, cfg)

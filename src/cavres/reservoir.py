@@ -255,8 +255,9 @@ def _branch_maps(
             out = kernel.propagate_batched(joint).reshape(len(chunk), 2, dim, 2, dim)
             images[start:start + len(chunk)] = out[:, 0, :, 0, :] + out[:, 1, :, 1, :]
         maps.append(_diagonal_map(images, shift=b - a))
-    # K_eg(X) = K_ge(X')' and the probes are real symmetric
-    maps.append(_diagonal_map(images.conj().transpose(0, 2, 1), shift=-1))
+        if (a, b) == (0, 1):
+            # K_eg(X) = K_ge(X')' and the probes are real symmetric
+            maps.append(_diagonal_map(images.conj().transpose(0, 2, 1), shift=-1))
     return tuple(maps)
 
 

@@ -325,6 +325,7 @@ class TestCatFit:
     @pytest.mark.parametrize("label, n_max, k", [
         ("cat2-seed1", 40, 2),
         ("cat2-seed2", 60, 2),
+        ("cat3-seed1", 40, 3),
         ("cat3-seed2", 60, 3),
         ("cat2-alpha4-seed1", 60, 2),
         ("cat3-alpha4-seed1", 60, 3),
@@ -332,13 +333,16 @@ class TestCatFit:
         ("fock3", 30, 2),
         ("thermal1", 30, 2),
         ("coherent1.5", 40, 3),
+        ("rank3", 60, 2),
         ("rank3", 60, 3),
     ])
     def test_matches_nelder_mead_oracle(self, label, n_max, k):
         # the amplitude-only search with exact phases reaches what the joint
         # Nelder-Mead search over amplitude and phases reaches, or more; the
-        # coherent and rank-3 states have more than one local maximum in alpha;
-        # the |alpha| ~ 4 cats check the alpha rake where its nodes lie 0.67 apart
+        # coherent and rank-3 states have more than one local maximum in alpha
+        # (with k = 2 the rank-3 state needs the k-th-moment start, the
+        # coherent state and the rank-3 state with k = 3 need the rake); the
+        # |alpha| ~ 4 cats check the rake where its nodes lie 0.67 apart
         cfg = HilbertConfig(n_max=n_max)
         if label.startswith("cat"):
             size = (3.9, 4.1) if "alpha4" in label else (1.2, 1.65)
