@@ -350,14 +350,13 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): for a fixed component amplitude alpha the best k-1 relative
     phases are solved exactly (_cat_profile), so Nelder-Mead searches only
-    (Re alpha, Im alpha), with one product with rho per evaluation.  Rotating
-    alpha by 2 pi/k only relabels the components, so one start per basin
-    suffices.  The profile can hold more than one local maximum in alpha, so
-    there are two: the k-th-moment direction at |alpha| = sqrt(nbar), and the
-    best node of a 16 x 16 rake over |Re alpha|, |Im alpha| <= sqrt(nbar) + 1,
-    ranked by the phase grid alone.  On random states each start reaches
-    maxima the other misses.  Deterministic; the fidelity of the better
-    search is re-evaluated from ideal_mfss.
+    (Re alpha, Im alpha), with one product with rho per evaluation.  The
+    profile can hold more than one local maximum in alpha, and on random
+    states each of the two starts finds maxima the other misses: the
+    k-th-moment direction at |alpha| = sqrt(nbar), and the best node of a
+    16 x 16 rake over |Re alpha|, |Im alpha| <= sqrt(nbar) + 1, ranked by the
+    phase grid alone.  Deterministic; the better search's fidelity is
+    re-evaluated from ideal_mfss.
     """
     if k < 2:
         raise ValueError("a cat needs at least 2 components")
