@@ -96,6 +96,13 @@ def _coherent_amplitudes(alpha: "complex | np.ndarray", dim: int) -> np.ndarray:
     return np.exp(log_mag + 1j * phase)
 
 
+def _past_guard(alpha: "complex | np.ndarray", n_max: int) -> "bool | np.ndarray":
+    """Whether |alpha|^2 exceeds COHERENT_GUARD * n_max, elementwise on an
+    array.  Every admission test of an amplitude goes through here, so an
+    amplitude one caller admits is admitted by all of them."""
+    return np.abs(alpha) ** 2 > COHERENT_GUARD * n_max
+
+
 def coherent_state(alpha: complex, cfg: HilbertConfig) -> np.ndarray:
     """Truncated coherent state |alpha>, renormalized to unit norm.
 
@@ -103,7 +110,7 @@ def coherent_state(alpha: complex, cfg: HilbertConfig) -> np.ndarray:
     COHERENT_GUARD * n_max, where the discarded Poisson tail would no
     longer be negligible.
     """
-    if abs(alpha) ** 2 > COHERENT_GUARD * cfg.n_max:
+    if _past_guard(alpha, cfg.n_max):
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds {COHERENT_GUARD} * n_max "
             f"= {COHERENT_GUARD * cfg.n_max:.1f}; increase n_max"
@@ -135,7 +142,11 @@ def ideal_mfss(
 
     Builds sum_j exp(i theta_j) |alpha exp(2 pi i j / k)> with theta_0 = 0
     and theta_1..theta_{k-1} given by rel_phases, normalized by the norm of
-    the truncated vector.  Raises ValueError when the components cancel.
+    the truncated vector.  Raises ValueError when the components cancel,
+    and TruncationError when |alpha| is past the coherent guard; that test
+    is made on alpha alone, since the rotated amplitudes share its modulus
+    and a rounded |alpha omega^j| could cross the guard where |alpha| does
+    not.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -143,15 +154,15 @@ def ideal_mfss(
     if phases.shape != (k - 1,):
         raise ValueError(f"rel_phases must have length k-1 = {k - 1}")
     coeff = np.exp(1j * np.concatenate(([0.0], phases)))
+    if _past_guard(alpha, cfg.n_max):
+        raise TruncationError(
+            f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds guard for n_max = {cfg.n_max}"
+        )
 
     alphas = alpha * np.exp(2j * np.pi * np.arange(k) / k)
     vec = np.zeros(cfg.dim, dtype=complex)
     scale = 0.0
     for c, a_j in zip(coeff, alphas):
-        if abs(a_j) ** 2 > COHERENT_GUARD * cfg.n_max:
-            raise TruncationError(
-                f"component |alpha|^2 = {abs(a_j)**2:.3f} exceeds guard for n_max = {cfg.n_max}"
-            )
         amps = _coherent_amplitudes(a_j, cfg.dim)
         vec += c * amps
         scale += np.linalg.norm(amps)

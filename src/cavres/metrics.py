@@ -50,6 +50,7 @@ from cavres.fock import (
     COHERENT_GUARD,
     HilbertConfig,
     _coherent_amplitudes,
+    _past_guard,
     ideal_mfss,
 )
 
@@ -336,7 +337,7 @@ def _cat_profile(rho: np.ndarray, alpha: complex, k: int) -> tuple[float, list[f
     amplitude alpha over the relative phases theta, which the best node of
     the phase grid seeds and _phase_ascent solves.  Zero past the coherent
     guard."""
-    if abs(alpha) ** 2 > COHERENT_GUARD * (rho.shape[0] - 1):
+    if _past_guard(alpha, rho.shape[0] - 1):
         return 0.0, [0.0] * (k - 1)
     if alpha == 0:  # every component is the vacuum
         return float(rho[0, 0].real), [0.0] * (k - 1)
@@ -371,7 +372,7 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     axis = np.linspace(-(mag + 1.0), mag + 1.0, 16)
     rake = (axis[:, None] + 1j * axis[None, :]).ravel()
     coarse = _phase_grid(*_cat_matrices(rho, rake, k))[0]
-    coarse[np.abs(rake) ** 2 > COHERENT_GUARD * cfg.n_max] = 0.0
+    coarse[_past_guard(rake, cfg.n_max)] = 0.0
 
     def loss(x: np.ndarray) -> float:
         return -_cat_profile(rho, complex(x[0], x[1]), k)[0]

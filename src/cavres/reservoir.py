@@ -198,7 +198,9 @@ def sample_map(
 # sample operator
 # ---------------------------------------------------------------------------
 
-_PROBE_BATCH = 8  # probe matrices per kernel call; small batches stay in cache
+# Probe matrices per kernel call.  Larger batches were up to 9 % faster at
+# n_max 60 but grow the loss steps' workspace in proportion (see CHANGES.md).
+_PROBE_BATCH = 8
 
 
 def _probes(dim: int) -> np.ndarray:
@@ -281,7 +283,14 @@ def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.
 
     if config.cavity is not None:
         prop = _relax_propagator(config.profile.t_i, config.cavity, dim)
-        r_map = _diagonal_map(prop.apply_batched(_probes(dim)), shift=0)
+        probes = _probes(dim)
+        # in batches like the branch maps: apply_batched keeps a workspace
+        # as large as its largest call
+        images = np.concatenate([
+            prop.apply_batched(probes[start:start + _PROBE_BATCH])
+            for start in range(0, dim, _PROBE_BATCH)
+        ])
+        r_map = _diagonal_map(images, shift=0)
     else:
         r_map = sparse.identity(dim * dim, dtype=complex, format="csr")
     if config.p_at == 0.0:
@@ -351,7 +360,7 @@ def run_trajectory(
     against.  rho0 is policed before anything is built.
     Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
     operator of build_sample_superop, whose 3 dim probe propagations cost
-    no more than 3 dim direct samples; all others call sample_map each
+    about as much as 3 dim direct samples; all others call sample_map each
     sample.  The two paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)

@@ -13,18 +13,27 @@ truncated space (a'|n_max> = 0), which keeps the generator trace-preserving
 and completely positive on the retained levels.
 
 ThermalPropagator keeps the 2 dim - 1 diagonal blocks (the lower diagonal
-of offset -d shares the block of +d) zero-padded into one (2 dim - 1, dim,
-dim) real stack.  Applying exp(L t) to a stack of matrices is one gather of
-every matrix's diagonals into that padded layout, one batched real matmul
-with the complex entries viewed as pairs of real columns, and one inverse
-gather back; there is no loop over diagonals.  Joint (atom x field) matrices
-go through the same gather with all four atom blocks side by side, since the
-jumps act on the field factor only.
+of offset -d shares the block of +d) in a few real stacks, one for each run
+of at most _BUCKET_SPAN consecutive offsets |k|.  A stack holds the slots of
+its run in ascending k (the -k slots, then the +k ones) and is zero-padded
+only to its own longest diagonal: at n_max = 60 the four stacks do 1.39
+times the useful multiply-adds, where one stack padded to dim did 2.97
+times.  Up to _BUCKET_SPAN offsets there is a single stack.  Applying
+exp(L t) to a stack of matrices is one gather and one batched real matmul
+per stack, with the complex entries viewed as pairs of real columns, each
+into its slice of one buffer, and one inverse gather back; there is no loop
+over diagonals.  Joint (atom x field) matrices go through the same gathers
+with all four atom blocks side by side, since the jumps act on the field
+factor only.  Propagators of different durations share the gather tables
+(one set per dim and atom levels) and the rate blocks (one set per dim and
+cavity).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -88,28 +97,81 @@ def rate_block(d: int, dim: int, cavity: CavityParams) -> np.ndarray:
     return block
 
 
-def _stack_indices(dim: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather and inverse-gather indices between a padded diagonal stack and
-    a (levels*dim)-square matrix flattened row-major.
+# Offsets per diagonal stack.  A longer run pads its shorter diagonals to the
+# length of its longest one, a shorter run adds a matmul call; at n_max 60,
+# runs of 10 to 20 offsets tied and longer ones were slower (see CHANGES.md),
+# and 20 keeps every n_max up to 19 in one stack.
+_BUCKET_SPAN = 20
 
-    gather[s, m, q] is the flat index of entry m of field diagonal
-    k = s - (dim - 1) (column minus row) in atom block q = levels*a + b;
-    entries past the end of a diagonal point at 0 and meet zero columns of
-    the stack.  scatter[i] is the position of flat entry i in the gathered
-    array.
+
+@lru_cache(maxsize=16)
+def _rate_blocks(dim: int, cavity: CavityParams) -> tuple[np.ndarray, ...]:
+    """rate_block(d, dim, cavity) for d = 0 .. dim-1, shared read-only by
+    the propagators of every duration."""
+    blocks = tuple(rate_block(d, dim, cavity) for d in range(dim))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
+def _bucket_offsets(dim: int) -> list[np.ndarray]:
+    """Diagonal offsets k (column minus row) of each stack, ascending: the
+    offsets split into ceil(dim / _BUCKET_SPAN) runs of nearly equal length,
+    and each stack takes -k and +k for every |k| of its run."""
+    runs = np.array_split(np.arange(dim), -(-dim // _BUCKET_SPAN))
+    return [np.concatenate((-run[::-1], run[run > 0])) for run in runs]
+
+
+@lru_cache(maxsize=16)
+def _stack_indices(
+    dim: int, levels: int
+) -> tuple[tuple[np.ndarray, ...], tuple[int, ...], np.ndarray]:
+    """Gather and inverse-gather indices between the diagonal stacks and a
+    (levels*dim)-square matrix flattened row-major.
+
+    For each stack, gather[s, m, q] is the flat index of entry m of the
+    stack's s-th field diagonal in atom block q = levels*a + b; entries past
+    the end of a diagonal point at 0 and meet zero columns of the stack.
+    Laid end to end, the gathered arrays of stack j fill positions
+    bounds[j] to bounds[j+1], and scatter[i] is the position of flat entry
+    i.  Read-only, shared by every propagator.
     """
-    k = np.arange(2 * dim - 1)[:, None] - (dim - 1)
-    m = np.arange(dim)[None, :]
-    row, col = m + np.maximum(-k, 0), m + np.maximum(k, 0)
-    valid = np.maximum(row, col) < dim
     a, b = np.divmod(np.arange(levels * levels), levels)
     size = levels * dim
-    gather = (a * dim + row[..., None]) * size + b * dim + col[..., None]
-    valid = np.broadcast_to(valid[..., None], gather.shape)
-    gather = np.where(valid, gather, 0)
+    gathers, bounds = [], [0]
     scatter = np.empty(size * size, dtype=np.intp)
-    scatter[gather[valid]] = np.flatnonzero(valid)
-    return gather, scatter
+    for offsets in _bucket_offsets(dim):
+        k = offsets[:, None]
+        m = np.arange(dim - np.abs(offsets).min())[None, :]
+        row, col = m + np.maximum(-k, 0), m + np.maximum(k, 0)
+        valid = np.maximum(row, col) < dim
+        gather = (a * dim + row[..., None]) * size + b * dim + col[..., None]
+        valid = np.broadcast_to(valid[..., None], gather.shape)
+        scatter[gather[valid]] = bounds[-1] + np.flatnonzero(valid)
+        gathers.append(np.where(valid, gather, 0))
+        gathers[-1].flags.writeable = False
+        bounds.append(bounds[-1] + gather.size)
+    scatter.flags.writeable = False
+    return tuple(gathers), tuple(bounds), scatter
+
+
+# apply_batched's gather and matmul buffers: scratch memory, one block per
+# thread, which every propagator reuses and no call reads before writing.
+# Allocated afresh on each call, arrays of this size were handed back to the
+# operating system and page-faulted in again each time, which made the loss
+# steps up to five times slower per matrix at some batch sizes (see
+# CHANGES.md).
+_WORKSPACE = threading.local()
+
+
+def _workspace(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (rows, count) complex buffers from this thread's workspace, which
+    grows to the largest request and is kept for every later call."""
+    size = rows * count
+    buf = getattr(_WORKSPACE, "buf", None)
+    if buf is None or buf.size < 2 * size:
+        buf = _WORKSPACE.buf = np.empty(2 * size, dtype=complex)
+    return buf[:size].reshape(rows, count), buf[size:2 * size].reshape(rows, count)
 
 
 class ThermalPropagator:
@@ -121,12 +183,15 @@ class ThermalPropagator:
         self.duration = duration
         self.cavity = cavity
         self.dim = dim
-        # slot dim-1+k holds the block of diagonal k; -d and +d share one
-        self.stack = np.zeros((2 * dim - 1, dim, dim))
-        for d in range(dim):
-            block = expm(rate_block(d, dim, cavity) * duration)
-            self.stack[dim - 1 + d, : dim - d, : dim - d] = block
-            self.stack[dim - 1 - d, : dim - d, : dim - d] = block
+        blocks = [expm(rate * duration) for rate in _rate_blocks(dim, cavity)]
+        # one stack per run of offsets; -k and +k share the block of |k|
+        self.stacks = []
+        for offsets in _bucket_offsets(dim):
+            length = dim - np.abs(offsets).min()
+            stack = np.zeros((len(offsets), length, length))
+            for slot, d in enumerate(np.abs(offsets)):
+                stack[slot, : dim - d, : dim - d] = blocks[d]
+            self.stacks.append(stack)
         # field matrices (dim square) and joint ones (2 dim square)
         self._indices = {dim: _stack_indices(dim, 1), 2 * dim: _stack_indices(dim, 2)}
 
@@ -146,9 +211,17 @@ class ThermalPropagator:
             raise ValueError(
                 f"expected matrices of size {self.dim} or {2 * self.dim}, got {mats.shape[1:]}"
             )
-        gather, scatter = self._indices[size]
+        gathers, bounds, scatter = self._indices[size]
         cols = mats.astype(complex, copy=False).reshape(count, size * size).T
-        picked = cols.take(gather, axis=0).reshape(2 * self.dim - 1, self.dim, -1)
-        relaxed = np.matmul(self.stack, picked.view(float)).view(complex)
-        out = relaxed.reshape(-1, count).take(scatter, axis=0)
+        picked, relaxed = _workspace(bounds[-1], count)
+        for stack, gather, lo, hi in zip(self.stacks, gathers, bounds, bounds[1:]):
+            # every index is in range; mode "raise" would buffer the output
+            np.take(cols, gather.ravel(), axis=0, out=picked[lo:hi], mode="clip")
+            shape = (*stack.shape[:2], -1)
+            np.matmul(
+                stack,
+                picked[lo:hi].reshape(shape).view(float),
+                out=relaxed[lo:hi].reshape(shape).view(float),
+            )
+        out = relaxed.take(scatter, axis=0)
         return out.T.reshape(count, size, size)

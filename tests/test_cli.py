@@ -226,6 +226,16 @@ class TestWigner:
             assert captured.out == ""
 
 
+def test_package_runs_as_module():
+    # python -m cavres reaches the same parser as the console script
+    proc = subprocess.run(
+        [sys.executable, "-m", "cavres", "--help"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: cavres")
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "cavres.cli", "--help"],

@@ -395,6 +395,30 @@ class TestPhaseStep:
             assert value == pytest.approx(met.overlap_fidelity(rho, ref), abs=1e-14)
 
 
+class TestGuardCircle:
+    """Every amplitude the cat profile admits builds its ideal cat."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_admitted_amplitudes_build(self, k):
+        # amplitudes on the guard circle, nudged by up to 3 ulps of radius:
+        # rounding puts some rotated |alpha omega^j|^2 above COHERENT_GUARD
+        # * n_max where |alpha|^2 is not
+        cfg = HilbertConfig(n_max=40)
+        rho = np.eye(cfg.dim, dtype=complex) / cfg.dim
+        rng = np.random.default_rng(40 + k)
+        radius = math.sqrt(COHERENT_GUARD * cfg.n_max)
+        radii = radius + np.spacing(radius) * rng.integers(-3, 4, size=400)
+        admitted = 0
+        for alpha in radii * np.exp(1j * rng.uniform(0, 2 * np.pi, size=400)):
+            value, theta = met._cat_profile(rho, complex(alpha), k)
+            if value == 0.0:
+                continue
+            admitted += 1
+            ref = ideal_mfss(complex(alpha), k, tuple(theta), cfg)
+            assert value == pytest.approx(met.overlap_fidelity(rho, ref), abs=1e-14)
+        assert 100 < admitted < 400
+
+
 class TestSerialization:
     def test_csv_format(self):
         recs = [

@@ -1,5 +1,9 @@
 """Finite-temperature cavity damping: exact per-diagonal relaxation."""
 
+import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -11,7 +15,9 @@ from cavres.fock import (
     fock_state,
     validate_density,
 )
-from cavres.dynamics import TransitProfile
+import cavres.reservoir as reservoir
+import cavres.thermal as thermal
+from cavres.dynamics import TransitKernel, TransitProfile
 from cavres.reservoir import ReservoirConfig, build_sample_superop
 from cavres.thermal import CavityParams, ThermalPropagator, rate_block
 from oracles import dissipator_rhs, make_ladder, thermal_state
@@ -32,6 +38,11 @@ def dense_lindblad_rhs(rho, cavity):
     down = a @ rho @ ad - 0.5 * (ad @ a @ rho + rho @ ad @ a)
     up = ad @ rho @ a - 0.5 * (a @ ad @ rho + rho @ a @ ad)
     return cavity.kappa * (1 + cavity.n_t) * down + cavity.kappa * cavity.n_t * up
+
+
+def small_profile():
+    omega0 = 2 * np.pi * 50e3
+    return TransitProfile(omega0=omega0, w=6e-3, v=70.0, delta_disp=2.2 * omega0, t_r=5e-6)
 
 
 def relax_per_diagonal(mats, duration, cavity):
@@ -123,16 +134,86 @@ class TestThermalPropagator:
         assert np.max(np.abs(rho - thermal_state(cav.n_t, cfg))) < 1e-7
 
     def test_batched_matches_single(self):
-        cav = CavityParams(n_t=0.1)
-        for dim in (1, 2, 15, 40):
-            prop = ThermalPropagator(0.02, cav, dim)
-            stack = np.stack([random_density(dim, seed=s) for s in range(4)])
-            got = prop.apply_batched(stack.copy())
-            # reference: the per-diagonal loop over the same rate blocks
-            want = relax_per_diagonal(stack, 0.02, cav)
-            assert np.max(np.abs(got - want)) < 1e-13
-            for k in range(4):
-                assert np.max(np.abs(got[k] - prop.apply(stack[k]))) < 1e-13
+        # dims on and around the edges of the offset runs (one stack up to
+        # 20 offsets, then runs of at most 20), field and joint matrices,
+        # Hermitian or not; reference: the per-diagonal loop over the same
+        # rate blocks
+        cav, t = CavityParams(n_t=0.1), 0.02
+        for dim in (1, 2, 15, 20, 21, 22, 40, 41, 61):
+            prop = ThermalPropagator(t, cav, dim)
+            assert len(prop.stacks) == -(-dim // 20)
+            if dim <= 20:  # the single stack holds every diagonal, padded to dim
+                assert prop.stacks[0].shape == (2 * dim - 1, dim, dim)
+            rng = np.random.default_rng(dim)
+            for levels, count, hermitian in itertools.product((1, 2), (1, 8), (True, False)):
+                size = levels * dim
+                mats = rng.normal(size=(count, size, size)) + 1j * rng.normal(
+                    size=(count, size, size)
+                )
+                if hermitian:
+                    mats = mats + mats.conj().transpose(0, 2, 1)
+                # each atom block relaxes on its own
+                blocks = mats.reshape(count, levels, dim, levels, dim)
+                blocks = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, dim, dim)
+                want = relax_per_diagonal(blocks, t, cav)
+                want = want.reshape(count, levels, levels, dim, dim)
+                want = want.transpose(0, 1, 3, 2, 4).reshape(mats.shape)
+                got = prop.apply_batched(mats.copy())
+                assert np.max(np.abs(got - want)) < 1e-13
+                for k in range(count):
+                    assert np.max(np.abs(prop.apply(mats[k]) - want[k])) < 1e-13
+
+    def test_results_outlive_the_workspace(self):
+        # the gather and matmul buffers are reused; what a call returns is not
+        cav, dim = CavityParams(n_t=0.1), 21
+        prop = ThermalPropagator(0.02, cav, dim)
+        first = np.stack([random_density(dim, seed=s) for s in range(3)])
+        kept = prop.apply_batched(first)
+        for count in (1, 5, 8):  # smaller and larger requests than the first
+            prop.apply_batched(np.stack([random_density(dim, seed=9)] * count))
+        assert np.max(np.abs(kept - relax_per_diagonal(first, 0.02, cav))) < 1e-13
+
+    def test_threads_use_their_own_workspace(self):
+        # more threads than cores, switching often: a shared workspace would
+        # hand one thread's gathered entries to another
+        cav, dim, workers = CavityParams(n_t=0.1), 30, 4
+        prop = ThermalPropagator(0.02, cav, dim)
+        inputs = [
+            np.stack([random_density(dim, seed=10 * t + s) for s in range(4)])
+            for t in range(workers)
+        ]
+        wants = [relax_per_diagonal(x, 0.02, cav) for x in inputs]
+
+        def work(t):
+            return max(
+                np.max(np.abs(prop.apply_batched(inputs[t]) - wants[t])) for _ in range(100)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(work, t) for t in range(workers)]
+                errors = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(errors) < 1e-13
+
+    def test_index_tables_built_once_per_size(self):
+        # the kernel's loss steps and the relaxation share the gather tables
+        # of each (dim, levels) and the rate blocks of each (dim, cavity)
+        cav, cfg = CavityParams(n_t=0.1), HilbertConfig(n_max=7)
+        thermal._stack_indices.cache_clear()
+        thermal._rate_blocks.cache_clear()
+        reservoir._relax_propagator.cache_clear()
+        kernel = TransitKernel(small_profile(), cfg, cav)
+        reservoir.relax(random_density(cfg.dim, seed=3), 1e-4, cav)
+        props = set(kernel.loss_steps) | {reservoir._relax_propagator(1e-4, cav, cfg.dim)}
+        assert len(props) == 4
+        assert thermal._stack_indices.cache_info().misses == 2
+        assert thermal._rate_blocks.cache_info().misses == 1
+        for size in (cfg.dim, 2 * cfg.dim):
+            assert len({id(p._indices[size]) for p in props}) == 1
 
     def test_durations_add(self):
         # exp(L a) exp(L b) = exp(L (a+b)): adjacent steps merge exactly
@@ -168,10 +249,7 @@ class TestThermalPropagator:
         # through apply_batched; with p_at = 0 it is the whole sample operator
         cav = CavityParams(n_t=0.15)
         dim = 8
-        omega0 = 2 * np.pi * 50e3
-        profile = TransitProfile(
-            omega0=omega0, w=6e-3, v=70.0, delta_disp=2.2 * omega0, t_r=5e-6
-        )
+        profile = small_profile()
         config = ReservoirConfig(profile=profile, u=0.3, cavity=cav, p_at=0.0)
         mat = build_sample_superop(config, HilbertConfig(n_max=dim - 1))
         rho = random_density(dim, seed=2)
