@@ -20,11 +20,13 @@ enough to pay for it (n_samples >= 3 dim) first builds the map as one sparse
 Monte-Carlo runs, the analytic backend and shorter runs apply sample_map
 directly.  Transit and loss conserve the joint excitation difference, so
 the crossing maps each field diagonal only to its neighbours: the operator
-is assembled from three branch maps K_gg, K_ee and K_ge read off 3 dim
+is assembled from four branch maps K_gg, K_ee, K_ge and K_eg read off 2 dim
 probe propagations (column grouping over the known diagonal structure, as
 for sparse Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117
-(1974)).  The branch maps depend on neither u nor p_at and are cached, so
-runs in one process that differ only in those two reuse one build.
+(1974); K_gg and K_ee share one probe set by Hermiticity, and K_eg is the
+adjoint of K_ge).  The branch maps depend on neither u nor p_at and are
+cached, so runs in one process that differ only in those two reuse one
+build.
 """
 
 from __future__ import annotations
@@ -214,7 +216,8 @@ def _diagonal_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
     """CSR matrix, on row-major vec, of a field map that sends diagonal k
     (column - row) only to diagonal k + shift, read off the images of the
     _probes: entry (r, c) of images[p] is the map's element from element p
-    of input diagonal c - r - shift to output entry (r, c).
+    of input diagonal c - r - shift to output entry (r, c).  Exact zeros are
+    kept, so maps of one dim and shift share one pattern.
     """
     dim = images.shape[-1]
     levels = np.arange(dim)
@@ -223,11 +226,9 @@ def _diagonal_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
     valid = np.abs(k_in) + p < dim
     cols = (p + np.maximum(-k_in, 0)) * dim + p + np.maximum(k_in, 0)
     rows = np.broadcast_to(np.arange(dim * dim).reshape(dim, dim), valid.shape)
-    out = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (images[valid], (rows[valid], cols[valid])), shape=(dim * dim, dim * dim)
     )
-    out.eliminate_zeros()
-    return out
 
 
 @lru_cache(maxsize=4)
@@ -241,26 +242,51 @@ def _branch_maps(
     for the lossy crossing K.  Transit and loss both conserve the joint
     excitation difference, so K_gg and K_ee keep each field diagonal k on k
     and K_ge sends it to k + 1; dim probes per map therefore read off every
-    element.  K_eg(X) = K_ge(X')' needs no probes of its own.  None of the
-    four depends on the atom state u or on p_at.
+    element.  The probes P are real symmetric and K_gg, K_ee preserve
+    Hermiticity, so one set of dim probes |g><g| tensor P + i |e><e| tensor P
+    yields Y = K_gg(P) + i K_ee(P) with K_gg(P) = (Y + Y')/2 and
+    K_ee(P) = (Y - Y')/2i; a second set |g><e| tensor P yields K_ge, and
+    K_eg(X) = K_ge(X')' needs no probes of its own: 2 dim probe propagations
+    in all.  None of the four depends on the atom state u or on p_at.
     """
     kernel = get_kernel(profile, cfg, cavity, options)
     dim = cfg.dim
     probes = _probes(dim)
-    maps = []
-    for a, b in ((0, 0), (1, 1), (0, 1)):
+    image_sets = []
+    for blocks in (((0, 0, 1.0), (1, 1, 1j)), ((0, 1, 1.0),)):
         images = np.empty_like(probes)
         for start in range(0, dim, _PROBE_BATCH):
             chunk = probes[start:start + _PROBE_BATCH]
-            joint = np.zeros((len(chunk), 2 * dim, 2 * dim), dtype=complex)
-            joint[:, a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = chunk
-            out = kernel.propagate_batched(joint).reshape(len(chunk), 2, dim, 2, dim)
+            joint = np.zeros((len(chunk), 2, dim, 2, dim), dtype=complex)
+            for a, b, weight in blocks:
+                joint[:, a, :, b, :] = weight * chunk
+            out = kernel.propagate_batched(joint.reshape(len(chunk), 2 * dim, 2 * dim))
+            out = out.reshape(len(chunk), 2, dim, 2, dim)
             images[start:start + len(chunk)] = out[:, 0, :, 0, :] + out[:, 1, :, 1, :]
-        maps.append(_diagonal_map(images, shift=b - a))
-        if (a, b) == (0, 1):
-            # K_eg(X) = K_ge(X')' and the probes are real symmetric
-            maps.append(_diagonal_map(images.conj().transpose(0, 2, 1), shift=-1))
-    return tuple(maps)
+        image_sets.append(images)
+    both, ge = image_sets
+    both_adj = both.conj().transpose(0, 2, 1)
+    return (
+        _diagonal_map((both + both_adj) / 2, shift=0),
+        _diagonal_map((both - both_adj) / 2j, shift=0),
+        _diagonal_map(ge, shift=1),
+        _diagonal_map(ge.conj().transpose(0, 2, 1), shift=-1),
+    )
+
+
+def _relaxation_map(config: ReservoirConfig, dim: int) -> sparse.csr_matrix:
+    """R, the thermal relaxation over t_i (identity without a cavity), on
+    the diagonal-k-to-k pattern of _diagonal_map that K_gg and K_ee share."""
+    if config.cavity is None:
+        return _diagonal_map(_probes(dim), shift=0)
+    prop = _relax_propagator(config.profile.t_i, config.cavity, dim)
+    probes = _probes(dim)
+    # in batches like the branch maps: apply_batched keeps a workspace as
+    # large as its largest call
+    return _diagonal_map(np.concatenate([
+        prop.apply_batched(probes[start:start + _PROBE_BATCH])
+        for start in range(0, dim, _PROBE_BATCH)
+    ]), shift=0)
 
 
 def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
@@ -279,35 +305,26 @@ def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.
             "the sample operator applies to deterministic mixing with the numeric "
             f"backend only, got {config.mixing_mode!r} mixing, {config.backend!r} backend"
         )
-    dim = cfg.dim
-
-    if config.cavity is not None:
-        prop = _relax_propagator(config.profile.t_i, config.cavity, dim)
-        probes = _probes(dim)
-        # in batches like the branch maps: apply_batched keeps a workspace
-        # as large as its largest call
-        images = np.concatenate([
-            prop.apply_batched(probes[start:start + _PROBE_BATCH])
-            for start in range(0, dim, _PROBE_BATCH)
-        ])
-        r_map = _diagonal_map(images, shift=0)
-    else:
-        r_map = sparse.identity(dim * dim, dtype=complex, format="csr")
-    if config.p_at == 0.0:
-        return r_map
-
-    k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity, config.options)
-    psi_g, psi_e = config.atom.ket()
-    cross = psi_g * np.conj(psi_e)
-    a_map = (
-        abs(psi_g) ** 2 * k_gg
-        + abs(psi_e) ** 2 * k_ee
-        + cross * k_ge
-        + np.conj(cross) * k_eg
-    )
-    if config.p_at == 1.0:
-        return a_map
-    return (1.0 - config.p_at) * r_map + config.p_at * a_map
+    s_map = _relaxation_map(config, cfg.dim)
+    if config.p_at > 0.0:
+        k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity, config.options)
+        psi_g, psi_e = config.atom.ket()
+        cross = psi_g * np.conj(psi_e)
+        # R, K_gg and K_ee keep diagonal k on k over one pattern, so their
+        # part of S is summed on R's data in place, in the order of
+        # (1 - p_at) R + p_at (|psi_g|^2 K_gg + |psi_e|^2 K_ee); the
+        # k -> k +- 1 maps are added after it
+        s_map.data *= 1.0 - config.p_at
+        s_map.data += config.p_at * (
+            abs(psi_g) ** 2 * k_gg.data + abs(psi_e) ** 2 * k_ee.data
+        )
+        s_map = (
+            s_map
+            + config.p_at * (cross * k_ge)
+            + config.p_at * (np.conj(cross) * k_eg)
+        )
+    s_map.eliminate_zeros()
+    return s_map
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +376,10 @@ def run_trajectory(
     j = 0).  reference, when given, is the pure state fidelity is tracked
     against.  rho0 is policed before anything is built.
     Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
-    operator of build_sample_superop, whose 3 dim probe propagations cost
-    about as much as 3 dim direct samples; all others call sample_map each
-    sample.  The two paths agree to rounding.
+    operator of build_sample_superop, whose 2 dim probe propagations cost
+    about as much as 1 dim direct samples at n_max 16 and 2 dim at n_max 60
+    (README, Long runs); all others call sample_map each sample.  The two
+    paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     rho = rho0.astype(complex)

@@ -12,7 +12,14 @@ from cavres.fock import (
     validate_density,
 )
 from cavres.thermal import CavityParams
-from cavres.dynamics import TransitKernel, TransitProfile, theta_of
+from cavres.dynamics import (
+    TransitKernel,
+    TransitOptions,
+    TransitProfile,
+    get_kernel,
+    theta_of,
+    trace_atom,
+)
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
@@ -343,9 +350,54 @@ class TestSuperoperatorCache:
                         got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
                         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_branch_maps_act_on_non_hermitian_matrices(self, n_max):
+        # K_gg and K_ee are split off one probe set by Hermiticity; states
+        # are Hermitian, so only a non-Hermitian X tests each map on its own
+        cfg = HilbertConfig(n_max=n_max)
+        dim = cfg.dim
+        rng = np.random.default_rng(n_max)
+        for cavity in (CavityParams(), None):
+            kernel = get_kernel(CAT2, cfg, cavity, TransitOptions())
+            maps = res._branch_maps(CAT2, cfg, cavity, TransitOptions())
+            for k_ab, (a, b) in zip(maps, ((0, 0), (1, 1), (0, 1), (1, 0))):
+                x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                joint = np.zeros((2 * dim, 2 * dim), dtype=complex)
+                joint[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = x
+                want = trace_atom(kernel.propagate(joint))
+                got = (k_ab @ x.reshape(-1)).reshape(dim, dim)
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_is_the_sparse_sum_of_its_maps(self):
+        # S is summed on the maps' data in place; it equals the plain sparse
+        # sum of R and the branch maps bit for bit, exact zeros dropped
+        cfg = HilbertConfig(n_max=8)
+        for cavity in (CavityParams(), None):
+            k_gg, k_ee, k_ge, k_eg = res._branch_maps(CAT2, cfg, cavity, TransitOptions())
+            r_map = res.build_sample_superop(
+                res.ReservoirConfig(profile=CAT2, u=0.0, cavity=cavity, p_at=0.0), cfg
+            )
+            for u in (0.0, *U_VALUES):
+                for p_at in (0.3, 1.0):
+                    config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity, p_at=p_at)
+                    psi_g, psi_e = config.atom.ket()
+                    cross = psi_g * np.conj(psi_e)
+                    a_map = (
+                        abs(psi_g) ** 2 * k_gg
+                        + abs(psi_e) ** 2 * k_ee
+                        + cross * k_ge
+                        + np.conj(cross) * k_eg
+                    )
+                    want = (1.0 - p_at) * r_map + p_at * a_map
+                    want.eliminate_zeros()
+                    got = res.build_sample_superop(config, cfg)
+                    assert got.nnz == want.nnz
+                    assert (got != want).nnz == 0
+
     def test_branch_maps_are_built_once_for_all_u(self, monkeypatch, tmp_path):
-        # the three branch maps hold no u: three values of u cost 3 dim probe
-        # propagations in all, whether built directly or by a serial sweep
+        # the branch maps hold no u: three values of u cost 2 dim probe
+        # propagations in all, in two probe sets of _PROBE_BATCH per call,
+        # whether built directly or by a serial sweep
         pushed = []
         propagate = TransitKernel.propagate_batched
 
@@ -353,13 +405,17 @@ class TestSuperoperatorCache:
             pushed.append(len(stack))
             return propagate(kernel, stack)
 
+        def calls(dim):
+            return 2 * -(-dim // res._PROBE_BATCH)
+
         monkeypatch.setattr(TransitKernel, "propagate_batched", spy)
         cfg = HilbertConfig(n_max=8)
         res._branch_maps.cache_clear()
         for u in U_VALUES:
             config = res.ReservoirConfig(profile=CAT2, u=u, cavity=CavityParams())
             res.build_sample_superop(config, cfg)
-        assert sum(pushed) == 3 * cfg.dim
+        assert sum(pushed) == 2 * cfg.dim
+        assert len(pushed) == calls(cfg.dim)
 
         pushed.clear()
         res._branch_maps.cache_clear()
@@ -376,7 +432,8 @@ class TestSuperoperatorCache:
         sc.sweep_scenario(
             config, "reservoir.u", ["0.3pi", "0.45pi", "0.5pi"], out_dir=tmp_path
         )
-        assert sum(pushed) == 3 * dim
+        assert sum(pushed) == 2 * dim
+        assert len(pushed) == calls(dim)
 
     @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 1)])
     def test_path_rule_boundary(self, builds, extra, builds_expected):
