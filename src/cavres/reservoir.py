@@ -14,19 +14,23 @@ operators and composes relaxation over t_i afterwards.  The deterministic
 mixing mode averages the atom/no-atom branches; monte_carlo draws one branch
 per sample from a seeded generator.
 
-The deterministic numeric map is linear in the state, so a trajectory long
-enough to pay for it (n_samples >= 3 dim) first builds the map as one sparse
-(dim^2, dim^2) operator and then iterates sparse matrix-vector products;
-Monte-Carlo runs, the analytic backend and shorter runs apply sample_map
-directly.  Transit and loss conserve the joint excitation difference, so
-the crossing maps each field diagonal only to its neighbours: the operator
-is assembled from four branch maps K_gg, K_ee, K_ge and K_eg read off 2 dim
-probe propagations (column grouping over the known diagonal structure, as
-for sparse Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117
+The deterministic map is linear in the state, so a trajectory long enough
+to pay for it (n_samples >= 3 dim) first builds the map as one sparse
+(dim^2, dim^2) operator and then iterates sparse matrix-vector products,
+when its backend is numeric or it runs without a cavity; Monte-Carlo runs,
+lossy analytic runs and shorter runs apply sample_map directly.  Transit and
+loss conserve the joint excitation difference, so the numeric crossing maps
+each field diagonal only to its neighbours: the operator is assembled from
+four branch maps K_gg, K_ee, K_ge and K_eg read off 2 dim probe
+propagations (column grouping over the known diagonal structure, as for
+sparse Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117
 (1974); K_gg and K_ee share one probe set by Hermiticity, and K_eg is the
 adjoint of K_ge).  The branch maps depend on neither u nor p_at and are
 cached, so runs in one process that differ only in those two reuse one
-build.
+build.  The analytic crossing is the Kraus sum over two bidiagonal
+operators, 11,441 nonzeros at n_max 40; with a cavity the relaxation fills
+every diagonal block of the operator, whose product then costs more than a
+direct sample, so lossy analytic runs stay direct.
 """
 
 from __future__ import annotations
@@ -289,22 +293,44 @@ def _relaxation_map(config: ReservoirConfig, dim: int) -> sparse.csr_matrix:
     ]), shift=0)
 
 
+def _analytic_superop(config: ReservoirConfig, dim: int) -> sparse.csr_matrix:
+    """S = (1 - p_at) R + p_at R A of the analytic backend, with the crossing
+    A = sum_m K_m (x) conj(K_m) over its Kraus pair.  K_g is lower- and K_e
+    upper-bidiagonal, so A has 2 (2 dim - 1)^2 - dim^2 entries (11,441 at
+    n_max 40).  Without a cavity R is the identity, built as such."""
+    k_g, k_e = map(sparse.csr_matrix, _analytic_kraus(config.profile, config.u, dim))
+    a_map = (
+        sparse.kron(k_g, k_g.conj(), format="csr")
+        + sparse.kron(k_e, k_e.conj(), format="csr")
+    )
+    if config.cavity is None:
+        r_map = sparse.identity(dim * dim, dtype=complex, format="csr")
+    else:
+        r_map = _relaxation_map(config, dim)
+    s_map = (1.0 - config.p_at) * r_map + config.p_at * (r_map @ a_map)
+    s_map.eliminate_zeros()
+    return s_map
+
+
 def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
-    """Sparse matrix S = (1 - p_at) R + p_at A_u of the deterministic numeric
-    sample map on vectorized states.
+    """Sparse matrix S of the deterministic sample map on vectorized states.
 
     Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  R is the
-    thermal relaxation over t_i (identity without a cavity); the atom branch
-    is A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge + c.c., built
-    from the cached u-independent branch maps.  Every map is read off probes
-    sent through the same steps as the direct path, so the two agree to
-    rounding.
+    thermal relaxation over t_i (identity without a cavity).  Numeric
+    backend: S = (1 - p_at) R + p_at A_u, with the lossy crossing
+    A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge + c.c. built
+    from the cached u-independent branch maps.  Analytic backend:
+    S = (1 - p_at) R + p_at R A, with A the instantaneous crossing of the two
+    Kraus operators.  Every map is read off the same steps as the direct
+    path, so the two agree to rounding.
     """
-    if config.mixing_mode != "deterministic" or config.backend != "numeric":
+    if config.mixing_mode != "deterministic":
         raise ValueError(
-            "the sample operator applies to deterministic mixing with the numeric "
-            f"backend only, got {config.mixing_mode!r} mixing, {config.backend!r} backend"
+            "the sample operator applies to deterministic mixing only, "
+            f"got {config.mixing_mode!r} mixing"
         )
+    if config.backend == "analytic":
+        return _analytic_superop(config, cfg.dim)
     s_map = _relaxation_map(config, cfg.dim)
     if config.p_at > 0.0:
         k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity, config.options)
@@ -348,14 +374,14 @@ def _snapshot(
     )
 
 
-def _police_state(rho: np.ndarray, j: int, cfg: HilbertConfig) -> float:
-    """Validate invariants; return the population above 0.9 * n_max."""
+def _police_state(rho: np.ndarray, j: int, high: np.ndarray) -> float:
+    """Validate invariants; return the population on the levels of the
+    boolean mask high, those above 0.9 * n_max."""
     try:
         validate_density(rho)
     except ValueError as exc:
         raise TrajectoryError(f"sample {j}: {exc}", j) from exc
-    high = np.arange(cfg.dim) > 0.9 * cfg.n_max
-    peak = float(np.real(np.diag(rho)[high].sum()))
+    peak = float(np.real(rho.diagonal()[high].sum()))
     if peak > 1e-4:
         raise TruncationError(
             f"sample {j}: population {peak:.2e} above 0.9 n_max; "
@@ -375,20 +401,23 @@ def run_trajectory(
     observer(j, rho_copy) is called after every recorded sample (including
     j = 0).  reference, when given, is the pure state fidelity is tracked
     against.  rho0 is policed before anything is built.
-    Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
-    operator of build_sample_superop, whose 2 dim probe propagations cost
-    about as much as 1 dim direct samples at n_max 16 and 2 dim at n_max 60
-    (README, Long runs); all others call sample_map each sample.  The two
-    paths agree to rounding.
+    Deterministic runs with n_samples >= 3 dim iterate the sparse operator
+    of build_sample_superop when the backend is numeric or the cavity is
+    None.  On the numeric backend its 2 dim probe propagations cost about as
+    much as 1 dim direct samples at n_max 16 and 2 dim at n_max 60; a
+    loss-free analytic product costs about 0.4 direct samples.  All other
+    runs, lossy analytic ones among them, call sample_map each sample
+    (README, Long runs).  The two paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     rho = rho0.astype(complex)
-    peak = _police_state(rho, 0, cfg)
+    high = np.arange(cfg.dim) > 0.9 * cfg.n_max
+    peak = _police_state(rho, 0, high)
     t_i = config.profile.t_i
 
     use_operator = (
         config.mixing_mode == "deterministic"
-        and config.backend == "numeric"
+        and (config.backend == "numeric" or config.cavity is None)
         and config.n_samples >= 3 * cfg.dim
     )
 
@@ -407,7 +436,7 @@ def run_trajectory(
             rho = (superop @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
         else:
             rho = sample_map(rho, config, rng=rng)
-        peak = max(peak, _police_state(rho, j, cfg))
+        peak = max(peak, _police_state(rho, j, high))
         records.append(_snapshot(j, t_i, rho, reference))
         if observer is not None:
             observer(j, rho.copy())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cavres.fock import (
+    EIG_TOL,
     HilbertConfig,
     StateInvariantError,
     TruncationError,
@@ -174,6 +175,23 @@ class TestMfss:
             ideal_mfss(4.0, 2, [0.0], CFG20)
 
 
+def state_with_min_eigenvalue(dim, low, rng, real=False, rank=None):
+    """Hermitian unit-trace matrix with smallest eigenvalue low, in a random
+    eigenbasis; of the others, rank (default dim - 1) are positive and the
+    rest 0."""
+    g = rng.normal(size=(dim, dim))
+    if not real:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    basis, _ = np.linalg.qr(g)
+    rank = dim - 1 if rank is None else rank
+    w = np.zeros(dim)
+    w[1:rank + 1] = rng.uniform(0.05, 1.0, size=rank)
+    w[1:] *= (1.0 - low) / w[1:].sum()
+    w[0] = low
+    rho = (basis * w) @ basis.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
 class TestValidators:
     def test_density_checks(self):
         rho = density(coherent_state(1.0, CFG20))
@@ -196,6 +214,64 @@ class TestValidators:
                 bad[index[::-1]] = np.conj(bad_value)
                 with pytest.raises(StateInvariantError):
                     validate_density(bad)  # non-finite, mirrored
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("dim", [17, 41, 61])
+    def test_eigenvalue_tolerance(self, dim, real):
+        # lambda_min = -EIG_TOL / 2 passes and -2 EIG_TOL raises with its
+        # value, for complex and real inputs alike
+        rng = np.random.default_rng(dim)
+        ok = state_with_min_eigenvalue(dim, -0.5 * EIG_TOL, rng, real=real)
+        assert validate_density(ok) is ok
+        bad = state_with_min_eigenvalue(dim, -2 * EIG_TOL, rng, real=real)
+        assert bad.dtype == (float if real else complex)
+        message = r"negative eigenvalue -2\.000e-08 < -1e-08"
+        with pytest.raises(StateInvariantError, match=message):
+            validate_density(bad)
+
+    def test_eigenvalues_only_on_a_failed_factorization(self, monkeypatch):
+        # positivity is certified by the Cholesky factorization; eigvalsh
+        # runs only to decide and report a failure
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        rng = np.random.default_rng(3)
+        for rank in (1, 3, 40):
+            validate_density(state_with_min_eigenvalue(41, 0.0, rng, rank=rank))
+            validate_density(state_with_min_eigenvalue(41, -0.9 * EIG_TOL, rng, rank=rank))
+        pure = density(coherent_state(1.0, CFG20))
+        padded = np.zeros((2 * CFG20.dim, 2 * CFG20.dim), dtype=complex)
+        padded[::2, ::2] = pure
+        for layout in (pure, np.asfortranarray(pure), padded[::2, ::2]):
+            validate_density(layout)
+        assert calls == []
+        with pytest.raises(StateInvariantError):
+            validate_density(state_with_min_eigenvalue(41, -2 * EIG_TOL, rng))
+        assert len(calls) == 1
+
+    def test_verdict_matches_eigenvalue_rule_near_tolerance(self):
+        # seeded property: on states 1e-3 EIG_TOL either side of the
+        # tolerance, far outside the rounding band of about 1e-14, the
+        # verdict is that of the smallest eigenvalue of (rho + rho')/2
+        rng = np.random.default_rng(2024)
+        verdicts = set()
+        for dim in (17, 41, 61):
+            for _ in range(40):
+                low = -EIG_TOL * (1.0 + rng.choice([-1e-3, 1e-3]))
+                rank = int(rng.integers(1, dim))
+                rho = state_with_min_eigenvalue(
+                    dim, low, rng, real=bool(rng.integers(2)), rank=rank
+                )
+                accept = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -EIG_TOL
+                try:
+                    validate_density(rho)
+                    verdict = True
+                except StateInvariantError as exc:
+                    assert "negative eigenvalue" in str(exc)
+                    verdict = False
+                assert verdict == accept
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_thermal_state(self):
         rho = thermal_state(0.05, CFG60)

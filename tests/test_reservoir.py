@@ -1,5 +1,7 @@
 """Per-sample reservoir map, trajectories, and the sparse sample operator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -239,7 +241,7 @@ class TestTrajectory:
     def test_invariant_violation_reports_index(self):
         bad = np.eye(8, dtype=complex) * (0.9 / 8)
         with pytest.raises(res.TrajectoryError) as err:
-            res._police_state(bad, 17, HilbertConfig(n_max=7))
+            res._police_state(bad, 17, np.arange(8) > 0.9 * 7)
         assert err.value.sample_index == 17
 
 
@@ -298,6 +300,25 @@ class TestSwitchOff:
             assert rec.fidelity == pytest.approx(met.overlap_fidelity(rho, vac), abs=1e-12)
         assert np.max(np.abs(off.final_state - rho)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "cavity, builds_expected", [(None, 1), (CavityParams(), 0)], ids=["loss-free", "lossy"]
+    )
+    def test_analytic_switch_off_path(self, builds, cavity, builds_expected):
+        # an analytic switch-off of 3 dim steps iterates the identity
+        # operator without a cavity and relaxes directly with one
+        cfg = HilbertConfig(n_max=6)
+        config = res.ReservoirConfig(
+            profile=RESONANT, u=0.2, cavity=cavity, backend="analytic", n_samples=2
+        )
+        traj = res.run_trajectory(density(coherent_state(0.5, cfg)), config)
+        off = res.switch_off_decay(traj, 3 * cfg.dim * RESONANT.t_i, config)
+        assert len(builds) == builds_expected
+        assert len(off.records) == 3 + 3 * cfg.dim
+        rho = traj.final_state
+        for _ in range(3 * cfg.dim):
+            rho = res.sample_map(rho, replace(config, p_at=0.0))
+        assert np.max(np.abs(off.final_state - rho)) < 1e-12
+
 
 class TestSuperoperatorCache:
     def test_matches_direct_numeric_map(self):
@@ -324,15 +345,39 @@ class TestSuperoperatorCache:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rejects_monte_carlo(self):
-        # the operator holds the deterministic numeric map only; the path
-        # rule in run_trajectory never sends other configurations here
+        # the operator holds the deterministic map only; the path rule in
+        # run_trajectory never sends Monte-Carlo runs here
         cfg = HilbertConfig(n_max=8)
-        for config in (
-            res.ReservoirConfig(profile=CAT2, u=0.1, mixing_mode="monte_carlo", seed=1),
-            res.ReservoirConfig(profile=CAT2, u=0.1, backend="analytic"),
-        ):
-            with pytest.raises(ValueError):
-                res.build_sample_superop(config, cfg)
+        config = res.ReservoirConfig(profile=CAT2, u=0.1, mixing_mode="monte_carlo", seed=1)
+        with pytest.raises(ValueError):
+            res.build_sample_superop(config, cfg)
+
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_analytic_matches_sample_map(self, n_max):
+        cfg = HilbertConfig(n_max=n_max)
+        states = [random_density(cfg.dim, seed=seed) for seed in (21, 22)]
+        for profile in (RESONANT, CAT2):
+            for cavity in (CavityParams(), None):
+                for u in U_VALUES:
+                    for p_at in (0.0, 0.3, 1.0):
+                        config = res.ReservoirConfig(
+                            profile=profile, u=u, cavity=cavity, p_at=p_at,
+                            backend="analytic",
+                        )
+                        s_mat = res.build_sample_superop(config, cfg)
+                        for rho in states:
+                            want = res.sample_map(rho, config)
+                            got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
+                            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_loss_free_analytic_operator_is_banded(self):
+        # K_g is lower- and K_e upper-bidiagonal: (2 dim - 1)^2 entries per
+        # Kraus operator, dim^2 of them shared on the diagonal blocks
+        cfg = HilbertConfig(n_max=40)
+        config = res.ReservoirConfig(
+            profile=RESONANT, u=0.4, cavity=None, p_at=1.0, backend="analytic"
+        )
+        assert res.build_sample_superop(config, cfg).nnz == 11_441
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_matches_sample_map_for_every_u_and_p_at(self, n_max):
@@ -447,6 +492,54 @@ class TestSuperoperatorCache:
         )
         res.run_trajectory(rho0, config)
         assert len(builds) == builds_expected
+
+    @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 1)])
+    def test_path_rule_boundary_loss_free_analytic(self, builds, extra, builds_expected):
+        cfg = HilbertConfig(n_max=10)
+        rho0 = density(fock_state(0, cfg))
+        config = res.ReservoirConfig(
+            profile=RESONANT, u=0.2, cavity=None, backend="analytic",
+            n_samples=3 * cfg.dim + extra,
+        )
+        res.run_trajectory(rho0, config)
+        assert len(builds) == builds_expected
+
+    def test_lossy_analytic_and_monte_carlo_runs_stay_direct(self, builds):
+        # a lossy analytic S is nearly as dense as R (about 2/3 dim^3
+        # entries), so its products cost more than direct samples
+        cfg = HilbertConfig(n_max=6)
+        rho0 = density(fock_state(0, cfg))
+        for config in (
+            res.ReservoirConfig(
+                profile=RESONANT, u=0.2, cavity=CavityParams(), backend="analytic",
+                n_samples=4 * cfg.dim,
+            ),
+            res.ReservoirConfig(
+                profile=RESONANT, u=0.2, cavity=None, backend="analytic",
+                mixing_mode="monte_carlo", seed=5, n_samples=4 * cfg.dim,
+            ),
+            res.ReservoirConfig(
+                profile=RESONANT, u=0.2, cavity=CavityParams(),
+                mixing_mode="monte_carlo", seed=5, n_samples=4 * cfg.dim,
+            ),
+        ):
+            res.run_trajectory(rho0, config)
+        assert builds == []
+
+    def test_loss_free_analytic_trajectory_matches_direct(self, builds):
+        cfg = HilbertConfig(n_max=12)
+        rho0 = density(fock_state(0, cfg))
+        config = res.ReservoirConfig(
+            profile=RESONANT, u=0.2, cavity=None, p_at=0.7, backend="analytic",
+            n_samples=3 * cfg.dim,
+        )
+        cached = res.run_trajectory(rho0, config)
+        assert len(builds) == 1
+        rho = rho0
+        for j in range(1, config.n_samples + 1):
+            rho = res.sample_map(rho, config)
+            assert met.mean_photon(rho) == pytest.approx(cached.records[j].n_bar, abs=1e-12)
+        assert np.max(np.abs(rho - cached.final_state)) < 1e-12
 
     def test_cached_trajectory_matches_direct(self, builds):
         # n_samples = 60 >= 3 dim = 33 sends the run through the sparse
