@@ -30,6 +30,7 @@ unitary.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -394,6 +395,20 @@ class TransitKernel:
         for coeffs in self.slices[1:]:
             acc = _compose(coeffs, acc)
         return _coeffs_to_matrix(acc, self.cfg)
+
+    def adjoint(self) -> TransitKernel:
+        """The crossing's Hilbert-Schmidt adjoint K', with
+        <Y, K(X)> = <K'(Y), X>: the slices in reverse order as U' (pair
+        coefficients ag*, ae*, bl*, bg*) and the loss steps in reverse order,
+        each its own adjoint.  It propagates like the kernel itself."""
+        adj = copy.copy(self)
+        reverse = self.slices[::-1]
+        adj.slices = [(ag.conj(), ae.conj(), bl.conj(), bg.conj()) for ag, ae, bg, bl in reverse]
+        adj._slices_conj = [(ag, ae, bl, bg) for ag, ae, bg, bl in reverse]
+        adj.slice_durations = self.slice_durations[::-1]
+        adjoints = {step: step.adjoint() for step in set(self.loss_steps)}
+        adj.loss_steps = [adjoints[step] for step in self.loss_steps[::-1]]
+        return adj
 
     def propagate(self, rho_joint: np.ndarray) -> np.ndarray:
         return self.propagate_batched(rho_joint[None])[0]

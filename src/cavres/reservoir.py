@@ -21,16 +21,19 @@ when its backend is numeric or it runs without a cavity; Monte-Carlo runs,
 lossy analytic runs and shorter runs apply sample_map directly.  Transit and
 loss conserve the joint excitation difference, so the numeric crossing maps
 each field diagonal only to its neighbours: the operator is assembled from
-four branch maps K_gg, K_ee, K_ge and K_eg read off 2 dim probe
-propagations (column grouping over the known diagonal structure, as for
-sparse Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117
-(1974); K_gg and K_ee share one probe set by Hermiticity, and K_eg is the
-adjoint of K_ge).  The branch maps depend on neither u nor p_at and are
-cached, so runs in one process that differ only in those two reuse one
-build.  The analytic crossing is the Kraus sum over two bidiagonal
-operators, 11,441 nonzeros at n_max 40; with a cavity the relaxation fills
-every diagonal block of the operator, whose product then costs more than a
-direct sample, so lossy analytic runs stay direct.
+four branch maps K_gg, K_ee, K_ge and K_eg read off probe propagations
+(column grouping over the known diagonal structure, as for sparse
+Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117 (1974)).
+The probes cross the adjoint of the crossing, where one image holds a
+probe's read-off for all four maps as its four atom blocks; with a cavity
+two probes share each propagation and part by Hermiticity, so a build
+takes ceil(dim/2) probe propagations (dim without a cavity).  The branch
+maps depend on neither u nor p_at and are cached, so runs in one process
+that differ only in those two reuse one build.  The analytic crossing is
+the Kraus sum over two bidiagonal operators, 11,441 nonzeros at n_max 40;
+with a cavity the relaxation fills every diagonal block of the operator,
+whose product then costs more than a direct sample, so lossy analytic runs
+stay direct.
 """
 
 from __future__ import annotations
@@ -209,29 +212,39 @@ def sample_map(
 _PROBE_BATCH = 8
 
 
-def _probes(dim: int) -> np.ndarray:
-    """Stack of dim probe matrices: probe p is 1 where min(row, col) = p,
-    so it holds element p of every field diagonal at once."""
+def _probes(dim: int, levels: np.ndarray) -> np.ndarray:
+    """Probe matrices for the given levels p: probe p is 1 where
+    min(row, col) = p, so it holds element p of every field diagonal at once."""
+    field = np.arange(dim)
+    return (np.minimum.outer(field, field) == levels[:, None, None]).astype(float)
+
+
+def _diagonal_pattern(dim: int, shift: int) -> tuple[np.ndarray, ...]:
+    """CSR indptr and indices, on row-major vec, of a field map that sends
+    diagonal k (column - row) only to diagonal k + shift, and for each entry
+    in CSR order the flat index into the (dim, dim, dim) stack of probe
+    images it is read from: entry (r, c) of images[p] is the map's element
+    from element p of input diagonal c - r - shift to output entry (r, c).
+    Entries run by row, then by p, whose columns ascend, so the pattern is
+    canonical and maps of one dim and shift share it."""
     levels = np.arange(dim)
-    return (np.minimum.outer(levels, levels) == levels[:, None, None]).astype(complex)
+    k_in = levels[None, :] - levels[:, None] - shift
+    valid = np.abs(k_in)[..., None] + levels < dim
+    row, p = np.nonzero(valid.reshape(dim * dim, dim))
+    k = k_in.reshape(-1)[row]
+    indices = (p + np.maximum(-k, 0)) * dim + p + np.maximum(k, 0)
+    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=2).reshape(-1))))
+    return indptr, indices, p * dim * dim + row
 
 
 def _diagonal_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
-    """CSR matrix, on row-major vec, of a field map that sends diagonal k
-    (column - row) only to diagonal k + shift, read off the images of the
-    _probes: entry (r, c) of images[p] is the map's element from element p
-    of input diagonal c - r - shift to output entry (r, c).  Exact zeros are
-    kept, so maps of one dim and shift share one pattern.
-    """
+    """CSR matrix of a field map that sends diagonal k only to k + shift,
+    read off the images of the probes 0 .. dim-1 (see _diagonal_pattern).
+    Exact zeros are kept, so maps of one dim and shift share one pattern."""
     dim = images.shape[-1]
-    levels = np.arange(dim)
-    k_in = levels[None, :] - levels[:, None] - shift
-    p = levels[:, None, None]
-    valid = np.abs(k_in) + p < dim
-    cols = (p + np.maximum(-k_in, 0)) * dim + p + np.maximum(k_in, 0)
-    rows = np.broadcast_to(np.arange(dim * dim).reshape(dim, dim), valid.shape)
+    indptr, indices, take = _diagonal_pattern(dim, shift)
     return sparse.csr_matrix(
-        (images[valid], (rows[valid], cols[valid])), shape=(dim * dim, dim * dim)
+        (images.reshape(-1)[take], indices, indptr), shape=(dim * dim, dim * dim)
     )
 
 
@@ -244,37 +257,47 @@ def _branch_maps(
 ) -> tuple[sparse.csr_matrix, ...]:
     """K_gg, K_ee, K_ge and K_eg, with K_ab(X) = Tr_atom K(|a><b| tensor X)
     for the lossy crossing K.  Transit and loss both conserve the joint
-    excitation difference, so K_gg and K_ee keep each field diagonal k on k
-    and K_ge sends it to k + 1; dim probes per map therefore read off every
-    element.  The probes P are real symmetric and K_gg, K_ee preserve
-    Hermiticity, so one set of dim probes |g><g| tensor P + i |e><e| tensor P
-    yields Y = K_gg(P) + i K_ee(P) with K_gg(P) = (Y + Y')/2 and
-    K_ee(P) = (Y - Y')/2i; a second set |g><e| tensor P yields K_ge, and
-    K_eg(X) = K_ge(X')' needs no probes of its own: 2 dim probe propagations
-    in all.  None of the four depends on the atom state u or on p_at.
+    excitation difference, so K_gg and K_ee keep each field diagonal k on k,
+    K_ge sends it to k + 1 and K_eg to k - 1; so do their adjoints, with
+    the shifts reversed, and dim probes read off every element.  All four
+    come from the crossing's adjoint K': K_ab'(Y) = <a|K'(I tensor Y)|b>,
+    so one adjoint propagation of I tensor P gives probe P's image under
+    every K_ab' as one atom block, and K_ab is the conjugate transpose of the
+    map read off those images.  I tensor P is Hermitian and K' preserves
+    Hermiticity, so with a cavity probes p and p + ceil(dim/2) travel
+    together as P_p + i P_q and part as the Hermitian and anti-Hermitian
+    parts of the image: ceil(dim/2) probe propagations in all.  Without a
+    cavity the images keep exact zeros that this split would fill with
+    rounding, and the crossing has no loss steps, so each probe travels
+    alone: dim propagations.  None of the four maps depends on the atom
+    state u or on p_at.
     """
-    kernel = get_kernel(profile, cfg, cavity, options)
+    adjoint = get_kernel(profile, cfg, cavity, options).adjoint()
     dim = cfg.dim
-    probes = _probes(dim)
-    image_sets = []
-    for blocks in (((0, 0, 1.0), (1, 1, 1j)), ((0, 1, 1.0),)):
-        images = np.empty_like(probes)
-        for start in range(0, dim, _PROBE_BATCH):
-            chunk = probes[start:start + _PROBE_BATCH]
-            joint = np.zeros((len(chunk), 2, dim, 2, dim), dtype=complex)
-            for a, b, weight in blocks:
-                joint[:, a, :, b, :] = weight * chunk
-            out = kernel.propagate_batched(joint.reshape(len(chunk), 2 * dim, 2 * dim))
-            out = out.reshape(len(chunk), 2, dim, 2, dim)
-            images[start:start + len(chunk)] = out[:, 0, :, 0, :] + out[:, 1, :, 1, :]
-        image_sets.append(images)
-    both, ge = image_sets
-    both_adj = both.conj().transpose(0, 2, 1)
-    return (
-        _diagonal_map((both + both_adj) / 2, shift=0),
-        _diagonal_map((both - both_adj) / 2j, shift=0),
-        _diagonal_map(ge, shift=1),
-        _diagonal_map(ge.conj().transpose(0, 2, 1), shift=-1),
+    paired = cavity is not None
+    sent = -(-dim // 2) if paired else dim
+    # images[a, b, p] = K_ab'(P_p)
+    images = np.empty((2, 2, dim, dim, dim), dtype=complex)
+    for start in range(0, sent, _PROBE_BATCH):
+        first = np.arange(start, min(start + _PROBE_BATCH, sent))
+        second = first[first + sent < dim] + sent
+        field = _probes(dim, first).astype(complex)
+        field[:len(second)] += 1j * _probes(dim, second)
+        joint = np.zeros((len(first), 2, dim, 2, dim), dtype=complex)
+        joint[:, 0, :, 0, :] = field
+        joint[:, 1, :, 1, :] = field
+        out = adjoint.propagate_batched(joint.reshape(len(first), 2 * dim, 2 * dim))
+        out = out.reshape(len(first), 2, dim, 2, dim)
+        if paired:
+            out_adj = out.conj().transpose(0, 3, 4, 1, 2)
+            part = (out[:len(second)] - out_adj[:len(second)]) / 2j
+            images[:, :, second] = part.transpose(1, 3, 0, 2, 4)
+            out = (out + out_adj) / 2
+        images[:, :, first] = out.transpose(1, 3, 0, 2, 4)
+    # the k -> k pattern is symmetric, so K_gg and K_ee keep R's pattern
+    return tuple(
+        _diagonal_map(images[a, b], shift).conj().T.tocsr()
+        for a, b, shift in ((0, 0, 0), (1, 1, 0), (0, 1, -1), (1, 0, 1))
     )
 
 
@@ -282,13 +305,15 @@ def _relaxation_map(config: ReservoirConfig, dim: int) -> sparse.csr_matrix:
     """R, the thermal relaxation over t_i (identity without a cavity), on
     the diagonal-k-to-k pattern of _diagonal_map that K_gg and K_ee share."""
     if config.cavity is None:
-        return _diagonal_map(_probes(dim), shift=0)
+        indptr, indices, take = _diagonal_pattern(dim, 0)
+        # take modulo dim^2 is the entry's row
+        identity = (indices == take % (dim * dim)).astype(complex)
+        return sparse.csr_matrix((identity, indices, indptr), shape=(dim * dim, dim * dim))
     prop = _relax_propagator(config.profile.t_i, config.cavity, dim)
-    probes = _probes(dim)
     # in batches like the branch maps: apply_batched keeps a workspace as
     # large as its largest call
     return _diagonal_map(np.concatenate([
-        prop.apply_batched(probes[start:start + _PROBE_BATCH])
+        prop.apply_batched(_probes(dim, np.arange(start, min(start + _PROBE_BATCH, dim))))
         for start in range(0, dim, _PROBE_BATCH)
     ]), shift=0)
 
@@ -403,11 +428,12 @@ def run_trajectory(
     against.  rho0 is policed before anything is built.
     Deterministic runs with n_samples >= 3 dim iterate the sparse operator
     of build_sample_superop when the backend is numeric or the cavity is
-    None.  On the numeric backend its 2 dim probe propagations cost about as
-    much as 1 dim direct samples at n_max 16 and 2 dim at n_max 60; a
-    loss-free analytic product costs about 0.4 direct samples.  All other
-    runs, lossy analytic ones among them, call sample_map each sample
-    (README, Long runs).  The two paths agree to rounding.
+    None.  On the numeric backend its ceil(dim/2) probe propagations cost
+    about as much as 0.2-0.3 dim direct samples at n_max 16 and 0.5-0.6 dim
+    at n_max 60; a loss-free analytic product costs about 0.4 direct
+    samples.  All other runs, lossy analytic ones among them, call
+    sample_map each sample (README, Long runs).  The two paths agree to
+    rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     rho = rho0.astype(complex)

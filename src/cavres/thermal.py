@@ -31,6 +31,7 @@ cavity).
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -194,6 +195,14 @@ class ThermalPropagator:
             self.stacks.append(stack)
         # field matrices (dim square) and joint ones (2 dim square)
         self._indices = {dim: _stack_indices(dim, 1), 2 * dim: _stack_indices(dim, 2)}
+
+    def adjoint(self) -> ThermalPropagator:
+        """The Hilbert-Schmidt adjoint of exp(L t), with
+        <Y, exp(L t) X> = <adjoint(Y), X>: each diagonal's real block
+        transposed, on the same gather tables."""
+        adj = copy.copy(self)
+        adj.stacks = [stack.transpose(0, 2, 1) for stack in self.stacks]
+        return adj
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """exp(L t) rho for a single field (or joint atom x field) matrix."""

@@ -383,6 +383,33 @@ class TestKernelAgainstDenseOracle:
         assert total == pytest.approx(CAT2.t_i, rel=1e-12)
 
 
+def random_matrices(size, count, rng):
+    shape = (count, size, size)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestKernelAdjoint:
+    @pytest.mark.parametrize("n_max", [8, 16])
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_inner_products_match(self, n_max, lossy):
+        # <Y, K(X)> = <K'(Y), X> for non-Hermitian joint X and Y
+        cfg = HilbertConfig(n_max=n_max)
+        kernel = dyn.TransitKernel(CAT2, cfg, CavityParams() if lossy else None)
+        adjoint = kernel.adjoint()
+        rng = np.random.default_rng(n_max)
+        xs, ys = (random_matrices(2 * cfg.dim, 3, rng) for _ in range(2))
+        forward, backward = kernel.propagate_batched(xs), adjoint.propagate_batched(ys)
+        for x, y, kx, ky in zip(xs, ys, forward, backward):
+            want = np.vdot(y, kx)
+            assert abs(np.vdot(ky, x) - want) < 1e-12 * abs(want)
+
+    def test_unitary_is_the_adjoint(self):
+        kernel = dyn.TransitKernel(CAT2, HilbertConfig(n_max=8), CavityParams())
+        adjoint = kernel.adjoint()
+        assert np.max(np.abs(adjoint.unitary() - kernel.unitary().conj().T)) < 1e-14
+        # equal durations still share one loss step
+        assert len({id(p) for p in adjoint.loss_steps}) == 3
+
 @pytest.mark.slow
 class TestAgainstMasterEquation:
     def test_fast_path_matches_rk4_with_loss(self):

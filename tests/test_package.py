@@ -1,9 +1,11 @@
 """The package namespace is the union of its modules' public names, every
-module-level import in the package is used, and every module-level private
-name is read somewhere in the package."""
+module-level import in the package is used, every module-level private name
+is read somewhere in the package, and every entry point that the benchmark's
+tracer wraps is still where it looks."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -81,3 +83,32 @@ def test_private_helpers_are_referenced():
                 if private and name not in read:
                     orphans.append(f"{filename}:{node.lineno} {name}")
     assert not orphans, orphans
+
+
+def test_benchmark_trace_hooks_resolve():
+    # the benchmark tracer wraps each hook at owner.__dict__[attr] for a
+    # class and getattr(owner, attr) for a module; a hook that moved away
+    # makes `perfbench/run.py --trace 1` fail with a KeyError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    class Recorder:
+        def __init__(self):
+            self.hooks = []
+
+        def span(self, owner, attr, *args, **kwargs):
+            self.hooks.append((owner, attr))
+
+        def counter(self, owner, attr, *args, **kwargs):
+            self.hooks.append((owner, attr))
+
+    recorder = Recorder()
+    workloads.install_trace(recorder)
+    assert recorder.hooks
+    for owner, attr in recorder.hooks:
+        if isinstance(owner, type):
+            assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+        else:
+            assert hasattr(owner, attr), f"{owner.__name__}.{attr}"

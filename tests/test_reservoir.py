@@ -397,8 +397,9 @@ class TestSuperoperatorCache:
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_branch_maps_act_on_non_hermitian_matrices(self, n_max):
-        # K_gg and K_ee are split off one probe set by Hermiticity; states
-        # are Hermitian, so only a non-Hermitian X tests each map on its own
+        # with a cavity two probes share a propagation and part by
+        # Hermiticity; states are Hermitian, so only a non-Hermitian X tests
+        # each map on its own
         cfg = HilbertConfig(n_max=n_max)
         dim = cfg.dim
         rng = np.random.default_rng(n_max)
@@ -440,9 +441,10 @@ class TestSuperoperatorCache:
                     assert (got != want).nnz == 0
 
     def test_branch_maps_are_built_once_for_all_u(self, monkeypatch, tmp_path):
-        # the branch maps hold no u: three values of u cost 2 dim probe
-        # propagations in all, in two probe sets of _PROBE_BATCH per call,
-        # whether built directly or by a serial sweep
+        # the branch maps hold no u: three values of u cost one build, read
+        # off the adjoint crossing in calls of _PROBE_BATCH probes each, two
+        # probes to a matrix with a cavity (ceil(dim/2) in all) and one
+        # without (dim), whether built directly or by a serial sweep
         pushed = []
         propagate = TransitKernel.propagate_batched
 
@@ -450,17 +452,19 @@ class TestSuperoperatorCache:
             pushed.append(len(stack))
             return propagate(kernel, stack)
 
-        def calls(dim):
-            return 2 * -(-dim // res._PROBE_BATCH)
+        def calls(sent):
+            return -(-sent // res._PROBE_BATCH)
 
         monkeypatch.setattr(TransitKernel, "propagate_batched", spy)
         cfg = HilbertConfig(n_max=8)
-        res._branch_maps.cache_clear()
-        for u in U_VALUES:
-            config = res.ReservoirConfig(profile=CAT2, u=u, cavity=CavityParams())
-            res.build_sample_superop(config, cfg)
-        assert sum(pushed) == 2 * cfg.dim
-        assert len(pushed) == calls(cfg.dim)
+        for cavity, sent in ((CavityParams(), 5), (None, 9)):
+            pushed.clear()
+            res._branch_maps.cache_clear()
+            for u in U_VALUES:
+                config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity)
+                res.build_sample_superop(config, cfg)
+            assert sum(pushed) == sent
+            assert len(pushed) == calls(sent)
 
         pushed.clear()
         res._branch_maps.cache_clear()
@@ -477,8 +481,18 @@ class TestSuperoperatorCache:
         sc.sweep_scenario(
             config, "reservoir.u", ["0.3pi", "0.45pi", "0.5pi"], out_dir=tmp_path
         )
-        assert sum(pushed) == 2 * dim
-        assert len(pushed) == calls(dim)
+        assert sum(pushed) == -(-dim // 2)
+        assert len(pushed) == calls(-(-dim // 2))
+
+    @pytest.mark.parametrize("n_max, u, nnz", [
+        (8, 0.0, 145), (8, 0.3 * np.pi, 497), (24, 0.0, 1_201), (24, 0.3 * np.pi, 4_177),
+    ])
+    def test_loss_free_operator_keeps_exact_zeros(self, n_max, u, nnz):
+        # without a cavity each probe crosses alone, so the maps carry no
+        # rounding residue of a Hermitian split where they vanish exactly
+        cfg = HilbertConfig(n_max=n_max)
+        config = res.ReservoirConfig(profile=CAT2, u=u, cavity=None)
+        assert res.build_sample_superop(config, cfg).nnz == nnz
 
     @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 1)])
     def test_path_rule_boundary(self, builds, extra, builds_expected):

@@ -163,6 +163,20 @@ class TestThermalPropagator:
                 for k in range(count):
                     assert np.max(np.abs(prop.apply(mats[k]) - want[k])) < 1e-13
 
+    @pytest.mark.parametrize("dim", [9, 21, 41])
+    def test_adjoint_inner_products_match(self, dim):
+        # <Y, exp(L t) X> = <adjoint(Y), X> for non-Hermitian field and
+        # joint matrices, with one stack and with several
+        prop = ThermalPropagator(0.02, CavityParams(n_t=0.1), dim)
+        adjoint = prop.adjoint()
+        rng = np.random.default_rng(dim)
+        for size in (dim, 2 * dim):
+            shape = (3, size, size)
+            xs, ys = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+            for x, y, kx, ky in zip(xs, ys, prop.apply_batched(xs), adjoint.apply_batched(ys)):
+                want = np.vdot(y, kx)
+                assert abs(np.vdot(ky, x) - want) < 1e-12 * abs(want)
+
     def test_results_outlive_the_workspace(self):
         # the gather and matmul buffers are reused; what a call returns is not
         cav, dim = CavityParams(n_t=0.1), 21
