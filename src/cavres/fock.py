@@ -15,6 +15,7 @@ called by the higher-level modules at their boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -84,6 +85,14 @@ def fock_state(n: int, cfg: HilbertConfig) -> np.ndarray:
     return ket
 
 
+@lru_cache(maxsize=None)
+def _log_factorials(dim: int) -> np.ndarray:
+    """lgamma(n + 1) for n < dim; read-only, shared by every call."""
+    lg = np.array([lgamma(k + 1) for k in range(dim)])
+    lg.flags.writeable = False
+    return lg
+
+
 def _coherent_amplitudes(alpha: "complex | np.ndarray", dim: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes, log-space magnitudes.
 
@@ -92,7 +101,7 @@ def _coherent_amplitudes(alpha: "complex | np.ndarray", dim: int) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=complex)[..., None]
     n = np.arange(dim)
     mag = np.abs(alpha)
-    lg = np.array([lgamma(k + 1) for k in range(dim)])
+    lg = _log_factorials(dim)
     # alpha = 0 is the vacuum: n log|alpha| is 0 at n = 0 and -inf above
     log_pow = n * np.log(np.where(mag > 0, mag, 1.0))
     log_pow = np.where((mag == 0) & (n > 0), -np.inf, log_pow)

@@ -22,9 +22,10 @@ W is evaluated in the Laguerre form of the Fock-basis Wigner functions,
 with c_mn = 1 on the diagonal and 2 off it: a Clenshaw recurrence sums each
 diagonal's Laguerre series and Horner's rule in 2 xi / sqrt(k+1) combines
 the diagonals, as in QuTiP's wigner(method="clenshaw") (Johansson, Nation
-and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  That is O(dim^2) per
-point with no cancelling sums, so W is the exact Wigner function of the
-truncated state at every xi.
+and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  The series depend on xi
+only through |xi|, so they cost O(dim^2) per distinct |xi| and Horner's rule
+O(dim) per point, with no cancelling sums: W is the exact Wigner function of
+the truncated state at every xi.
 
 The best-fit cat is found by variable projection.  At a fixed component
 amplitude alpha the overlap with a k-component cat is a ratio c'Mc / c'Gc
@@ -154,29 +155,92 @@ def trust_radius(cfg: HilbertConfig) -> float:
     return float(np.sqrt(COHERENT_GUARD * cfg.n_max))
 
 
-def _laguerre_series(coef: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
-    """sum_m coef[m] l_m(x) by Clenshaw's recurrence, for the normalized
-    Laguerre functions l_m = (-1)^m sqrt(m! k!/(m+k)!) L_m^(k)(x), which obey
-    l_{m+1} = (x - 2m-k-1) p_m l_m - sqrt(m(m+k)) p_m l_{m-1},
-    p_m = 1/sqrt((m+1)(m+k+1)), from l_0 = 1."""
-    c = coef.tolist()
-    b1 = b2 = np.zeros(x.shape, dtype=complex)
-    for m in range(len(c) - 1, -1, -1):
-        p = 1.0 / math.sqrt((m + 1) * (m + k + 1))
-        q = -math.sqrt((m + 1) * (m + k + 1) / ((m + 2) * (m + k + 2)))
-        b1, b2 = c[m] + (x - (2 * m + k + 1)) * p * b1 + q * b2, b1
+# Distinct radii per pass of the Laguerre recurrence: its three (dim, chunk)
+# complex work arrays stay near 0.75 MB at n_max 60 whatever the grid size.
+_RADIUS_CHUNK = 256
+
+
+@lru_cache(maxsize=None)
+def _clenshaw_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, p, q) indexed [m, k] for the normalized Laguerre functions
+    l_m = (-1)^m sqrt(m! k!/(m+k)!) L_m^(k)(x) of every diagonal k, which obey
+    l_{m+1} = (x - 2m-k-1) p_m l_m - sqrt(m(m+k)) p_m l_{m-1} from l_0 = 1:
+    s = 2m+k+1, p = 1/sqrt((m+1)(m+k+1)) and Clenshaw's
+    q = -sqrt((m+1)(m+k+1) / ((m+2)(m+k+2))), each rounded once from exact
+    integers; read-only, shared by every map."""
+    m, k = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    s = (2 * m + k + 1).astype(float)
+    p = 1.0 / np.sqrt(((m + 1) * (m + k + 1)).astype(float))
+    q = -np.sqrt(((m + 1) * (m + k + 1)).astype(float) / ((m + 2) * (m + k + 2)).astype(float))
+    for table in (s, p, q):
+        table.flags.writeable = False
+    return s, p, q
+
+
+def _laguerre_series(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(dim, len(x)) array of sum_m coef[k, m] l_m(x), with l_m the
+    functions of diagonal k, in row k: one Clenshaw recurrence over m for
+    every k at once.  Diagonal k has dim - k terms, so at step m only the
+    rows k < dim - m are live, and each row starts from zeros at its own
+    last term, as a lone recurrence would.  The three iterates rotate
+    through fixed buffers whose rows stay 0 until they are live."""
+    dim = coef.shape[0]
+    s, p, q = _clenshaw_tables(dim)
+    scale = np.empty((dim, x.size))
+    b0, b1, b2 = (np.zeros((dim, x.size), dtype=complex) for _ in range(3))
+    for m in range(dim - 1, -1, -1):
+        live = dim - m
+        t = scale[:live]
+        np.subtract(x, s[m, :live, None], out=t)
+        t *= p[m, :live, None]
+        np.multiply(t, b1[:live], out=b0[:live])
+        b0[:live] += coef[:live, m, None]
+        b2[:live] *= q[m, :live, None]
+        b0[:live] += b2[:live]
+        b0, b1, b2 = b2, b0, b1
     return b1
 
 
 def _wigner_values(rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """W at every entry of the complex array xi."""
+    """W at every entry of the complex array xi.
+
+    The Laguerre series depend on xi only through x = 4|xi|^2, so they are
+    summed once per distinct x, _RADIUS_CHUNK values at a time.  One sort
+    of the points by x yields the distinct values and, for each chunk of
+    them, the slice of points Horner's step over the diagonals runs on.
+    """
     dim = rho.shape[0]
     x = 4.0 * np.abs(xi) ** 2
-    w = np.zeros(xi.shape, dtype=complex)
-    for k in range(dim - 1, -1, -1):
-        coef = np.diagonal(rho, k) * (1.0 if k == 0 else 2.0)
-        w = _laguerre_series(coef, k, x) + w * (2.0 / math.sqrt(k + 1) * xi)
-    return 2.0 / np.pi * np.exp(-0.5 * x) * w.real
+    points = xi.ravel()
+    order = np.argsort(x, axis=None)
+    radii = x.ravel()[order]
+    first = np.ones(radii.size, dtype=bool)  # marks each distinct x
+    np.not_equal(radii[1:], radii[:-1], out=first[1:])
+    radii = radii[first]
+    starts = np.append(np.flatnonzero(first), first.size)
+    # coef[k, m] = c_{m, m+k} rho_{m, m+k}, zero past m = dim - 1 - k
+    m, n = np.triu_indices(dim)
+    coef = np.zeros((dim, dim), dtype=complex)
+    coef[n - m, m] = rho[m, n]
+    coef *= np.where(np.arange(dim) == 0, 1.0, 2.0)[:, None]
+    w = np.empty(xi.size)
+    for lo in range(0, radii.size, _RADIUS_CHUNK):
+        hi = min(lo + _RADIUS_CHUNK, radii.size)
+        series = _laguerre_series(coef, radii[lo:hi])
+        span = slice(starts[lo], starts[hi])
+        at = np.cumsum(first[span]) - 1
+        pts = order[span]
+        xi_c = points[pts]
+        acc = np.zeros(pts.size, dtype=complex)
+        # a named factor: numpy may compute a product with a large temporary
+        # in that temporary, operands swapped, and its complex multiply
+        # rounds differently then; so each W(xi) is independent of the grid
+        factor = np.empty_like(xi_c)
+        for k in range(dim - 1, -1, -1):
+            np.multiply(2.0 / math.sqrt(k + 1), xi_c, out=factor)
+            acc = series[k, at] + acc * factor
+        w[pts] = acc.real
+    return 2.0 / np.pi * np.exp(-0.5 * x) * w.reshape(xi.shape)
 
 
 def wigner(rho: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> WignerGrid:

@@ -156,7 +156,7 @@ def parse_grid(text: str) -> tuple[float, float, float]:
     return (xmin, xmax, step)
 
 
-# 1001^2 Wigner points take about 104 MB and 34 s at n_max 60
+# 1001^2 Wigner points take about 60 MB and 4 s at n_max 60
 _MAX_AXIS_POINTS = 1001
 
 

@@ -4,6 +4,8 @@ Frozen constants below were computed from closed forms (Poisson weights,
 coherent-state Gram overlaps) independently of the implementation.
 """
 
+from math import lgamma
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cavres.fock import (
     HilbertConfig,
     StateInvariantError,
     TruncationError,
+    _log_factorials,
     canonical_phase,
     coherent_state,
     density,
@@ -89,6 +92,12 @@ class TestCoherent:
         psi = coherent_state(0.0, CFG20)
         assert psi[0] == pytest.approx(1.0)
         assert np.all(psi[1:] == 0)
+
+    def test_log_factorial_table_is_shared_and_read_only(self):
+        table = _log_factorials(CFG60.dim)
+        assert _log_factorials(CFG60.dim) is table
+        assert not table.flags.writeable
+        assert table.tolist() == [lgamma(n + 1) for n in range(CFG60.dim)]
 
 
 class TestKerr:

@@ -1,6 +1,7 @@
 """Observables: Wigner function, squeezing, cat fits, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from cavres.fock import (
     kerr_propagator,
 )
 import cavres.metrics as met
-from oracles import fit_cat_nelder_mead, make_ladder, thermal_state, wigner_laguerre
+from cavres.scenarios import grid_axes
+from oracles import (
+    fit_cat_nelder_mead,
+    make_ladder,
+    thermal_state,
+    wigner_clenshaw,
+    wigner_laguerre,
+)
 
 
 # the -3.5:3.5:0.07 grid of the run configs
@@ -247,6 +255,110 @@ class TestWigner:
         xs = np.linspace(-4, 4, 5)
         with pytest.warns(UserWarning, match="trust radius"):
             met.wigner(rho, xs, xs)
+
+
+# XMIN:XMAX:STEP grids and the n_max they are mapped at: the preset default
+# (cat2, cat3 and banana) and the squeeze preset's own, then the grids of the
+# cat2_preset, micromaser, banana_cached and wigner_states benchmark workloads
+MAPPED_GRIDS = [
+    ((-3.5, 3.5, 0.07), 60),
+    ((-6.0, 6.0, 0.12), 60),
+    ((-3.5, 3.5, 0.35), 60),
+    ((-3.4, 3.4, 0.34), 40),
+    ((-2.1, 2.1, 0.105), 16),
+    ((-2.5, 2.5, 5.0 / 14), 60),
+    ((-4.2, 4.2, 8.4 / 14), 60),
+]
+
+
+def clenshaw_grid(rho, xs, ys):
+    """The reference map on the grid xs x ys, laid out as WignerGrid.values."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return wigner_clenshaw(rho, xs[None, :] + 1j * ys[:, None])
+
+
+def max_gap(rho, xs, ys):
+    return np.max(np.abs(met.wigner(rho, xs, ys).values - clenshaw_grid(rho, xs, ys)))
+
+
+@pytest.mark.filterwarnings("ignore:grid radius")
+class TestWignerSharedSeries:
+    """The map sums each Laguerre series once per distinct |xi| for all
+    diagonals at once; the reference sums them per diagonal and point."""
+
+    @pytest.mark.parametrize("spec, n_max", MAPPED_GRIDS)
+    def test_bit_identical_on_mapped_grids(self, spec, n_max):
+        ax = grid_axes(spec)
+        for rho in (random_density(n_max + 1, seed=21),
+                    density(ideal_mfss(1.5, 2, (np.pi / 2,), HilbertConfig(n_max=n_max)))):
+            got = met.wigner(rho, ax, ax).values
+            want = clenshaw_grid(rho, ax, ax)
+            assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_bit_identical_across_radius_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(met, "_RADIUS_CHUNK", chunk)
+        rho = random_density(31, seed=22)
+        ax = np.linspace(-2.0, 2.0, 21)
+        got = met.wigner(rho, ax, ax).values
+        assert got.tobytes() == clenshaw_grid(rho, ax, ax).tobytes()
+
+    def test_non_square_grid(self):
+        rho = random_density(31, seed=23)
+        assert max_gap(rho, np.linspace(-2.5, 2.5, 13), np.linspace(-1.0, 1.0, 5)) <= 1e-15
+
+    def test_unsorted_axes_with_repeats(self):
+        rho = random_density(41, seed=24)
+        xs = [0.3, -1.2, 0.3, 2.0, -0.3, 0.0, 0.0, -2.0]
+        ys = [1.1, -1.1, 0.3, 0.3, -2.0, 0.0]
+        assert max_gap(rho, xs, ys) <= 1e-15
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.7], [-0.4]),
+        ([0.0], [0.0]),
+        ([1.3], np.linspace(-2, 2, 9)),
+        (np.linspace(-2, 2, 9), [-1.3]),
+    ])
+    def test_single_point_axes(self, xs, ys):
+        rho = random_density(61, seed=25)
+        assert max_gap(rho, xs, ys) <= 1e-15
+
+    def test_no_repeated_radius(self):
+        rng = np.random.default_rng(26)
+        xs, ys = rng.uniform(-3, 3, 17), rng.uniform(-3, 3, 11)
+        xi = xs[None, :] + 1j * ys[:, None]
+        assert np.unique(np.abs(xi)).size == xi.size
+        assert max_gap(random_density(61, seed=26), xs, ys) <= 1e-15
+
+    @pytest.mark.parametrize("xi", [2.2 - 0.9j, 3.1 + 3.3j])
+    def test_value_independent_of_the_grid(self, xi):
+        # 20,000 copies of one point: past the 16,384 points from which numpy
+        # may swap a product's operands (see oracles.wigner_clenshaw)
+        rho = random_density(61, seed=3)
+        grid = met.wigner(rho, np.full(200, xi.real), np.full(100, xi.imag)).values
+        assert np.all(grid == wigner_at(rho, xi))
+
+    def test_every_truncation(self):
+        ax = np.linspace(-2.4, 2.4, 9)
+        for n_max in range(1, 61):
+            rho = random_density(n_max + 1, seed=n_max)
+            assert max_gap(rho, ax, ax[::-1]) <= 1e-15, n_max
+
+    @pytest.mark.slow
+    def test_peak_memory_not_above_reference(self):
+        rho = random_density(61, seed=27)
+        ax = np.linspace(-4.0, 4.0, 401)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        used = peak(lambda: met.wigner(rho, ax, ax))
+        assert used <= peak(lambda: clenshaw_grid(rho, ax, ax))
 
 
 class TestSqueezing:
