@@ -389,13 +389,6 @@ class TransitKernel:
             props = {tau: ThermalPropagator(tau, cavity, cfg.dim) for tau in set(merged)}
             self.loss_steps = [props[tau] for tau in merged]
 
-    def unitary(self) -> np.ndarray:
-        """Loss-free transit propagator (ordered product of the slices)."""
-        acc = self.slices[0]
-        for coeffs in self.slices[1:]:
-            acc = _compose(coeffs, acc)
-        return _coeffs_to_matrix(acc, self.cfg)
-
     def adjoint(self) -> TransitKernel:
         """The crossing's Hilbert-Schmidt adjoint K', with
         <Y, K(X)> = <K'(Y), X>: the slices in reverse order as U' (pair

@@ -9,16 +9,21 @@ acquires dispersive wings.
 
 Two transit backends share this engine.  "numeric" integrates the full
 time-dependent schedule with loss interleaved (see dynamics); "analytic"
-applies the instantaneous composite propagator through its two Kraus
-operators and composes relaxation over t_i afterwards.  The deterministic
-mixing mode averages the atom/no-atom branches; monte_carlo draws one branch
-per sample from a seeded generator.
+applies the instantaneous composite propagator.  The deterministic mixing
+mode averages the atom/no-atom branches; monte_carlo draws one branch per
+sample from a seeded generator.
 
-The deterministic map is linear in the state, so a trajectory long enough
-to pay for it (n_samples >= 3 dim) first builds the map as one sparse
-(dim^2, dim^2) operator and then iterates sparse matrix-vector products,
-when its backend is numeric or it runs without a cavity; Monte-Carlo runs,
-lossy analytic runs and shorter runs apply sample_map directly.  Transit and
+Both branches of an analytic sample relax over the same t_i, so the sample
+is R((1 - p_at) I + p_at A): one product with a cached sparse map, where
+A = sum_m K_m (x) conj(K_m) is the crossing over its two bidiagonal Kraus
+operators (25,561 nonzeros at n_max 60), then one relaxation R when there
+is a cavity.  A Monte-Carlo draw is the same map at p_at 1 or 0.
+
+The deterministic numeric map is linear in the state, so a numeric run long
+enough to pay for it (n_samples >= 3 dim) first builds the map as one
+sparse (dim^2, dim^2) operator and then iterates sparse matrix-vector
+products; Monte-Carlo runs, analytic runs and shorter runs apply sample_map
+directly.  The operator serves numeric crossings only.  Transit and
 loss conserve the joint excitation difference, so the numeric crossing maps
 each field diagonal only to its neighbours: the operator is assembled from
 four branch maps K_gg, K_ee, K_ge and K_eg read off probe propagations
@@ -29,11 +34,7 @@ probe's read-off for all four maps as its four atom blocks; with a cavity
 two probes share each propagation and part by Hermiticity, so a build
 takes ceil(dim/2) probe propagations (dim without a cavity).  The branch
 maps depend on neither u nor p_at and are cached, so runs in one process
-that differ only in those two reuse one build.  The analytic crossing is
-the Kraus sum over two bidiagonal operators, 11,441 nonzeros at n_max 40;
-with a cavity the relaxation fills every diagonal block of the operator,
-whose product then costs more than a direct sample, so lossy analytic runs
-stay direct.
+that differ only in those two reuse one build.
 """
 
 from __future__ import annotations
@@ -142,33 +143,35 @@ def relax(rho: np.ndarray, duration: float, cavity: CavityParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _analytic_kraus(
-    profile: TransitProfile, u: float, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Field-space Kraus pair of the instantaneous composite crossing.
-
-    K_m = (<m_atom| tensor I) U (|u_atom> tensor I) for m in {g, e}.
-    """
+def _analytic_map(
+    profile: TransitProfile, u: float, p_at: float, dim: int
+) -> sparse.csr_matrix:
+    """(1 - p_at) I + p_at A on row-major vec, for the instantaneous composite
+    crossing A = sum_m K_m (x) conj(K_m) over its field-space Kraus pair
+    K_m = (<m_atom| tensor I) U (|u_atom> tensor I), m in {g, e}.  K_g is
+    lower- and K_e upper-bidiagonal, so A has 2 (2 dim - 1)^2 - dim^2
+    entries (11,441 at n_max 40)."""
     cfg = HilbertConfig(n_max=dim - 1)
-    theta = theta_of(profile)
     phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile, "second")
-    u_mat = u_composite(theta, phi0, cfg)
-    atom = AtomPreparation(u).ket()
-    injected = atom[0] * u_mat[:, :dim] + atom[1] * u_mat[:, dim:]
-    return injected[:dim], injected[dim:]
+    u_mat = u_composite(theta_of(profile), phi0, cfg)
+    psi_g, psi_e = AtomPreparation(u).ket()
+    injected = psi_g * u_mat[:, :dim] + psi_e * u_mat[:, dim:]
+    k_g, k_e = map(sparse.csr_matrix, (injected[:dim], injected[dim:]))
+    crossing = (
+        sparse.kron(k_g, k_g.conj(), format="csr")
+        + sparse.kron(k_e, k_e.conj(), format="csr")
+    )
+    identity = sparse.identity(dim * dim, dtype=complex, format="csr")
+    s_map = (1.0 - p_at) * identity + p_at * crossing
+    s_map.eliminate_zeros()
+    return s_map
 
 
-def _atom_branch(rho: np.ndarray, config: ReservoirConfig, cfg: HilbertConfig) -> np.ndarray:
-    """Field map of one crossing by one atom (loss included per backend)."""
-    if config.backend == "numeric":
-        kernel = get_kernel(config.profile, cfg, config.cavity, config.options)
-        joint = embed_with_atom(rho, config.atom.ket())
-        return trace_atom(kernel.propagate(joint))
-    k_g, k_e = _analytic_kraus(config.profile, config.u, cfg.dim)
-    out = k_g @ rho @ k_g.conj().T + k_e @ rho @ k_e.conj().T
-    if config.cavity is not None:
-        out = relax(out, config.profile.t_i, config.cavity)
-    return out
+def _atom_branch(rho: np.ndarray, config: ReservoirConfig) -> np.ndarray:
+    """Field map of one numeric crossing by one atom, loss interleaved."""
+    cfg = HilbertConfig(n_max=rho.shape[0] - 1)
+    kernel = get_kernel(config.profile, cfg, config.cavity, config.options)
+    return trace_atom(kernel.propagate(embed_with_atom(rho, config.atom.ket())))
 
 
 def _empty_branch(rho: np.ndarray, config: ReservoirConfig) -> np.ndarray:
@@ -186,21 +189,28 @@ def sample_map(
 
     Deterministic mode mixes the atom and no-atom branches with weight
     p_at; monte_carlo mode draws one branch (pass the trajectory's
-    generator via rng, else a fresh one is seeded from config.seed).
+    generator via rng, else a fresh one is seeded from config.seed), which
+    is the deterministic map at p_at 1 or 0.  An analytic sample is one
+    product with _analytic_map, then one relaxation if there is a cavity.
     """
-    cfg = HilbertConfig(n_max=rho.shape[0] - 1)
+    p_at = config.p_at
     if config.mixing_mode == "monte_carlo":
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        if rng.random() < config.p_at:
-            return _atom_branch(rho, config, cfg)
+        p_at = 1.0 if rng.random() < config.p_at else 0.0
+    if p_at == 0.0:
         return _empty_branch(rho, config)
-    if config.p_at == 0.0:
-        return _empty_branch(rho, config)
-    atom_part = _atom_branch(rho, config, cfg)
-    if config.p_at == 1.0:
+    if config.backend == "analytic":
+        dim = rho.shape[0]
+        s_map = _analytic_map(config.profile, config.u, p_at, dim)
+        out = (s_map @ rho.reshape(-1)).reshape(dim, dim)
+        if config.cavity is None:
+            return out
+        return relax(out, config.profile.t_i, config.cavity)
+    atom_part = _atom_branch(rho, config)
+    if p_at == 1.0:
         return atom_part
-    return (1.0 - config.p_at) * _empty_branch(rho, config) + config.p_at * atom_part
+    return (1.0 - p_at) * _empty_branch(rho, config) + p_at * atom_part
 
 
 # ---------------------------------------------------------------------------
@@ -318,44 +328,28 @@ def _relaxation_map(config: ReservoirConfig, dim: int) -> sparse.csr_matrix:
     ]), shift=0)
 
 
-def _analytic_superop(config: ReservoirConfig, dim: int) -> sparse.csr_matrix:
-    """S = (1 - p_at) R + p_at R A of the analytic backend, with the crossing
-    A = sum_m K_m (x) conj(K_m) over its Kraus pair.  K_g is lower- and K_e
-    upper-bidiagonal, so A has 2 (2 dim - 1)^2 - dim^2 entries (11,441 at
-    n_max 40).  Without a cavity R is the identity, built as such."""
-    k_g, k_e = map(sparse.csr_matrix, _analytic_kraus(config.profile, config.u, dim))
-    a_map = (
-        sparse.kron(k_g, k_g.conj(), format="csr")
-        + sparse.kron(k_e, k_e.conj(), format="csr")
-    )
-    if config.cavity is None:
-        r_map = sparse.identity(dim * dim, dtype=complex, format="csr")
-    else:
-        r_map = _relaxation_map(config, dim)
-    s_map = (1.0 - config.p_at) * r_map + config.p_at * (r_map @ a_map)
-    s_map.eliminate_zeros()
-    return s_map
-
-
 def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
     """Sparse matrix S of the deterministic sample map on vectorized states.
 
     Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  R is the
-    thermal relaxation over t_i (identity without a cavity).  Numeric
-    backend: S = (1 - p_at) R + p_at A_u, with the lossy crossing
+    thermal relaxation over t_i (identity without a cavity), and
+    S = (1 - p_at) R + p_at A_u, with the lossy crossing
     A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge + c.c. built
-    from the cached u-independent branch maps.  Analytic backend:
-    S = (1 - p_at) R + p_at R A, with A the instantaneous crossing of the two
-    Kraus operators.  Every map is read off the same steps as the direct
-    path, so the two agree to rounding.
+    from the cached u-independent branch maps.  Every map is read off the
+    same steps as the direct path, so the two agree to rounding.  The
+    operator serves numeric crossings only: an analytic sample is already
+    one sparse product (see sample_map).
     """
     if config.mixing_mode != "deterministic":
         raise ValueError(
             "the sample operator applies to deterministic mixing only, "
             f"got {config.mixing_mode!r} mixing"
         )
-    if config.backend == "analytic":
-        return _analytic_superop(config, cfg.dim)
+    if config.backend != "numeric":
+        raise ValueError(
+            "the sample operator serves the numeric backend only, "
+            f"got {config.backend!r}"
+        )
     s_map = _relaxation_map(config, cfg.dim)
     if config.p_at > 0.0:
         k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity, config.options)
@@ -426,14 +420,13 @@ def run_trajectory(
     observer(j, rho_copy) is called after every recorded sample (including
     j = 0).  reference, when given, is the pure state fidelity is tracked
     against.  rho0 is policed before anything is built.
-    Deterministic runs with n_samples >= 3 dim iterate the sparse operator
-    of build_sample_superop when the backend is numeric or the cavity is
-    None.  On the numeric backend its ceil(dim/2) probe propagations cost
-    about as much as 0.2-0.3 dim direct samples at n_max 16 and 0.5-0.6 dim
-    at n_max 60; a loss-free analytic product costs about 0.4 direct
-    samples.  All other runs, lossy analytic ones among them, call
-    sample_map each sample (README, Long runs).  The two paths agree to
-    rounding.
+    Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
+    operator of build_sample_superop, whose ceil(dim/2) probe propagations
+    cost about as much as 0.2-0.3 dim direct samples at n_max 16 and
+    0.5-0.6 dim at n_max 60.  All other runs call sample_map each sample;
+    an analytic sample there is one sparse product with a cached map plus
+    at most one relaxation, as cheap as an operator product (README, Long
+    runs).  The two paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     rho = rho0.astype(complex)
@@ -443,7 +436,7 @@ def run_trajectory(
 
     use_operator = (
         config.mixing_mode == "deterministic"
-        and (config.backend == "numeric" or config.cavity is None)
+        and config.backend == "numeric"
         and config.n_samples >= 3 * cfg.dim
     )
 

@@ -609,6 +609,10 @@ def sweep_scenario(
     """
     if param not in KEYS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
+    if param in ("scenario.preset", "output.dir"):
+        # a preset under the base config's explicit keys, and an output
+        # directory under value_<i>/, would both rerun the base config
+        raise ConfigError(f"{param} cannot be swept")
     if not values:
         raise ConfigError("sweep needs at least one value")
     # every config is built before any trajectory runs, so a bad value

@@ -2,12 +2,15 @@
 
 The dense annihilation operator, the thermal state, the dense
 Jaynes-Cummings Hamiltonian for frozen coupling and detuning, fixed-step RK4
-on the Schrodinger equation and on the full master equation, the dissipator
-in plain matrix form, the Wigner function summed term by term from scipy's
-Laguerre polynomials and by one Clenshaw recurrence per diagonal and point,
-and the cat fit as a Nelder-Mead search over the amplitude and the phases
+on the Schrodinger equation and on the full master equation, the transit
+kernel's loss-free unitary as the dense product of its slices, the analytic
+sample as dense Kraus products with each branch relaxed on its own, the
+dissipator in plain matrix form, the Wigner function summed term by term
+from scipy's Laguerre polynomials and by one Clenshaw recurrence per
+diagonal and point, and the cat fit as a Nelder-Mead search over the amplitude and the phases
 together.  None of this runs in the library: every transit there goes
-through the exact pair-block kernel, every relaxation through the
+through the exact pair-block kernel, every analytic sample through one
+sparse product and one relaxation, every relaxation through the
 per-diagonal exponentials of ThermalPropagator, every Wigner map through one
 Clenshaw recurrence per distinct |xi| for all diagonals at once, and every
 cat fit through the amplitude-only search with exact phases.  Tests compare
@@ -22,10 +25,19 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln
 
-from cavres.dynamics import _segments, rabi_coupling
+from cavres.dynamics import (
+    AtomPreparation,
+    _coeffs_to_matrix,
+    _compose,
+    _segments,
+    phi0_of,
+    rabi_coupling,
+    theta_of,
+    u_composite,
+)
 from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss
 from cavres.metrics import CatFitResult, field_moments, overlap_fidelity
-from cavres.thermal import CavityParams, _aadag_diag
+from cavres.thermal import CavityParams, ThermalPropagator, _aadag_diag
 
 
 def make_ladder(cfg: HilbertConfig) -> np.ndarray:
@@ -118,6 +130,35 @@ def rk4_transit_unitary(profile, cfg: HilbertConfig, phase_per_step: float = 0.0
         n = max(1, int(np.ceil((t1 - t0) * rate / phase_per_step)))
         u = rk4_propagator(lambda t: rabi_coupling(t, profile), delta, t0, t1, n, cfg) @ u
     return u
+
+
+def kernel_unitary(kernel) -> np.ndarray:
+    """Loss-free propagator of a TransitKernel: the ordered product of its
+    slices as one dense joint matrix."""
+    acc = kernel.slices[0]
+    for coeffs in kernel.slices[1:]:
+        acc = _compose(coeffs, acc)
+    return _coeffs_to_matrix(acc, kernel.cfg)
+
+
+def analytic_sample(rho: np.ndarray, config) -> np.ndarray:
+    """One deterministic analytic sample of a ReservoirConfig, each branch
+    relaxed on its own: (1 - p) R(rho) + p R(sum_m K_m rho K_m'), with the
+    dense Kraus pair K_m = (<m_atom| tensor I) U (|u_atom> tensor I) of the
+    composite crossing U and R the relaxation over t_i (none without a
+    cavity)."""
+    dim = rho.shape[0]
+    profile = config.profile
+    phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile, "second")
+    u_mat = u_composite(theta_of(profile), phi0, HilbertConfig(n_max=dim - 1))
+    psi_g, psi_e = AtomPreparation(config.u).ket()
+    injected = psi_g * u_mat[:, :dim] + psi_e * u_mat[:, dim:]
+    empty = rho
+    crossed = sum(k @ rho @ k.conj().T for k in (injected[:dim], injected[dim:]))
+    if config.cavity is not None:
+        relax = ThermalPropagator(profile.t_i, config.cavity, dim).apply
+        empty, crossed = relax(empty), relax(crossed)
+    return (1.0 - config.p_at) * empty + config.p_at * crossed
 
 
 def rk4_master(

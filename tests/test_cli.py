@@ -161,6 +161,18 @@ class TestSweep:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("param", ["scenario.preset", "output.dir"])
+    def test_parameter_that_changes_nothing(self, tmp_path, capsys, param):
+        out = tmp_path / "sw"
+        code = cli.main([
+            "sweep", "--preset", "cat2", *TINY,
+            "--param", param, "--values", "cat3,squeeze",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "cannot be swept" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CAVRES_THREADS", "lots")
         code = cli.main([

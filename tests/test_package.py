@@ -1,7 +1,8 @@
 """The package namespace is the union of its modules' public names, every
 module-level import in the package is used, every module-level private name
-is read somewhere in the package, and every entry point that the benchmark's
-tracer wraps is still where it looks."""
+and every method of a package class is read somewhere in the package, and
+every entry point that the benchmark's tracer wraps is still where it
+looks."""
 
 import ast
 import importlib
@@ -50,13 +51,15 @@ def test_module_imports_are_used():
     assert not unused, unused
 
 
-def test_private_helpers_are_referenced():
-    # a module-level _name that no code in the package reads is a helper
-    # left behind by a deletion
-    trees = {
+def _package_trees():
+    return {
         path.name: ast.parse(path.read_text())
         for path in sorted(Path(cavres.__file__).parent.glob("*.py"))
     }
+
+
+def _names_read(trees):
+    """Every name, attribute and imported name the package code reads."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -66,6 +69,14 @@ def test_private_helpers_are_referenced():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_helpers_are_referenced():
+    # a module-level _name that no code in the package reads is a helper
+    # left behind by a deletion
+    trees = _package_trees()
+    read = _names_read(trees)
     orphans = []
     for filename, tree in trees.items():
         for node in tree.body:
@@ -83,6 +94,26 @@ def test_private_helpers_are_referenced():
                 if private and name not in read:
                     orphans.append(f"{filename}:{node.lineno} {name}")
     assert not orphans, orphans
+
+
+def test_methods_are_read_by_the_package():
+    # a method of a package class that no package code reads serves only
+    # the tests, and belongs with the reference forms in tests/oracles.py
+    trees = _package_trees()
+    read = _names_read(trees)
+    unread = []
+    for filename, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("__")
+                    and node.name not in read
+                ):
+                    unread.append(f"{filename}:{node.lineno} {cls.name}.{node.name}")
+    assert not unread, unread
 
 
 def test_benchmark_trace_hooks_resolve():

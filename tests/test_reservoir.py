@@ -25,6 +25,7 @@ from cavres.dynamics import (
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
+from oracles import analytic_sample
 
 OMEGA0 = 2 * np.pi * 50e3
 WAIST = 6e-3
@@ -300,24 +301,63 @@ class TestSwitchOff:
             assert rec.fidelity == pytest.approx(met.overlap_fidelity(rho, vac), abs=1e-12)
         assert np.max(np.abs(off.final_state - rho)) < 1e-12
 
-    @pytest.mark.parametrize(
-        "cavity, builds_expected", [(None, 1), (CavityParams(), 0)], ids=["loss-free", "lossy"]
-    )
-    def test_analytic_switch_off_path(self, builds, cavity, builds_expected):
-        # an analytic switch-off of 3 dim steps iterates the identity
-        # operator without a cavity and relaxes directly with one
+    @pytest.mark.parametrize("cavity", [None, CavityParams()], ids=["loss-free", "lossy"])
+    def test_analytic_switch_off_path(self, builds, cavity):
+        # an analytic switch-off of 3 dim steps builds no operator: it
+        # copies the state without a cavity and relaxes directly with one
         cfg = HilbertConfig(n_max=6)
         config = res.ReservoirConfig(
             profile=RESONANT, u=0.2, cavity=cavity, backend="analytic", n_samples=2
         )
         traj = res.run_trajectory(density(coherent_state(0.5, cfg)), config)
         off = res.switch_off_decay(traj, 3 * cfg.dim * RESONANT.t_i, config)
-        assert len(builds) == builds_expected
+        assert builds == []
         assert len(off.records) == 3 + 3 * cfg.dim
         rho = traj.final_state
         for _ in range(3 * cfg.dim):
             rho = res.sample_map(rho, replace(config, p_at=0.0))
         assert np.max(np.abs(off.final_state - rho)) < 1e-12
+
+
+class TestAnalyticSample:
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_matches_oracle(self, n_max):
+        # one sparse product, then one relaxation, against the dense Kraus
+        # products with each branch relaxed on its own
+        cfg = HilbertConfig(n_max=n_max)
+        states = [random_density(cfg.dim, seed=seed) for seed in (21, 22)]
+        for profile in (RESONANT, CAT2):
+            for cavity in (CavityParams(), None):
+                for u in U_VALUES:
+                    for p_at in (0.0, 0.3, 1.0):
+                        config = res.ReservoirConfig(
+                            profile=profile, u=u, cavity=cavity, p_at=p_at,
+                            backend="analytic",
+                        )
+                        for rho in states:
+                            got = res.sample_map(rho, config)
+                            want = analytic_sample(rho, config)
+                            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_monte_carlo_branches_match_oracle(self):
+        # a draw is the deterministic sample at p_at 1 or 0, and each
+        # sample draws exactly one number from the run's generator
+        cfg = HilbertConfig(n_max=8)
+        rho = random_density(cfg.dim, seed=23)
+        for cavity in (CavityParams(), None):
+            config = res.ReservoirConfig(
+                profile=CAT2, u=0.45 * np.pi, cavity=cavity, p_at=0.5,
+                backend="analytic", mixing_mode="monte_carlo", seed=7,
+            )
+            rng, draws = np.random.default_rng(7), np.random.default_rng(7)
+            branches = set()
+            for _ in range(8):
+                got = res.sample_map(rho, config, rng=rng)
+                p_at = 1.0 if draws.random() < config.p_at else 0.0
+                branches.add(p_at)
+                drawn = replace(config, p_at=p_at, mixing_mode="deterministic")
+                assert np.max(np.abs(got - analytic_sample(rho, drawn))) < 1e-12
+            assert branches == {0.0, 1.0}
 
 
 class TestSuperoperatorCache:
@@ -352,32 +392,18 @@ class TestSuperoperatorCache:
         with pytest.raises(ValueError):
             res.build_sample_superop(config, cfg)
 
-    @pytest.mark.parametrize("n_max", [8, 24])
-    def test_analytic_matches_sample_map(self, n_max):
-        cfg = HilbertConfig(n_max=n_max)
-        states = [random_density(cfg.dim, seed=seed) for seed in (21, 22)]
-        for profile in (RESONANT, CAT2):
-            for cavity in (CavityParams(), None):
-                for u in U_VALUES:
-                    for p_at in (0.0, 0.3, 1.0):
-                        config = res.ReservoirConfig(
-                            profile=profile, u=u, cavity=cavity, p_at=p_at,
-                            backend="analytic",
-                        )
-                        s_mat = res.build_sample_superop(config, cfg)
-                        for rho in states:
-                            want = res.sample_map(rho, config)
-                            got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
-                            assert np.max(np.abs(got - want)) < 1e-12
+    def test_rejects_analytic(self):
+        # the operator serves numeric crossings only; an analytic sample is
+        # already one sparse product
+        cfg = HilbertConfig(n_max=8)
+        config = res.ReservoirConfig(profile=RESONANT, u=0.1, cavity=None, backend="analytic")
+        with pytest.raises(ValueError):
+            res.build_sample_superop(config, cfg)
 
     def test_loss_free_analytic_operator_is_banded(self):
         # K_g is lower- and K_e upper-bidiagonal: (2 dim - 1)^2 entries per
         # Kraus operator, dim^2 of them shared on the diagonal blocks
-        cfg = HilbertConfig(n_max=40)
-        config = res.ReservoirConfig(
-            profile=RESONANT, u=0.4, cavity=None, p_at=1.0, backend="analytic"
-        )
-        assert res.build_sample_superop(config, cfg).nnz == 11_441
+        assert res._analytic_map(RESONANT, 0.4, p_at=1.0, dim=41).nnz == 11_441
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_matches_sample_map_for_every_u_and_p_at(self, n_max):
@@ -507,8 +533,9 @@ class TestSuperoperatorCache:
         res.run_trajectory(rho0, config)
         assert len(builds) == builds_expected
 
-    @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 1)])
+    @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 0), (1, 0)])
     def test_path_rule_boundary_loss_free_analytic(self, builds, extra, builds_expected):
+        # the 3 dim rule is numeric-only: no analytic run builds the operator
         cfg = HilbertConfig(n_max=10)
         rho0 = density(fock_state(0, cfg))
         config = res.ReservoirConfig(
@@ -519,8 +546,7 @@ class TestSuperoperatorCache:
         assert len(builds) == builds_expected
 
     def test_lossy_analytic_and_monte_carlo_runs_stay_direct(self, builds):
-        # a lossy analytic S is nearly as dense as R (about 2/3 dim^3
-        # entries), so its products cost more than direct samples
+        # the operator holds the deterministic numeric map only
         cfg = HilbertConfig(n_max=6)
         rho0 = density(fock_state(0, cfg))
         for config in (
@@ -548,7 +574,7 @@ class TestSuperoperatorCache:
             n_samples=3 * cfg.dim,
         )
         cached = res.run_trajectory(rho0, config)
-        assert len(builds) == 1
+        assert builds == []
         rho = rho0
         for j in range(1, config.n_samples + 1):
             rho = res.sample_map(rho, config)

@@ -352,6 +352,17 @@ class TestSweep:
         with pytest.raises(sc.ConfigError):
             sc.sweep_scenario(config, "bogus.key", ["1"], out_dir=tmp_path)
 
+    @pytest.mark.parametrize("param, value", [
+        ("scenario.preset", "cat3"), ("output.dir", "elsewhere"),
+    ])
+    def test_rejects_parameters_that_change_nothing(self, tmp_path, param, value):
+        # every explicit key of the base config overrides a swept preset,
+        # and each value writes to value_<i>/ whatever its output.dir
+        config = sc.build_config(tiny_raw())
+        with pytest.raises(sc.ConfigError):
+            sc.sweep_scenario(config, param, [value], out_dir=tmp_path / "sw")
+        assert not (tmp_path / "sw").exists()
+
     def test_rejects_bad_value_before_running(self, tmp_path):
         config = sc.build_config(tiny_raw())
         with pytest.raises(sc.ConfigError):
