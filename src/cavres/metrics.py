@@ -29,11 +29,14 @@ the truncated state at every xi.
 
 The best-fit cat is found by variable projection.  At a fixed component
 amplitude alpha the overlap with a k-component cat is a ratio c'Mc / c'Gc
-of k x k forms in the component coefficients c = (1, e^{i theta_1}, ...),
-so the relative phases are solved exactly: in closed form for k = 2, by
-coordinate ascent in closed-form steps for k >= 3.  Nelder-Mead then
-searches alpha alone, at one product with rho per step, from the k-th-moment
-direction and from the best node of a coarse alpha rake.
+of k x k forms in the component coefficients c = (1, e^{i theta_1}, ...).
+The components share |alpha|, so they are one truncated coherent vector
+times the rows of a cached table of the roots omega^(j n), and M and G come
+from one product with rho.  The relative phases are solved exactly: by one
+closed-form step for k = 2; for k >= 3 by two sweeps of coordinate ascent in
+closed-form steps from the best node of a phase grid, finished by Newton
+steps on all phases at once.  Nelder-Mead then searches alpha alone, from
+the k-th-moment direction and from the best node of a coarse alpha rake.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 from scipy.optimize import minimize
@@ -288,21 +292,26 @@ def squeezing_db(rho: np.ndarray) -> tuple[float, float]:
 # cat fitting
 # ---------------------------------------------------------------------------
 
-# The amplitude search of fit_cat: scipy's Nelder-Mead tolerances, and the
-# cap on coordinate-ascent sweeps of the phase step.
+# The amplitude search of fit_cat: scipy's Nelder-Mead tolerances.  The
+# phase step: coordinate-ascent sweeps before the Newton finish, the cap on
+# Newton steps, and the cap on sweeps when the finish hands back to them.
 _SIMPLEX = {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000}
+_NEWTON_SWEEPS = 2
+_NEWTON_STEPS = 10
 _MAX_SWEEPS = 200
 
 
 def _best_phase(
     a: float, b: float, c: float, d: float, e: float, f: float
-) -> tuple[float, float]:
+) -> tuple[float, float] | None:
     """(theta, value): the maximum of (a + b cos theta + c sin theta) /
-    (d + e cos theta + f sin theta), for a denominator that stays positive.
+    (d + e cos theta + f sin theta), or None.
 
     The stationary points solve p sin theta + q cos theta + r = 0 with
     p = ae - bd, q = cd - af and r = ce - bf; the better of its two roots
-    is returned.
+    is returned.  A root where the denominator, a c'Gc, is not positive
+    (it vanishes only by rounding, at small |alpha|) is skipped, and None
+    means both were.
     """
     p, q, r = a * e - b * d, c * d - a * f, c * e - b * f
     # p sin + q cos = h cos(theta - phi); h = 0 only where the quotient is flat
@@ -312,49 +321,182 @@ def _best_phase(
     best = None
     for theta in (phi + half, phi - half):
         cos, sin = math.cos(theta), math.sin(theta)
-        value = (a + b * cos + c * sin) / (d + e * cos + f * sin)
-        if best is None or value > best[1]:
-            best = (theta, value)
+        den = d + e * cos + f * sin
+        if den > 0:
+            value = (a + b * cos + c * sin) / den
+            if best is None or value > best[1]:
+                best = (theta, value)
     return best
 
 
-def _phase_ascent(
-    m: np.ndarray, g: np.ndarray, theta: np.ndarray
-) -> tuple[float, list[float]]:
-    """(value, theta): cyclic coordinate ascent of c'Mc / c'Gc over
-    c = (1, e^{i theta_1}, ..., e^{i theta_{k-1}}) from the given phases.
+def _quotient(c: list[complex], prods: list[list[complex]]) -> float:
+    """c'Mc / c'Gc from prods = (Mc, Gc); -inf where c'Gc is not positive."""
+    cc = [x.conjugate() for x in c]
+    num, den = (sum(map(mul, cc, prod)).real for prod in prods)
+    return num / den if den > 0 else -math.inf
+
+
+def _products(mats, c: list[complex]) -> list[list[complex]]:
+    """(Mc, Gc) for mats = (M, G) as nested lists."""
+    return [[sum(map(mul, row, c)) for row in mat] for mat in mats]
+
+
+def _sweep(mats, c: list[complex], prods, theta: list[float], value: float) -> float:
+    """One cycle of closed-form steps over theta_1 .. theta_{k-1}, updating
+    c, prods = (Mc, Gc) and theta in place; value is the quotient before
+    it, and the quotient after it is returned.
 
     With theta_j free and the others held, c'Mc = A + 2 Re(w e^{-i theta_j})
     with w = (Mc)_j - M_jj c_j and A = c'Mc - 2 Re(conj(c_j) w) at the
     current c_j, and likewise for G, so each step is _best_phase's closed
-    form and none lowers the quotient.  For k = 2 the first step is already
-    the maximum.  The sweeps stop once one gains at most 1e-15.  Plain
-    Python arithmetic: the matrices are k x k, where numpy's per-call cost
-    would dominate.
+    form; where that has no root, theta_j stays.
     """
-    k = m.shape[0]
+    cc = [x.conjugate() for x in c]
+    for j in range(1, len(c)):
+        parts = []
+        for mat, prod in zip(mats, prods):
+            w = prod[j] - mat[j][j] * c[j]
+            parts += [sum(map(mul, cc, prod)).real - 2 * (cc[j] * w).real, 2 * w.real, 2 * w.imag]
+        step = _best_phase(*parts)
+        if step is None:
+            continue
+        theta[j - 1], value = step
+        new = cmath.exp(1j * theta[j - 1])
+        delta, c[j], cc[j] = new - c[j], new, new.conjugate()
+        for mat, prod in zip(mats, prods):
+            for i, row in enumerate(mat):
+                prod[i] += row[j] * delta
+    return value
+
+
+def _solve_definite(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with a x = b by Gaussian elimination without pivoting, or None
+    where the symmetric a is not positive definite, which is where a pivot
+    is not positive (the pivots are those of a's LDL' factorization)."""
+    n = len(b)
+    a, b = [row[:] for row in a], b[:]
+    for i in range(n):
+        if a[i][i] <= 0:
+            return None
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            for col in range(i + 1, n):
+                a[r][col] -= f * a[i][col]
+            b[r] -= f * b[i]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (b[i] - sum(map(mul, a[i][i + 1:], x[i + 1:]))) / a[i][i]
+    return x
+
+
+def _newton_step(
+    mats, c: list[complex], prods, value: float
+) -> tuple[list[float], float] | None:
+    """(step, gain): the Newton step on theta_1 .. theta_{k-1} of f = N / D,
+    N = c'Mc and D = c'Gc, and the gain its quadratic model predicts; None
+    where f's Hessian is not negative definite or D is not positive.
+
+    For a Hermitian form, dN/dtheta_j = 2 Im(conj(c_j) (Mc)_j), and
+    d2N/dtheta_j dtheta_l is 2 Re(conj(c_j) M_jl c_l) off the diagonal and
+    2 M_jj - 2 Re(conj(c_j) (Mc)_j) on it; then grad f = (grad N -
+    f grad D) / D and hess f = (hess N - f hess D - grad f grad D' -
+    grad D grad f') / D.
+    """
+    (m, g), (y, z) = mats, prods
+    k = len(c)
+    cc = [x.conjugate() for x in c]
+    den = sum(map(mul, cc, z)).real
+    if den <= 0:
+        return None
+    sy, sz = ([cc[j] * p[j] for j in range(1, k)] for p in (y, z))
+    grad_d = [2 * s.imag for s in sz]
+    grad = [(2 * s.imag - value * d) / den for s, d in zip(sy, grad_d)]
+    neg_hess = [[0.0] * (k - 1) for _ in range(k - 1)]
+    for a in range(k - 1):
+        for b in range(a + 1):
+            if a == b:
+                hn, hd = m[a + 1][a + 1].real - sy[a].real, g[a + 1][a + 1].real - sz[a].real
+            else:
+                hn = (cc[a + 1] * m[a + 1][b + 1] * c[b + 1]).real
+                hd = (cc[a + 1] * g[a + 1][b + 1] * c[b + 1]).real
+            neg_hess[a][b] = neg_hess[b][a] = (
+                grad[a] * grad_d[b] + grad_d[a] * grad[b] - 2 * (hn - value * hd)
+            ) / den
+    step = _solve_definite(neg_hess, grad)
+    return None if step is None else (step, 0.5 * sum(map(mul, step, grad)))
+
+
+def _newton_finish(mats, c: list[complex], prods, theta: list[float], value: float):
+    """(done, value): Newton steps from the current phases, updating c,
+    prods and theta in place.
+
+    The gain a step's quadratic model predicts, P, estimates how far the
+    quotient is below its maximum, and near the maximum Newton's method
+    leaves about P^2 after the step.  So the steps stop (done) at a
+    predicted gain of at most 1e-15, untaken, or after a step taken with
+    P <= 1e-10.  A step that lowers the quotient is rejected; it, a Hessian
+    that is not negative definite, or _NEWTON_STEPS steps without a stop
+    return done = False.
+    """
+    for _ in range(_NEWTON_STEPS):
+        newton = _newton_step(mats, c, prods, value)
+        if newton is None:
+            break
+        step, predicted = newton
+        if predicted <= 1e-15:
+            return True, value
+        trial = [t + s for t, s in zip(theta, step)]
+        c_trial = [1.0 + 0j] + [cmath.exp(1j * t) for t in trial]
+        prods_trial = _products(mats, c_trial)
+        trial_value = _quotient(c_trial, prods_trial)
+        if trial_value < value:
+            break
+        theta[:], c[:], prods[:], value = trial, c_trial, prods_trial, trial_value
+        if predicted <= 1e-10:
+            return True, value
+    return False, value
+
+
+def _phase_ascent(
+    m: np.ndarray, g: np.ndarray, theta: "np.ndarray | list[float]"
+) -> tuple[float, list[float]]:
+    """(value, theta): the maximum of c'Mc / c'Gc over c = (1,
+    e^{i theta_1}, ..., e^{i theta_{k-1}}) reached from the given phases.
+
+    Cyclic coordinate ascent (_sweep), in which no step lowers the quotient,
+    then Newton steps on all phases at once (_newton_finish) after
+    _NEWTON_SWEEPS sweeps; where they hand back, the sweeps go on until one
+    gains at most 1e-15, or for _MAX_SWEEPS in all.  Plain Python
+    arithmetic: the matrices are k x k, where numpy's per-call cost would
+    dominate.
+    """
     mats = (m.tolist(), g.tolist())
     theta = [float(t) for t in theta]
     c = [1.0 + 0j] + [cmath.exp(1j * t) for t in theta]
-    prods = [[sum(row[l] * c[l] for l in range(k)) for row in mat] for mat in mats]
-    value = -math.inf
-    for _ in range(_MAX_SWEEPS):
+    prods = _products(mats, c)
+    value = _quotient(c, prods)
+    for sweep in range(1, _MAX_SWEEPS + 1):
         prev = value
-        for j in range(1, k):
-            parts = []
-            for mat, prod in zip(mats, prods):
-                w = prod[j] - mat[j][j] * c[j]
-                total = sum(ci.conjugate() * pi for ci, pi in zip(c, prod)).real
-                parts += [total - 2 * (c[j].conjugate() * w).real, 2 * w.real, 2 * w.imag]
-            theta[j - 1], value = _best_phase(*parts)
-            new = cmath.exp(1j * theta[j - 1])
-            for mat, prod in zip(mats, prods):
-                for i in range(k):
-                    prod[i] += mat[i][j] * (new - c[j])
-            c[j] = new
-        if k == 2 or value - prev <= 1e-15:
+        value = _sweep(mats, c, prods, theta, value)
+        if value - prev <= 1e-15:
             break
+        if sweep == _NEWTON_SWEEPS:
+            done, value = _newton_finish(mats, c, prods, theta, value)
+            if done:
+                break
     return value, theta
+
+
+@lru_cache(maxsize=None)
+def _root_table(k: int, dim: int) -> np.ndarray:
+    """(k, dim) table of omega^(j n), omega = e^{2 pi i/k}: row j holds the
+    phases that turn |alpha> into |alpha omega^j>.  Each entry is the root
+    of index (j n) mod k, rounded once, so its rounding does not grow with
+    n; read-only, shared by every fit."""
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    table = roots[np.outer(np.arange(k), np.arange(dim)) % k]
+    table.flags.writeable = False
+    return table
 
 
 def _cat_matrices(
@@ -366,47 +508,67 @@ def _cat_matrices(
     v_j = |alpha omega^j> (omega = e^{2 pi i/k}); M = V' rho V and G = V'V
     is the truncated Gram matrix.  Since ideal_mfss renormalizes by the
     truncated norm, the overlap of rho with ideal_mfss(alpha, k, theta) is
-    c'Mc / c'Gc with c = (1, e^{i theta_1}, ...).
+    c'Mc / c'Gc with c = (1, e^{i theta_1}, ...).  The components share
+    |alpha|, so v_j = v_0 omega^(j n) is one coherent vector times a row of
+    _root_table; one product with rho gives rho V, and one product of V'
+    with [rho V, V] both forms.
     """
     dim = rho.shape[0]
-    v = _coherent_amplitudes(alphas[:, None] * np.exp(2j * np.pi * np.arange(k) / k), dim)
-    rho_v = (v.reshape(-1, dim) @ rho.T).reshape(v.shape)
-    return v.conj() @ rho_v.transpose(0, 2, 1), v.conj() @ v.transpose(0, 2, 1)
+    v = _coherent_amplitudes(alphas, dim)[:, None, :] * _root_table(k, dim)
+    both = np.concatenate(((v.reshape(-1, dim) @ rho.T).reshape(v.shape), v), axis=1)
+    forms = v.conj() @ both.transpose(0, 2, 1)
+    return forms[..., :k], forms[..., k:]
 
 
 @lru_cache(maxsize=None)
-def _phase_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 8^(k-1) grid of relative phases, and its rows of coefficients
-    c = (1, e^{i theta_1}, ...); read-only, shared by every fit."""
+def _phase_nodes(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 8^(k-1) grid of relative phases, its rows of coefficients
+    c = (1, e^{i theta_1}, ...) and their conjugates; read-only, shared by
+    every fit."""
     axis = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     nodes = np.stack(np.meshgrid(*([axis] * (k - 1)), indexing="ij"), axis=-1)
     nodes = nodes.reshape(-1, k - 1)
     coeff = np.exp(1j * np.concatenate([np.zeros((len(nodes), 1)), nodes], axis=1))
-    nodes.flags.writeable = coeff.flags.writeable = False
-    return nodes, coeff
+    conj = coeff.conj()
+    nodes.flags.writeable = coeff.flags.writeable = conj.flags.writeable = False
+    return nodes, coeff, conj
 
 
 def _phase_grid(m: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best value of c'Mc / c'Gc on the 8^(k-1) grid of relative phases, and
-    its node, for each pair of a (B, k, k) stack."""
-    nodes, c = _phase_nodes(m.shape[-1])
-    num = np.einsum("pi,bij,pj->bp", c.conj(), m, c).real
-    vals = num / np.einsum("pi,bij,pj->bp", c.conj(), g, c).real
-    best = np.argmax(vals, axis=1)
-    return vals[np.arange(len(vals)), best], nodes[best]
+    its node, for each pair of a (B, k, k) stack.  Nodes where c'Gc is not
+    positive are skipped; the node c = (1, ..., 1) never is."""
+    nodes, c, c_conj = _phase_nodes(m.shape[-1])
+    forms = np.einsum("pi,bij,pj->bp", c_conj, np.concatenate((m, g)), c).real
+    num, den = forms[: len(m)], forms[len(m):]
+    vals = np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0)
+    return vals.max(axis=1), nodes[vals.argmax(axis=1)]
 
 
 def _cat_profile(rho: np.ndarray, alpha: complex, k: int) -> tuple[float, list[float]]:
     """(value, theta): the best overlap of rho with a k-component cat of
-    amplitude alpha over the relative phases theta, which the best node of
-    the phase grid seeds and _phase_ascent solves.  Zero past the coherent
-    guard."""
+    amplitude alpha over the relative phases theta.  For k = 2,
+    c'Mc = M_00 + M_11 + 2 Re(M_01 e^{i theta}) and likewise c'Gc, so
+    _best_phase's closed form is the maximum; for k >= 3 the best node of
+    the phase grid seeds _phase_ascent.  Zero past the coherent guard, and
+    never below zero."""
     if _past_guard(alpha, rho.shape[0] - 1):
         return 0.0, [0.0] * (k - 1)
     if alpha == 0:  # every component is the vacuum
         return float(rho[0, 0].real), [0.0] * (k - 1)
     m, g = _cat_matrices(rho, np.array([alpha]), k)
-    return _phase_ascent(m[0], g[0], _phase_grid(m, g)[1][0])
+    if k > 2:
+        value, theta = _phase_ascent(m[0], g[0], _phase_grid(m, g)[1][0])
+    else:
+        parts = []
+        for (x00, x01), (_, x11) in (m[0].tolist(), g[0].tolist()):
+            parts += [x00.real + x11.real, 2 * x01.real, -2 * x01.imag]
+        best = _best_phase(*parts)
+        if best is None:  # theta = 0, the even cat, has a positive c'Gc
+            best = (0.0, (parts[0] + parts[1]) / (parts[3] + parts[4]))
+        theta, value = [best[0]], best[1]
+    # c'Mc >= 0: a negative value is the rounding of a cancelling numerator
+    return max(value, 0.0), theta
 
 
 def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
@@ -415,7 +577,11 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): for a fixed component amplitude alpha the best k-1 relative
     phases are solved exactly (_cat_profile), so Nelder-Mead searches only
-    (Re alpha, Im alpha), with one product with rho per evaluation.  The
+    (Re alpha, Im alpha).  An evaluation builds one coherent vector, turns
+    it into the k components with the shared table of roots omega^(j n)
+    (_root_table) and makes one product with rho; the phases then take one
+    closed-form step for k = 2, and for k >= 3 two coordinate-ascent sweeps
+    from the best node of the 8^(k-1) phase grid and a Newton finish.  The
     profile can hold more than one local maximum in alpha, and on random
     states each of the two starts finds maxima the other misses: the
     k-th-moment direction at |alpha| = sqrt(nbar), and the best node of a
@@ -435,7 +601,11 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     direction = np.angle(a_k) / k if abs(a_k) > 1e-12 else 0.0
     axis = np.linspace(-(mag + 1.0), mag + 1.0, 16)
     rake = (axis[:, None] + 1j * axis[None, :]).ravel()
-    coarse = _phase_grid(*_cat_matrices(rho, rake, k))[0]
+    # ranked a quarter at a time: a pass's (64, k, dim) components and its
+    # (64, 8^(k-1)) phase grid stay small
+    coarse = np.concatenate(
+        [_phase_grid(*_cat_matrices(rho, part, k))[0] for part in np.split(rake, 4)]
+    )
     coarse[_past_guard(rake, cfg.n_max)] = 0.0
 
     def loss(x: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -470,6 +471,19 @@ class TestCatFit:
         fit = met.fit_cat(rho, k)
         assert fit.fidelity >= fit_cat_nelder_mead(rho, k).fidelity - 1e-12
 
+    def test_peak_memory_of_a_fit(self):
+        # a k = 3 fit at n_max 60 peaked at 2.65 MB when the alpha rake
+        # formed every node's k components in log space at once
+        rho = dephased_cat(3, 1, HilbertConfig(n_max=60))
+        met.fit_cat(rho, 3)  # the cached tables are not the fit's
+        tracemalloc.start()
+        try:
+            met.fit_cat(rho, 3)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert used <= 2.65e6 / 2
+
 
 class TestPhaseStep:
     """The exact phase step inside fit_cat, at fixed amplitudes."""
@@ -494,7 +508,7 @@ class TestPhaseStep:
                 m, g = met._cat_matrices(rho, np.array([alpha]), k)
                 assert value >= self.scan(m[0], g[0], k, points) - 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_profile_is_the_truncated_overlap(self, k):
         # ideal_mfss renormalizes by the truncated norm, so the quotient must
         # use the truncated Gram matrix V'V: at n_max 20 and |alpha| = 2.28
@@ -505,6 +519,54 @@ class TestPhaseStep:
             value, theta = met._cat_profile(rho, alpha, k)
             ref = ideal_mfss(alpha, k, tuple(theta), cfg)
             assert value == pytest.approx(met.overlap_fidelity(rho, ref), abs=1e-14)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_newton_finish_reaches_the_coordinate_ascent(self, k, monkeypatch):
+        # the same profiles with the Newton finish handing straight back, so
+        # that the sweeps run on until one gains at most 1e-15: the finish
+        # lands at least as high, to rounding
+        cfg = HilbertConfig(n_max=30)
+        states = [random_density(cfg.dim, 50 + seed, rank=1 + seed % 3) for seed in range(6)]
+        states.append(dephased_cat(k, 5, cfg))
+        finished = [met._cat_profile(rho, alpha, k)[0]
+                    for rho in states for alpha in self.ALPHAS]
+        handed_back = []
+        monkeypatch.setattr(met, "_newton_finish",
+                            lambda *args: (handed_back.append(1), (False, args[-1]))[1])
+        swept = [met._cat_profile(rho, alpha, k)[0]
+                 for rho in states for alpha in self.ALPHAS]
+        # two sweeps left most profiles unconverged, so the finish ran there
+        assert len(handed_back) > len(swept) // 2
+        for value, reference in zip(finished, swept):
+            assert value >= reference - 1e-14
+
+    def test_fit_makes_as_many_evaluations(self, monkeypatch):
+        # the amplitude search is unchanged by the cheaper phase step: with
+        # the phase step of coordinate ascent alone this fit made 182 profile
+        # evaluations (181 Nelder-Mead steps and the final one)
+        rho = dephased_cat(3, 1, HilbertConfig(n_max=60))
+        profile, calls = met._cat_profile, []
+        monkeypatch.setattr(met, "_cat_profile",
+                            lambda *args: (calls.append(1), profile(*args))[1])
+        met.fit_cat(rho, 3)
+        assert abs(len(calls) - 182) <= 5
+
+
+class TestSmallAmplitude:
+    """The profile near alpha = 0, where the truncated Gram matrix is
+    singular to rounding."""
+
+    @pytest.mark.parametrize("k, alpha", [(2, 1e-12), (4, 1e-5)])
+    def test_profile_is_finite_in_unit_interval(self, k, alpha):
+        # c'Gc rounds to 0 or below at some roots and grid nodes here: they
+        # are skipped, not divided by
+        cfg = HilbertConfig(n_max=30)
+        rho = density(fock_state(3, cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, theta = met._cat_profile(rho, alpha, k)
+        assert math.isfinite(value) and 0.0 <= value <= 1.0
+        assert len(theta) == k - 1 and all(math.isfinite(t) for t in theta)
 
 
 class TestGuardCircle:

@@ -567,6 +567,8 @@ class TestSuperoperatorCache:
         assert builds == []
 
     def test_loss_free_analytic_trajectory_matches_direct(self, builds):
+        # against the oracle's dense Kraus sample, so the run's own sparse
+        # map is checked over 3 dim samples, not only its record bookkeeping
         cfg = HilbertConfig(n_max=12)
         rho0 = density(fock_state(0, cfg))
         config = res.ReservoirConfig(
@@ -577,7 +579,7 @@ class TestSuperoperatorCache:
         assert builds == []
         rho = rho0
         for j in range(1, config.n_samples + 1):
-            rho = res.sample_map(rho, config)
+            rho = analytic_sample(rho, config)
             assert met.mean_photon(rho) == pytest.approx(cached.records[j].n_bar, abs=1e-12)
         assert np.max(np.abs(rho - cached.final_state)) < 1e-12
 
