@@ -19,7 +19,8 @@ with atom basis (|g>, |e>), joint dimension 2*(n_max+1).
 Analytic limits: a resonant segment of pulse area Theta realizes the
 block rotation u_resonant(Theta); a far-detuned segment realizes the
 dephasing u_dispersive(phi0) with phi0 = -(1/4 delta) * int Omega^2 dt;
-the full crossing approaches the composite
+both are Gaussian integrals, taken in closed form with erf and erfc
+(theta_of, phi0_of).  The full crossing approaches the composite
 u_dispersive(phi0) u_resonant(Theta) u_dispersive(phi0)', whose
 off-diagonal blocks pick up exp(+-2i phi0 N) gratings.  On the truncated
 space the top pair partner |g, n_max+1> is absent, so the resonant blocks
@@ -31,11 +32,11 @@ unitary.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from cavres.fock import HilbertConfig
 from cavres.thermal import CavityParams, ThermalPropagator
@@ -157,15 +158,12 @@ def _segments(profile: TransitProfile) -> list[tuple[float, float, float]]:
 
 
 def theta_of(profile: TransitProfile) -> float:
-    """Pulse area of the resonant window, Theta = int Omega dt over [-t_r/2, t_r/2]."""
-    val, _ = quad(
-        lambda t: rabi_coupling(t, profile),
-        -profile.t_r / 2,
-        profile.t_r / 2,
-        epsabs=0.0,
-        epsrel=1e-12,
-    )
-    return val
+    """Pulse area of the resonant window, Theta = int Omega dt over [-t_r/2, t_r/2].
+
+    In closed form, Theta = Omega_0 (w/v) sqrt(pi) erf(v t_r / (2 w)).
+    """
+    w, v = profile.w, profile.v
+    return profile.omega0 * (w / v) * math.sqrt(math.pi) * math.erf(v * profile.t_r / (2 * w))
 
 
 def phi0_of(profile: TransitProfile, segment: str = "second") -> float:
@@ -173,6 +171,11 @@ def phi0_of(profile: TransitProfile, segment: str = "second") -> float:
 
     segment "first" is the approach (delta = +Delta, phi0 < 0, realizing the
     adjoint dephasing); "second" is the exit (delta = -Delta, phi0 > 0).
+    A segment lies on one side of the waist, t_lo <= |t| <= t_hi, so in
+    closed form the integral is
+    Omega_0^2 (w/v) sqrt(pi/8) (erfc(sqrt2 v t_lo / w) - erfc(sqrt2 v t_hi / w));
+    erfc of |t| keeps the difference accurate when the segment lies in the
+    tails, where erf(b) - erf(a) would cancel.
     """
     if profile.delta_disp == 0:
         raise ZeroDetuningError("dispersive phase undefined for delta_disp = 0")
@@ -181,9 +184,10 @@ def phi0_of(profile: TransitProfile, segment: str = "second") -> float:
         t0, t1, delta = segs[segment]
     except KeyError:
         raise ValueError(f"segment must be 'first' or 'second', got {segment!r}") from None
-    val, _ = quad(
-        lambda t: rabi_coupling(t, profile) ** 2, t0, t1, epsabs=0.0, epsrel=1e-12
-    )
+    w, v = profile.w, profile.v
+    t_lo, t_hi = sorted((abs(t0), abs(t1)))
+    tails = math.erfc(math.sqrt(2) * v * t_lo / w) - math.erfc(math.sqrt(2) * v * t_hi / w)
+    val = profile.omega0**2 * (w / v) * math.sqrt(math.pi / 8) * tails
     return -val / (4.0 * delta)
 
 

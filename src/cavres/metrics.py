@@ -49,7 +49,6 @@ from functools import lru_cache
 from operator import mul
 
 import numpy as np
-from scipy.optimize import minimize
 
 from cavres.fock import (
     COHERENT_GUARD,
@@ -292,7 +291,7 @@ def squeezing_db(rho: np.ndarray) -> tuple[float, float]:
 # cat fitting
 # ---------------------------------------------------------------------------
 
-# The amplitude search of fit_cat: scipy's Nelder-Mead tolerances.  The
+# The amplitude search of fit_cat: the Nelder-Mead tolerances.  The
 # phase step: coordinate-ascent sweeps before the Newton finish, the cap on
 # Newton steps, and the cap on sweeps when the finish hands back to them.
 _SIMPLEX = {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000}
@@ -571,23 +570,84 @@ def _cat_profile(rho: np.ndarray, alpha: complex, k: int) -> tuple[float, list[f
     return max(value, 0.0), theta
 
 
+def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
+    """(x, f(x)): the lowest vertex that a Nelder-Mead simplex search of f
+    from x0 reaches.
+
+    The unbounded, non-adaptive method of scipy.optimize.minimize(method=
+    "Nelder-Mead", options=_SIMPLEX), step for step: reflection 1,
+    expansion 2, contraction and shrink 1/2; the first simplex moves each
+    coordinate of x0 in turn by 5 %, or to 0.00025 where it is zero; the
+    search stops once every vertex lies within xatol of the best in each
+    coordinate and every value within fatol of its value, or after
+    maxiter - 1 steps.  The vertices are ordered by the same argsort, twice
+    after the first evaluations, so ties fall as they do there; f gets a
+    copy of each point.
+    """
+    xatol, fatol, maxiter = _SIMPLEX["xatol"], _SIMPLEX["fatol"], _SIMPLEX["maxiter"]
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for j in range(n):
+        sim[j + 1, j] = 1.05 * x0[j] if x0[j] != 0 else 0.00025
+    fsim = np.array([f(x.copy()) for x in sim])
+
+    def ordered(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    sim, fsim = ordered(*ordered(sim, fsim))
+    for _ in range(maxiter - 1):
+        spread = np.max(np.abs(sim[1:] - sim[0])), np.max(np.abs(fsim[0] - fsim[1:]))
+        if spread[0] <= xatol and spread[1] <= fatol:
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr.copy())
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe.copy())
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc.copy())
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc.copy())
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], float(np.min(fsim))
+
+
 def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     """Best ideal k-component cat approximation of rho.
 
     Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): for a fixed component amplitude alpha the best k-1 relative
     phases are solved exactly (_cat_profile), so Nelder-Mead searches only
-    (Re alpha, Im alpha).  An evaluation builds one coherent vector, turns
-    it into the k components with the shared table of roots omega^(j n)
-    (_root_table) and makes one product with rho; the phases then take one
-    closed-form step for k = 2, and for k >= 3 two coordinate-ascent sweeps
-    from the best node of the 8^(k-1) phase grid and a Newton finish.  The
-    profile can hold more than one local maximum in alpha, and on random
-    states each of the two starts finds maxima the other misses: the
-    k-th-moment direction at |alpha| = sqrt(nbar), and the best node of a
-    16 x 16 rake over |Re alpha|, |Im alpha| <= sqrt(nbar) + 1, ranked by the
-    phase grid alone.  Deterministic; the better search's fidelity is
-    re-evaluated from ideal_mfss.
+    (Re alpha, Im alpha); _nelder_mead is scipy's simplex method and
+    tolerances in a few lines, which keeps scipy.optimize out of the import.
+    An evaluation builds one coherent vector, turns it into the k components
+    with the shared table of roots omega^(j n) (_root_table) and makes one
+    product with rho; the phases then take one closed-form step for k = 2,
+    and for k >= 3 two coordinate-ascent sweeps from the best node of the
+    8^(k-1) phase grid and a Newton finish.  The profile can hold more than
+    one local maximum in alpha, and on random states each of the two starts
+    finds maxima the other misses: the k-th-moment direction at |alpha| =
+    sqrt(nbar), and the best node of a 16 x 16 rake over |Re alpha|,
+    |Im alpha| <= sqrt(nbar) + 1, ranked by the phase grid alone.
+    Deterministic; the better search's fidelity is re-evaluated from
+    ideal_mfss.
     """
     if k < 2:
         raise ValueError("a cat needs at least 2 components")
@@ -612,11 +672,11 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
         return -_cat_profile(rho, complex(x[0], x[1]), k)[0]
 
     runs = [
-        minimize(loss, [a0.real, a0.imag], method="Nelder-Mead", options=_SIMPLEX)
+        _nelder_mead(loss, [a0.real, a0.imag])
         for a0 in (mag * np.exp(1j * direction), rake[int(np.argmax(coarse))])
     ]
-    res = min(runs, key=lambda r: r.fun)  # the first on a tie
-    alpha = complex(res.x[0], res.x[1])
+    x, _ = min(runs, key=lambda run: run[1])  # the first on a tie
+    alpha = complex(x[0], x[1])
     phases = tuple(float(p % (2 * np.pi)) for p in _cat_profile(rho, alpha, k)[1])
     reference = ideal_mfss(alpha, k, phases, cfg)
     return CatFitResult(

@@ -19,7 +19,6 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -622,6 +621,9 @@ def sweep_scenario(
     out.mkdir(parents=True, exist_ok=True)
     dirs = [out / f"value_{i}" for i in range(len(values))]
     if max_workers > 1:
+        # imported here: multiprocessing would add to every `import cavres`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             summaries = list(pool.map(run_scenario, configs, dirs))
     else:

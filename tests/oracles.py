@@ -1,19 +1,22 @@
 """Reference forms the library is validated against.
 
-The dense annihilation operator, the thermal state, the dense
+The dense annihilation operator, the thermal state, the pulse area and the
+dispersive phase by adaptive quadrature of the mode profile, the dense
 Jaynes-Cummings Hamiltonian for frozen coupling and detuning, fixed-step RK4
 on the Schrodinger equation and on the full master equation, the transit
 kernel's loss-free unitary as the dense product of its slices, the analytic
 sample as dense Kraus products with each branch relaxed on its own, the
 dissipator in plain matrix form, the Wigner function summed term by term
 from scipy's Laguerre polynomials and by one Clenshaw recurrence per
-diagonal and point, and the cat fit as a Nelder-Mead search over the amplitude and the phases
-together.  None of this runs in the library: every transit there goes
-through the exact pair-block kernel, every analytic sample through one
-sparse product and one relaxation, every relaxation through the
-per-diagonal exponentials of ThermalPropagator, every Wigner map through one
-Clenshaw recurrence per distinct |xi| for all diagonals at once, and every
-cat fit through the amplitude-only search with exact phases.  Tests compare
+diagonal and point, scipy's Nelder-Mead search, and the cat fit as a
+Nelder-Mead search over the amplitude and the phases together.  None of
+this runs in the library: every pulse area and dispersive phase there is a
+closed erf form, every transit goes through the exact pair-block kernel,
+every analytic sample through one sparse product and one relaxation, every
+relaxation through the per-diagonal exponentials of ThermalPropagator,
+every Wigner map through one Clenshaw recurrence per distinct |xi| for all
+diagonals at once, and every cat fit through the amplitude-only search with
+exact phases, driven by the library's own Nelder-Mead steps.  Tests compare
 those fast paths with the brute-force forms kept here.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -36,7 +40,7 @@ from cavres.dynamics import (
     u_composite,
 )
 from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss
-from cavres.metrics import CatFitResult, field_moments, overlap_fidelity
+from cavres.metrics import _SIMPLEX, CatFitResult, field_moments, overlap_fidelity
 from cavres.thermal import CavityParams, ThermalPropagator, _aadag_diag
 
 
@@ -59,6 +63,28 @@ def thermal_state(n_bar: float, cfg: HilbertConfig) -> np.ndarray:
         p = np.exp(n * np.log(n_bar / (1.0 + n_bar)))
         p /= p.sum()
     return np.diag(p).astype(complex)
+
+
+def theta_quad(profile) -> float:
+    """Pulse area of the resonant window, int Omega dt over [-t_r/2, t_r/2]."""
+    val, _ = quad(
+        lambda t: rabi_coupling(t, profile),
+        -profile.t_r / 2,
+        profile.t_r / 2,
+        epsabs=0.0,
+        epsrel=1e-12,
+    )
+    return val
+
+
+def phi0_quad(profile, segment: str = "second") -> float:
+    """Dispersive phase -(1/(4 delta)) int Omega^2 dt over the approach
+    ("first") or exit ("second") segment."""
+    t0, t1, delta = _segments(profile)[0 if segment == "first" else 2]
+    val, _ = quad(
+        lambda t: rabi_coupling(t, profile) ** 2, t0, t1, epsabs=0.0, epsrel=1e-12
+    )
+    return -val / (4.0 * delta)
 
 
 def jc_hamiltonian(omega: float, delta: float, cfg: HilbertConfig) -> np.ndarray:
@@ -289,6 +315,12 @@ def wigner_clenshaw(rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
         coef = np.diagonal(rho, k) * (1.0 if k == 0 else 2.0)
         w = _laguerre_series(coef, k, x) + w * (2.0 / math.sqrt(k + 1) * xi)
     return 2.0 / np.pi * np.exp(-0.5 * x) * w.real
+
+
+def scipy_nelder_mead(f, x0):
+    """scipy's Nelder-Mead search of f from x0 with fit_cat's tolerances;
+    the OptimizeResult holds x, fun, nit and nfev."""
+    return minimize(f, x0, method="Nelder-Mead", options=_SIMPLEX)
 
 
 def _cat_overlap(x: np.ndarray, rho: np.ndarray, k: int, cfg: HilbertConfig) -> float:

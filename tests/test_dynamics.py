@@ -11,7 +11,14 @@ from cavres import dynamics as dyn
 from cavres import reservoir as res
 from cavres.metrics import mean_photon, purity
 from cavres.thermal import CavityParams, rate_block
-from oracles import jc_hamiltonian, kernel_unitary, rk4_master, rk4_transit_unitary
+from oracles import (
+    jc_hamiltonian,
+    kernel_unitary,
+    phi0_quad,
+    rk4_master,
+    rk4_transit_unitary,
+    theta_quad,
+)
 
 OMEGA0 = 2 * np.pi * 50e3
 WAIST = 6e-3
@@ -122,6 +129,42 @@ class TestSchedule:
             dyn.phi0_of(flat, "second")
         with pytest.raises(ValueError):
             dyn.phi0_of(CAT2, "middle")
+
+
+# a long window (|v t| <= 3 w) with a short resonant span, and the same
+# window with a resonant span of 0.8 t_i, whose dispersive segments lie
+# wholly in the tails, 2.4 w <= |v t| <= 3 w
+TAIL_SHORT = dyn.TransitProfile(
+    omega0=OMEGA0, w=WAIST, v=70.0, delta_disp=2.2 * OMEGA0, t_r=5e-6, window_factor=3.0
+)
+TAIL_ONLY = dyn.TransitProfile(
+    omega0=OMEGA0, w=WAIST, v=70.0, delta_disp=2.2 * OMEGA0,
+    t_r=0.8 * 2 * 3.0 * WAIST / 70.0, window_factor=3.0,
+)
+
+
+class TestClosedForms:
+    """The erf forms of Theta and phi0 against quadrature of the profile."""
+
+    @pytest.mark.parametrize("profile", [CAT2, CAT3, SQUEEZE, BANANA, TAIL_SHORT],
+                             ids=["cat2", "cat3", "squeeze", "banana", "tail_short"])
+    def test_match_quadrature(self, profile):
+        assert dyn.theta_of(profile) == pytest.approx(theta_quad(profile), rel=4e-16, abs=0)
+        for segment in ("first", "second"):
+            assert dyn.phi0_of(profile, segment) == pytest.approx(
+                phi0_quad(profile, segment), rel=4e-16, abs=0
+            )
+
+    def test_tail_segments_do_not_cancel(self):
+        # erfc(x) at x = sqrt2 v |t| / w <= 4.25 turns a relative rounding d
+        # of its argument (a few 1e-16) into about 2 x^2 d, 36 d at most, so
+        # the bound is 2e-14; the difference erf(b) - erf(a) of the same
+        # bounds misses by 3e-11, since both lie within 1.6e-6 of 1
+        assert dyn.theta_of(TAIL_ONLY) == pytest.approx(theta_quad(TAIL_ONLY), rel=4e-16, abs=0)
+        for segment in ("first", "second"):
+            assert dyn.phi0_of(TAIL_ONLY, segment) == pytest.approx(
+                phi0_quad(TAIL_ONLY, segment), rel=2e-14, abs=0
+            )
 
 
 class TestAnalyticPropagators:

@@ -22,6 +22,7 @@ from cavres.scenarios import grid_axes
 from oracles import (
     fit_cat_nelder_mead,
     make_ladder,
+    scipy_nelder_mead,
     thermal_state,
     wigner_clenshaw,
     wigner_laguerre,
@@ -483,6 +484,67 @@ class TestCatFit:
         finally:
             tracemalloc.stop()
         assert used <= 2.65e6 / 2
+
+
+class TestNelderMead:
+    """_nelder_mead against scipy's Nelder-Mead with the same tolerances:
+    the same points evaluated in the same order, and the same (x, fun) to
+    the bit."""
+
+    @staticmethod
+    def same_search(rho, k, x0):
+        def recorded(points):
+            def loss(x):
+                points.append(x.tobytes())
+                return -met._cat_profile(rho, complex(x[0], x[1]), k)[0]
+            return loss
+
+        ours, theirs = [], []
+        x, fun = met._nelder_mead(recorded(ours), x0)
+        ref = scipy_nelder_mead(recorded(theirs), x0)
+        assert ours == theirs
+        assert x.tobytes() == ref.x.tobytes() and fun == ref.fun
+        return ref
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bit_identical_to_scipy(self, k):
+        cfg = HilbertConfig(n_max=30)
+        rng = np.random.default_rng(k)
+        for rho in (random_density(cfg.dim, 20 + k, rank=k - 1), dephased_cat(k, 6, cfg)):
+            # a drawn start, and one on the real axis, whose zero coordinate
+            # starts its simplex edge at 0.00025
+            for x0 in (list(rng.normal(size=2)), [rng.normal(), 0.0]):
+                self.same_search(rho, k, x0)
+
+    def test_bit_identical_through_shrinks(self):
+        # a step evaluates one or two points and a shrink four, so more than
+        # two evaluations a step means that steps shrank; past the coherent
+        # guard, at (4, 4), the loss is 0 and every step shrinks
+        rho = random_density(31, 22, rank=3)
+        for x0 in ([0.3, 0.0], [4.0, 4.0]):
+            ref = self.same_search(rho, 2, x0)
+            assert ref.nfev - 3 > 2 * (ref.nit - 1)
+
+    def test_fit_equals_the_scipy_driven_fit(self, monkeypatch):
+        # (n_max, rank, k) of seeded random states
+        cases = [(30, 1, 2), (45, 2, 3), (60, 3, 2), (30, 3, 3), (45, 1, 2), (60, 2, 3),
+                 (30, 2, 4)]
+        states = [(random_density(n_max + 1, 100 + seed, rank=rank), k)
+                  for seed, (n_max, rank, k) in enumerate(cases)]
+        fits = [met.fit_cat(rho, k) for rho, k in states]
+
+        def scipy_search(f, x0):
+            ref = scipy_nelder_mead(f, x0)
+            return ref.x, ref.fun
+
+        monkeypatch.setattr(met, "_nelder_mead", scipy_search)
+        for fit, (rho, k) in zip(fits, states):
+            ref = met.fit_cat(rho, k)
+            assert 0 <= fit.fidelity <= 1
+            assert (fit.alpha, fit.rel_phases, fit.fidelity) == (
+                ref.alpha, ref.rel_phases, ref.fidelity
+            )
+            assert np.array_equal(fit.reference, ref.reference)
 
 
 class TestPhaseStep:
