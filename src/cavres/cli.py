@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import StateInvariantError, TruncationError, validate_density
-from .dynamics import ScheduleError, ZeroDetuningError
+from .dynamics import ZeroDetuningError
 from .reservoir import TrajectoryError
 from . import metrics as met
 from . import scenarios as sc
@@ -26,7 +26,6 @@ _NUMERICAL_ERRORS = (
     TruncationError,
     StateInvariantError,
     TrajectoryError,
-    ScheduleError,
     ZeroDetuningError,
     FloatingPointError,
     np.linalg.LinAlgError,

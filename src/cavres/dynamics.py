@@ -17,16 +17,17 @@ analytic propagator below lives on the joint space ordered atom (x) field
 with atom basis (|g>, |e>), joint dimension 2*(n_max+1).
 
 Analytic limits: a resonant segment of pulse area Theta realizes the
-block rotation u_resonant(Theta); a far-detuned segment realizes the
-dephasing u_dispersive(phi0) with phi0 = -(1/4 delta) * int Omega^2 dt;
-both are Gaussian integrals, taken in closed form with erf and erfc
-(theta_of, phi0_of).  The full crossing approaches the composite
-u_dispersive(phi0) u_resonant(Theta) u_dispersive(phi0)', whose
-off-diagonal blocks pick up exp(+-2i phi0 N) gratings.  On the truncated
-space the top pair partner |g, n_max+1> is absent, so the resonant blocks
-complete the lone |e, n_max> level as identity; this is exactly the
-exponential of the truncated generator and keeps every constructor
-unitary.
+block rotation _pair_coefficients(1, 0, Theta); a far-detuned segment
+realizes the dephasing diag(exp(-i phi0 N)) on g and diag(exp(+i phi0
+(N+1))) on e, with phi0 = -(1/4 delta) * int Omega^2 dt; both are Gaussian
+integrals, taken in closed form with erf and erfc (theta_of, phi0_of).  The
+full crossing approaches the composite U_d(phi0) U_r(Theta) U_d(phi0)', a
+Kerr-conjugated exchange whose off-diagonal pair entries pick up
+exp(+-2i phi0 (n+1)) gratings; the analytic backend holds it only as those
+pair coefficients (reservoir._kraus_pair).  On the truncated space the top
+pair partner |g, n_max+1> is absent, so the resonant blocks complete the
+lone |e, n_max> level as identity; this is exactly the exponential of the
+truncated generator and keeps every step unitary.
 """
 
 from __future__ import annotations
@@ -46,13 +47,8 @@ __all__ = [
     "AtomPreparation",
     "TransitOptions",
     "ZeroDetuningError",
-    "ScheduleError",
-    "rabi_coupling",
     "theta_of",
     "phi0_of",
-    "u_resonant",
-    "u_dispersive",
-    "u_composite",
     "embed_with_atom",
     "trace_atom",
     "TransitKernel",
@@ -61,10 +57,6 @@ __all__ = [
 
 class ZeroDetuningError(ValueError):
     """Dispersive phase requested for a schedule with no detuning."""
-
-
-class ScheduleError(ValueError):
-    """Time outside the transit window, or an ill-formed schedule."""
 
 
 @dataclass(frozen=True)
@@ -138,15 +130,6 @@ class TransitOptions:
 # schedule
 # ---------------------------------------------------------------------------
 
-def rabi_coupling(t: float, profile: TransitProfile) -> float:
-    """Omega(t) along the crossing; defined only inside the transit window."""
-    half = profile.t_i / 2
-    if abs(t) > half * (1 + 1e-12):
-        raise ScheduleError(f"t = {t} outside the transit window +-{half}")
-    x = profile.v * t / profile.w
-    return profile.omega0 * float(np.exp(-x * x))
-
-
 def _segments(profile: TransitProfile) -> list[tuple[float, float, float]]:
     """(t0, t1, delta) for the dispersive/resonant/dispersive segments."""
     half_i, half_r = profile.t_i / 2, profile.t_r / 2
@@ -166,33 +149,27 @@ def theta_of(profile: TransitProfile) -> float:
     return profile.omega0 * (w / v) * math.sqrt(math.pi) * math.erf(v * profile.t_r / (2 * w))
 
 
-def phi0_of(profile: TransitProfile, segment: str = "second") -> float:
-    """Dispersive phase phi0 = -(1/(4 delta)) int Omega(t)^2 dt over one segment.
-
-    segment "first" is the approach (delta = +Delta, phi0 < 0, realizing the
-    adjoint dephasing); "second" is the exit (delta = -Delta, phi0 > 0).
-    A segment lies on one side of the waist, t_lo <= |t| <= t_hi, so in
-    closed form the integral is
+def phi0_of(profile: TransitProfile) -> float:
+    """Dispersive phase phi0 = -(1/(4 delta)) int Omega(t)^2 dt over the exit
+    segment (delta = -Delta, so phi0 > 0).  The approach segment mirrors it
+    in time with delta = +Delta, so its phase is exactly -phi0, the adjoint
+    dephasing.  The exit segment spans t_lo <= t <= t_hi on one side of the
+    waist, so in closed form the integral is
     Omega_0^2 (w/v) sqrt(pi/8) (erfc(sqrt2 v t_lo / w) - erfc(sqrt2 v t_hi / w));
-    erfc of |t| keeps the difference accurate when the segment lies in the
-    tails, where erf(b) - erf(a) would cancel.
+    erfc keeps the difference accurate when the segment lies in the tails,
+    where erf(b) - erf(a) would cancel.
     """
     if profile.delta_disp == 0:
         raise ZeroDetuningError("dispersive phase undefined for delta_disp = 0")
-    segs = {"first": _segments(profile)[0], "second": _segments(profile)[2]}
-    try:
-        t0, t1, delta = segs[segment]
-    except KeyError:
-        raise ValueError(f"segment must be 'first' or 'second', got {segment!r}") from None
+    t_lo, t_hi, delta = _segments(profile)[2]
     w, v = profile.w, profile.v
-    t_lo, t_hi = sorted((abs(t0), abs(t1)))
     tails = math.erfc(math.sqrt(2) * v * t_lo / w) - math.erfc(math.sqrt(2) * v * t_hi / w)
     val = profile.omega0**2 * (w / v) * math.sqrt(math.pi / 8) * tails
     return -val / (4.0 * delta)
 
 
 # ---------------------------------------------------------------------------
-# analytic propagators
+# pair-block propagators
 # ---------------------------------------------------------------------------
 
 def _pair_coefficients(omega, delta, dt, cfg: HilbertConfig):
@@ -245,18 +222,6 @@ def _compose(later, earlier):
     return new_ag, new_ae, new_bg, new_bl
 
 
-def _coeffs_to_matrix(coeffs, cfg: HilbertConfig) -> np.ndarray:
-    ag, ae, bg, bl = coeffs
-    dim = cfg.dim
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    idx = np.arange(dim)
-    u[idx, idx] = ag
-    u[dim + idx, dim + idx] = ae
-    u[1 + idx[:-1], dim + idx[:-1]] = bg
-    u[dim + idx[:-1], 1 + idx[:-1]] = bl
-    return u
-
-
 def _apply_left(coeffs, x: np.ndarray, dim: int) -> np.ndarray:
     """U @ x using the sparse pair structure (x has 2*dim rows, any trailing axes)."""
     ag, ae, bg, bl = (c.reshape(c.shape + (1,) * (x.ndim - 1)) for c in coeffs)
@@ -267,37 +232,6 @@ def _apply_left(coeffs, x: np.ndarray, dim: int) -> np.ndarray:
     np.multiply(ae, xe, out=y[dim:])
     y[dim:-1] += bl * xg[1:]
     return y
-
-
-def u_resonant(theta: float, cfg: HilbertConfig) -> np.ndarray:
-    """Resonant block rotation of pulse area theta.
-
-    |g,n>  ->  cos(theta sqrt(n)/2)   |g,n> - sin(theta sqrt(n)/2)   |e,n-1>
-    |e,n>  ->  cos(theta sqrt(n+1)/2) |e,n> + sin(theta sqrt(n+1)/2) |g,n+1>
-
-    The truncation-orphaned |e, n_max> is left untouched (identity), which
-    matches the exponential of the truncated generator and keeps the matrix
-    unitary.
-    """
-    return _coeffs_to_matrix(_pair_coefficients(1.0, 0.0, theta, cfg), cfg)
-
-
-def u_dispersive(phi0: float, cfg: HilbertConfig) -> np.ndarray:
-    """Dispersive dephasing: diag blocks exp(-i phi0 N) on g, exp(+i phi0 (N+1)) on e."""
-    n = np.arange(cfg.dim)
-    diag = np.concatenate([np.exp(-1j * phi0 * n), np.exp(1j * phi0 * (n + 1))])
-    return np.diag(diag)
-
-
-def u_composite(theta: float, phi0: float, cfg: HilbertConfig) -> np.ndarray:
-    """Composite crossing U_d(phi0) U_r(theta) U_d(phi0)'.
-
-    Equivalently exp(-i h0(N)) U_r(theta) exp(+i h0(N)) with
-    h0(N) = phi0 N (N+1) acting on the field factor: the dispersive wings
-    turn the resonant exchange into a Kerr-conjugated one.
-    """
-    ud = u_dispersive(phi0, cfg)
-    return ud @ u_resonant(theta, cfg) @ ud.conj().T
 
 
 def embed_with_atom(rho_field: np.ndarray, atom_ket: np.ndarray) -> np.ndarray:
@@ -344,8 +278,8 @@ class TransitKernel:
     its pair coefficients (ag, ae, bg, bl; see _pair_coefficients) and acts
     on joint states as O(dim^2) updates of row pairs and column pairs.  The
     dispersive slices are products of exact frozen-midpoint substeps,
-    composed for all slices at once; the resonant slice is u_resonant(Theta)
-    exactly, since there H(t) commutes with itself.
+    composed for all slices at once; the resonant slice is the exact rotation
+    of pulse area Theta, since there H(t) commutes with itself.
 
     With a cavity attached, each slice is Strang-wrapped in two half-steps
     of loss.  All of them share one generator, so the two half-steps that

@@ -110,6 +110,18 @@ def _coherent_amplitudes(alpha: "complex | np.ndarray", dim: int) -> np.ndarray:
     return np.exp(log_mag + 1j * phase)
 
 
+@lru_cache(maxsize=None)
+def _root_table(k: int, dim: int) -> np.ndarray:
+    """(k, dim) table of omega^(j n), omega = e^{2 pi i/k}: row j holds the
+    phases that turn |alpha> into |alpha omega^j>.  Each entry is the root
+    of index (j n) mod k, rounded once, so its rounding does not grow with
+    n; read-only, shared by every call."""
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    table = roots[np.outer(np.arange(k), np.arange(dim)) % k]
+    table.flags.writeable = False
+    return table
+
+
 def _past_guard(alpha: "complex | np.ndarray", n_max: int) -> "bool | np.ndarray":
     """Whether |alpha|^2 exceeds COHERENT_GUARD * n_max, elementwise on an
     array.  Every admission test of an amplitude goes through here, so an
@@ -157,10 +169,7 @@ def ideal_mfss(
     Builds sum_j exp(i theta_j) |alpha exp(2 pi i j / k)> with theta_0 = 0
     and theta_1..theta_{k-1} given by rel_phases, normalized by the norm of
     the truncated vector.  Raises ValueError when the components cancel,
-    and TruncationError when |alpha| is past the coherent guard; that test
-    is made on alpha alone, since the rotated amplitudes share its modulus
-    and a rounded |alpha omega^j| could cross the guard where |alpha| does
-    not.
+    and TruncationError when |alpha| is past the coherent guard.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -173,13 +182,11 @@ def ideal_mfss(
             f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds guard for n_max = {cfg.n_max}"
         )
 
-    alphas = alpha * np.exp(2j * np.pi * np.arange(k) / k)
-    vec = np.zeros(cfg.dim, dtype=complex)
-    scale = 0.0
-    for c, a_j in zip(coeff, alphas):
-        amps = _coherent_amplitudes(a_j, cfg.dim)
-        vec += c * amps
-        scale += np.linalg.norm(amps)
+    # the components share |alpha|: |alpha omega^j> is one coherent vector
+    # times row j of _root_table
+    amps = _coherent_amplitudes(alpha, cfg.dim)
+    vec = amps * (coeff @ _root_table(k, cfg.dim))
+    scale = k * np.linalg.norm(amps)
     # Components that cancel (an odd cat at alpha = 0) leave only rounding
     # residue, about 1e-16 of the components' size; normalizing it would
     # return an arbitrary state, so a norm at that level is no superposition.
@@ -194,10 +201,10 @@ def density(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def canonical_phase(ket: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Fix the global phase: first amplitude above tol made real positive."""
+def canonical_phase(ket: np.ndarray) -> np.ndarray:
+    """Fix the global phase: first amplitude above 1e-12 made real positive."""
     for c in ket:
-        if abs(c) > tol:
+        if abs(c) > 1e-12:
             return ket * np.exp(-1j * np.angle(c))
     return ket
 

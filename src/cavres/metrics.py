@@ -55,6 +55,7 @@ from cavres.fock import (
     HilbertConfig,
     _coherent_amplitudes,
     _past_guard,
+    _root_table,
     ideal_mfss,
 )
 
@@ -484,18 +485,6 @@ def _phase_ascent(
             if done:
                 break
     return value, theta
-
-
-@lru_cache(maxsize=None)
-def _root_table(k: int, dim: int) -> np.ndarray:
-    """(k, dim) table of omega^(j n), omega = e^{2 pi i/k}: row j holds the
-    phases that turn |alpha> into |alpha omega^j>.  Each entry is the root
-    of index (j n) mod k, rounded once, so its rounding does not grow with
-    n; read-only, shared by every fit."""
-    roots = np.exp(2j * np.pi * np.arange(k) / k)
-    table = roots[np.outer(np.arange(k), np.arange(dim)) % k]
-    table.flags.writeable = False
-    return table
 
 
 def _cat_matrices(

@@ -9,15 +9,17 @@ acquires dispersive wings.
 
 Two transit backends share this engine.  "numeric" integrates the full
 time-dependent schedule with loss interleaved (see dynamics); "analytic"
-applies the instantaneous composite propagator.  The deterministic mixing
-mode averages the atom/no-atom branches; monte_carlo draws one branch per
-sample from a seeded generator.
+applies the instantaneous composite crossing, held as its Kraus pair.  The
+deterministic mixing mode averages the atom/no-atom branches; monte_carlo
+draws one branch per sample from a seeded generator.
 
 Both branches of an analytic sample relax over the same t_i, so the sample
 is R((1 - p_at) I + p_at A): one product with a cached sparse map, where
 A = sum_m K_m (x) conj(K_m) is the crossing over its two bidiagonal Kraus
 operators (25,561 nonzeros at n_max 60), then one relaxation R when there
-is a cavity.  A Monte-Carlo draw is the same map at p_at 1 or 0.
+is a cavity.  The composite crossing conserves excitation number, so the
+Kraus pair is built straight from its pair coefficients (_kraus_pair): no
+joint matrix is formed.  A Monte-Carlo draw is the same map at p_at 1 or 0.
 
 The deterministic numeric map is linear in the state, so a numeric run long
 enough to pay for it (n_samples >= 3 dim) first builds the map as one
@@ -51,12 +53,12 @@ from cavres.dynamics import (
     AtomPreparation,
     TransitOptions,
     TransitProfile,
+    _pair_coefficients,
     embed_with_atom,
     get_kernel,
     phi0_of,
     theta_of,
     trace_atom,
-    u_composite,
 )
 from cavres.metrics import MetricsRecord, mean_photon, overlap_fidelity, purity
 
@@ -135,11 +137,35 @@ def _relax_propagator(duration: float, cavity: CavityParams, dim: int) -> Therma
     return ThermalPropagator(duration, cavity, dim)
 
 
-def relax(rho: np.ndarray, duration: float, cavity: CavityParams) -> np.ndarray:
-    """Free thermal relaxation of the field for the given duration."""
+def relax(rho: np.ndarray, duration: float, cavity: CavityParams | None) -> np.ndarray:
+    """Free thermal relaxation of the field for the given duration; cavity
+    None is an ideal cavity, which returns a copy of rho."""
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
+    if cavity is None:
+        return rho.copy()
     return _relax_propagator(duration, cavity, rho.shape[0]).apply(rho)
+
+
+def _kraus_pair(
+    theta: float, phi0: float, psi: np.ndarray, dim: int
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Field-space Kraus pair K_m = (<m_atom| tensor I) U (|psi> tensor I),
+    m in {g, e}, of the composite crossing U = U_d(phi0) U_r(theta) U_d(phi0)'
+    for an atom injected in psi = (psi_g, psi_e).  U keeps the pair blocks of
+    U_r (coefficients ag, ae, bg, bl; see dynamics._pair_coefficients) and
+    the dephasing only adds Kerr gratings to their exchange entries, so
+
+        K_g = psi_g diag(ag) + psi_e subdiag(bg exp(-2i phi0 (n+1)))
+        K_e = psi_e diag(ae) + psi_g superdiag(bl exp(+2i phi0 (n+1)))
+
+    for n = 0 .. dim-2: K_g is lower- and K_e upper-bidiagonal."""
+    psi_g, psi_e = psi
+    ag, ae, bg, bl = _pair_coefficients(1.0, 0.0, theta, HilbertConfig(n_max=dim - 1))
+    grating = np.exp(-2j * phi0 * np.arange(1, dim))
+    k_g = sparse.diags([psi_g * ag, psi_e * (bg * grating)], [0, -1], format="csr")
+    k_e = sparse.diags([psi_e * ae, psi_g * (bl * grating.conj())], [0, 1], format="csr")
+    return k_g, k_e
 
 
 @lru_cache(maxsize=32)
@@ -147,16 +173,11 @@ def _analytic_map(
     profile: TransitProfile, u: float, p_at: float, dim: int
 ) -> sparse.csr_matrix:
     """(1 - p_at) I + p_at A on row-major vec, for the instantaneous composite
-    crossing A = sum_m K_m (x) conj(K_m) over its field-space Kraus pair
-    K_m = (<m_atom| tensor I) U (|u_atom> tensor I), m in {g, e}.  K_g is
-    lower- and K_e upper-bidiagonal, so A has 2 (2 dim - 1)^2 - dim^2
-    entries (11,441 at n_max 40)."""
-    cfg = HilbertConfig(n_max=dim - 1)
-    phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile, "second")
-    u_mat = u_composite(theta_of(profile), phi0, cfg)
-    psi_g, psi_e = AtomPreparation(u).ket()
-    injected = psi_g * u_mat[:, :dim] + psi_e * u_mat[:, dim:]
-    k_g, k_e = map(sparse.csr_matrix, (injected[:dim], injected[dim:]))
+    crossing A = sum_m K_m (x) conj(K_m) over its Kraus pair (_kraus_pair).
+    K_g is lower- and K_e upper-bidiagonal, so A has
+    2 (2 dim - 1)^2 - dim^2 entries (11,441 at n_max 40)."""
+    phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile)
+    k_g, k_e = _kraus_pair(theta_of(profile), phi0, AtomPreparation(u).ket(), dim)
     crossing = (
         sparse.kron(k_g, k_g.conj(), format="csr")
         + sparse.kron(k_e, k_e.conj(), format="csr")
@@ -172,12 +193,6 @@ def _atom_branch(rho: np.ndarray, config: ReservoirConfig) -> np.ndarray:
     cfg = HilbertConfig(n_max=rho.shape[0] - 1)
     kernel = get_kernel(config.profile, cfg, config.cavity, config.options)
     return trace_atom(kernel.propagate(embed_with_atom(rho, config.atom.ket())))
-
-
-def _empty_branch(rho: np.ndarray, config: ReservoirConfig) -> np.ndarray:
-    if config.cavity is None:
-        return rho.copy()
-    return relax(rho, config.profile.t_i, config.cavity)
 
 
 def sample_map(
@@ -199,7 +214,7 @@ def sample_map(
             rng = np.random.default_rng(config.seed)
         p_at = 1.0 if rng.random() < config.p_at else 0.0
     if p_at == 0.0:
-        return _empty_branch(rho, config)
+        return relax(rho, config.profile.t_i, config.cavity)
     if config.backend == "analytic":
         dim = rho.shape[0]
         s_map = _analytic_map(config.profile, config.u, p_at, dim)
@@ -210,7 +225,7 @@ def sample_map(
     atom_part = _atom_branch(rho, config)
     if p_at == 1.0:
         return atom_part
-    return (1.0 - p_at) * _empty_branch(rho, config) + p_at * atom_part
+    return (1.0 - p_at) * relax(rho, config.profile.t_i, config.cavity) + p_at * atom_part
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,7 @@ def ideal_target(config: ScenarioConfig) -> np.ndarray:
     alpha = micromaser_amplitude(config.reservoir.u, theta_of(p))
     ket = coherent_state(alpha, cfg)
     if p.delta_disp > 0:
-        ket = kerr_propagator(phi0_of(p, segment="second"), cfg) @ ket
+        ket = kerr_propagator(phi0_of(p), cfg) @ ket
     return ket
 
 

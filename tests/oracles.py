@@ -1,18 +1,23 @@
 """Reference forms the library is validated against.
 
-The dense annihilation operator, the thermal state, the pulse area and the
-dispersive phase by adaptive quadrature of the mode profile, the dense
-Jaynes-Cummings Hamiltonian for frozen coupling and detuning, fixed-step RK4
-on the Schrodinger equation and on the full master equation, the transit
-kernel's loss-free unitary as the dense product of its slices, the analytic
-sample as dense Kraus products with each branch relaxed on its own, the
+The dense annihilation operator, the thermal state, the coupling Omega(t)
+along the crossing, the pulse area and the dispersive phase by adaptive
+quadrature of the mode profile, the dense Jaynes-Cummings Hamiltonian for
+frozen coupling and detuning, pair coefficients as dense joint matrices, the
+resonant rotation, the dispersive dephasing and the composite crossing
+U_d U_r U_d' as dense joint matrices, fixed-step RK4 on the Schrodinger
+equation and on the full master equation, the transit kernel's loss-free
+unitary as the dense product of its slices, the analytic sample map with its
+Kraus pair sliced out of the dense composite crossing, the analytic sample
+as dense Kraus products with each branch relaxed on its own, the
 dissipator in plain matrix form, the Wigner function summed term by term
 from scipy's Laguerre polynomials and by one Clenshaw recurrence per
 diagonal and point, scipy's Nelder-Mead search, and the cat fit as a
 Nelder-Mead search over the amplitude and the phases together.  None of
 this runs in the library: every pulse area and dispersive phase there is a
 closed erf form, every transit goes through the exact pair-block kernel,
-every analytic sample through one sparse product and one relaxation, every
+every analytic crossing is a Kraus pair built from pair coefficients, every
+analytic sample goes through one sparse product and one relaxation, every
 relaxation through the per-diagonal exponentials of ThermalPropagator,
 every Wigner map through one Clenshaw recurrence per distinct |xi| for all
 diagonals at once, and every cat fit through the amplitude-only search with
@@ -25,19 +30,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln
 
 from cavres.dynamics import (
     AtomPreparation,
-    _coeffs_to_matrix,
     _compose,
+    _pair_coefficients,
     _segments,
     phi0_of,
-    rabi_coupling,
     theta_of,
-    u_composite,
 )
 from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss
 from cavres.metrics import _SIMPLEX, CatFitResult, field_moments, overlap_fidelity
@@ -63,6 +67,19 @@ def thermal_state(n_bar: float, cfg: HilbertConfig) -> np.ndarray:
         p = np.exp(n * np.log(n_bar / (1.0 + n_bar)))
         p /= p.sum()
     return np.diag(p).astype(complex)
+
+
+class ScheduleError(ValueError):
+    """Time outside the transit window, or an ill-formed schedule."""
+
+
+def rabi_coupling(t: float, profile) -> float:
+    """Omega(t) along the crossing; defined only inside the transit window."""
+    half = profile.t_i / 2
+    if abs(t) > half * (1 + 1e-12):
+        raise ScheduleError(f"t = {t} outside the transit window +-{half}")
+    x = profile.v * t / profile.w
+    return profile.omega0 * float(np.exp(-x * x))
 
 
 def theta_quad(profile) -> float:
@@ -98,6 +115,49 @@ def jc_hamiltonian(omega: float, delta: float, cfg: HilbertConfig) -> np.ndarray
     h[1 + idx[:-1], dim + idx[:-1]] = +1j * g   # <g,n+1| H |e,n>
     h[dim + idx[:-1], 1 + idx[:-1]] = -1j * g
     return h
+
+
+def _coeffs_to_matrix(coeffs, cfg: HilbertConfig) -> np.ndarray:
+    ag, ae, bg, bl = coeffs
+    dim = cfg.dim
+    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    idx = np.arange(dim)
+    u[idx, idx] = ag
+    u[dim + idx, dim + idx] = ae
+    u[1 + idx[:-1], dim + idx[:-1]] = bg
+    u[dim + idx[:-1], 1 + idx[:-1]] = bl
+    return u
+
+
+def u_resonant(theta: float, cfg: HilbertConfig) -> np.ndarray:
+    """Resonant block rotation of pulse area theta.
+
+    |g,n>  ->  cos(theta sqrt(n)/2)   |g,n> - sin(theta sqrt(n)/2)   |e,n-1>
+    |e,n>  ->  cos(theta sqrt(n+1)/2) |e,n> + sin(theta sqrt(n+1)/2) |g,n+1>
+
+    The truncation-orphaned |e, n_max> is left untouched (identity), which
+    matches the exponential of the truncated generator and keeps the matrix
+    unitary.
+    """
+    return _coeffs_to_matrix(_pair_coefficients(1.0, 0.0, theta, cfg), cfg)
+
+
+def u_dispersive(phi0: float, cfg: HilbertConfig) -> np.ndarray:
+    """Dispersive dephasing: diag blocks exp(-i phi0 N) on g, exp(+i phi0 (N+1)) on e."""
+    n = np.arange(cfg.dim)
+    diag = np.concatenate([np.exp(-1j * phi0 * n), np.exp(1j * phi0 * (n + 1))])
+    return np.diag(diag)
+
+
+def u_composite(theta: float, phi0: float, cfg: HilbertConfig) -> np.ndarray:
+    """Composite crossing U_d(phi0) U_r(theta) U_d(phi0)'.
+
+    Equivalently exp(-i h0(N)) U_r(theta) exp(+i h0(N)) with
+    h0(N) = phi0 N (N+1) acting on the field factor: the dispersive wings
+    turn the resonant exchange into a Kerr-conjugated one.
+    """
+    ud = u_dispersive(phi0, cfg)
+    return ud @ u_resonant(theta, cfg) @ ud.conj().T
 
 
 def rk4_propagator(
@@ -167,20 +227,39 @@ def kernel_unitary(kernel) -> np.ndarray:
     return _coeffs_to_matrix(acc, kernel.cfg)
 
 
+def dense_kraus_pair(profile, u: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Kraus pair K_m = (<m_atom| tensor I) U (|u_atom> tensor I),
+    m in {g, e}, sliced out of the dense composite crossing U."""
+    phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile)
+    u_mat = u_composite(theta_of(profile), phi0, HilbertConfig(n_max=dim - 1))
+    psi_g, psi_e = AtomPreparation(u).ket()
+    injected = psi_g * u_mat[:, :dim] + psi_e * u_mat[:, dim:]
+    return injected[:dim], injected[dim:]
+
+
+def analytic_map(profile, u: float, p_at: float, dim: int) -> sparse.csr_matrix:
+    """(1 - p_at) I + p_at sum_m K_m (x) conj(K_m) on row-major vec, with the
+    Kraus pair of dense_kraus_pair; exact zeros eliminated."""
+    k_g, k_e = map(sparse.csr_matrix, dense_kraus_pair(profile, u, dim))
+    crossing = (
+        sparse.kron(k_g, k_g.conj(), format="csr")
+        + sparse.kron(k_e, k_e.conj(), format="csr")
+    )
+    identity = sparse.identity(dim * dim, dtype=complex, format="csr")
+    s_map = (1.0 - p_at) * identity + p_at * crossing
+    s_map.eliminate_zeros()
+    return s_map
+
+
 def analytic_sample(rho: np.ndarray, config) -> np.ndarray:
     """One deterministic analytic sample of a ReservoirConfig, each branch
     relaxed on its own: (1 - p) R(rho) + p R(sum_m K_m rho K_m'), with the
-    dense Kraus pair K_m = (<m_atom| tensor I) U (|u_atom> tensor I) of the
-    composite crossing U and R the relaxation over t_i (none without a
-    cavity)."""
+    dense Kraus pair K_m of dense_kraus_pair and R the relaxation over t_i
+    (none without a cavity)."""
     dim = rho.shape[0]
     profile = config.profile
-    phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile, "second")
-    u_mat = u_composite(theta_of(profile), phi0, HilbertConfig(n_max=dim - 1))
-    psi_g, psi_e = AtomPreparation(config.u).ket()
-    injected = psi_g * u_mat[:, :dim] + psi_e * u_mat[:, dim:]
     empty = rho
-    crossed = sum(k @ rho @ k.conj().T for k in (injected[:dim], injected[dim:]))
+    crossed = sum(k @ rho @ k.conj().T for k in dense_kraus_pair(profile, config.u, dim))
     if config.cavity is not None:
         relax = ThermalPropagator(profile.t_i, config.cavity, dim).apply
         empty, crossed = relax(empty), relax(crossed)

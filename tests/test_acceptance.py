@@ -30,7 +30,7 @@ from cavres.fock import (
     ideal_mfss,
     kerr_propagator,
 )
-from oracles import rk4_propagator
+from oracles import _coeffs_to_matrix, rk4_propagator, u_resonant
 
 pytestmark = pytest.mark.acceptance
 
@@ -68,17 +68,23 @@ def cat2_runs(tmp_path_factory):
 
 
 def test_c01_composite_is_kerr_conjugated_exchange():
+    # the library's Kraus pair, built from pair coefficients, against the
+    # dense Kerr-conjugated exchange (I x K) U_r (I x K)' on the injected atom
     cfg = HilbertConfig(n_max=20)
+    dim = cfg.dim
+    psi = dyn.AtomPreparation(0.45 * np.pi).ket()
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
         theta = rng.uniform(0.0, 2 * np.pi)
         phi0 = rng.uniform(-np.pi, np.pi)
-        uc = dyn.u_composite(theta, phi0, cfg)
         k = np.kron(np.eye(2), kerr_propagator(phi0, cfg))
-        ref = k @ dyn.u_resonant(theta, cfg) @ k.conj().T
-        worst = max(worst, float(np.max(np.abs(uc - ref))))
+        ref = k @ u_resonant(theta, cfg) @ k.conj().T
+        injected = psi[0] * ref[:, :dim] + psi[1] * ref[:, dim:]
+        for got, want in zip(res._kraus_pair(theta, phi0, psi, dim),
+                             (injected[:dim], injected[dim:])):
+            worst = max(worst, float(np.max(np.abs(got.toarray() - want))))
     wall = time.perf_counter() - t0
     ok = worst < 1e-12 and wall < 10.0
     report(1, "composite identity", ok,
@@ -93,7 +99,7 @@ def test_c02_transit_matches_closed_forms():
     theta = 1.3
     t_span = theta / omega0
     u_num = rk4_propagator(lambda t: omega0, 0.0, 0.0, t_span, 512, cfg)
-    res_norm = float(np.linalg.norm(u_num - dyn.u_resonant(theta, cfg), 2))
+    res_norm = float(np.linalg.norm(u_num - u_resonant(theta, cfg), 2))
 
     # far-detuned exit wing of the squeeze profile (the kernel's slices after
     # the resonant one) vs pure number-dependent phases
@@ -101,8 +107,8 @@ def test_c02_transit_matches_closed_forms():
     kernel = dyn.TransitKernel(prof, cfg)
     u = np.eye(2 * cfg.dim, dtype=complex)
     for coeffs in kernel.slices[kernel.options.loss_slices + 1:]:
-        u = dyn._coeffs_to_matrix(coeffs, cfg) @ u
-    phi0 = dyn.phi0_of(prof, "second")
+        u = _coeffs_to_matrix(coeffs, cfg) @ u
+    phi0 = dyn.phi0_of(prof)
     n = np.arange(cfg.dim)
     gg = np.diag(u)[: cfg.dim]
     ee = np.diag(u)[cfg.dim:]

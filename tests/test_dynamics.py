@@ -12,12 +12,18 @@ from cavres import reservoir as res
 from cavres.metrics import mean_photon, purity
 from cavres.thermal import CavityParams, rate_block
 from oracles import (
+    ScheduleError,
+    _coeffs_to_matrix,
     jc_hamiltonian,
     kernel_unitary,
     phi0_quad,
+    rabi_coupling,
     rk4_master,
     rk4_transit_unitary,
     theta_quad,
+    u_composite,
+    u_dispersive,
+    u_resonant,
 )
 
 OMEGA0 = 2 * np.pi * 50e3
@@ -73,19 +79,19 @@ class TestTransitProfile:
 
 class TestSchedule:
     def test_peak_coupling(self):
-        assert dyn.rabi_coupling(0.0, CAT2) == pytest.approx(OMEGA0)
+        assert rabi_coupling(0.0, CAT2) == pytest.approx(OMEGA0)
 
     def test_window_edge_value(self):
         # at |v t| = 1.5 w the envelope is exp(-2.25) of the peak
         edge = CAT2.t_i / 2
         want = OMEGA0 * 0.10539922456186433
-        assert dyn.rabi_coupling(edge, CAT2) == pytest.approx(want, rel=1e-12)
+        assert rabi_coupling(edge, CAT2) == pytest.approx(want, rel=1e-12)
 
     def test_outside_window_raises(self):
-        with pytest.raises(dyn.ScheduleError):
-            dyn.rabi_coupling(CAT2.t_i, CAT2)
-        with pytest.raises(dyn.ScheduleError):
-            dyn.rabi_coupling(-CAT2.t_i, CAT2)
+        with pytest.raises(ScheduleError):
+            rabi_coupling(CAT2.t_i, CAT2)
+        with pytest.raises(ScheduleError):
+            rabi_coupling(-CAT2.t_i, CAT2)
 
     def test_detuning_segments(self):
         # +Delta on the approach, 0 across the resonant span, -Delta on the exit
@@ -105,19 +111,16 @@ class TestSchedule:
 
     def test_dispersive_phases(self):
         # phi0 = -(1/4 delta) int Omega^2 over the strict segment bounds
-        assert dyn.phi0_of(CAT2, "second") == pytest.approx(
+        assert dyn.phi0_of(CAT2) == pytest.approx(
             1.8231899075379754, rel=1e-9
         )
-        assert dyn.phi0_of(CAT2, "first") == pytest.approx(
-            -1.8231899075379754, rel=1e-9
-        )
-        assert dyn.phi0_of(CAT3, "second") == pytest.approx(
+        assert dyn.phi0_of(CAT3) == pytest.approx(
             1.0840588639414988, rel=1e-9
         )
-        assert dyn.phi0_of(SQUEEZE, "second") == pytest.approx(
+        assert dyn.phi0_of(SQUEEZE) == pytest.approx(
             0.013071636193054969, rel=1e-9
         )
-        assert dyn.phi0_of(BANANA, "second") == pytest.approx(
+        assert dyn.phi0_of(BANANA) == pytest.approx(
             0.25250667731891474, rel=1e-9
         )
 
@@ -126,9 +129,7 @@ class TestSchedule:
             omega0=OMEGA0, w=WAIST, v=70.0, delta_disp=0.0, t_r=5e-6
         )
         with pytest.raises(dyn.ZeroDetuningError):
-            dyn.phi0_of(flat, "second")
-        with pytest.raises(ValueError):
-            dyn.phi0_of(CAT2, "middle")
+            dyn.phi0_of(flat)
 
 
 # a long window (|v t| <= 3 w) with a short resonant span, and the same
@@ -150,8 +151,9 @@ class TestClosedForms:
                              ids=["cat2", "cat3", "squeeze", "banana", "tail_short"])
     def test_match_quadrature(self, profile):
         assert dyn.theta_of(profile) == pytest.approx(theta_quad(profile), rel=4e-16, abs=0)
-        for segment in ("first", "second"):
-            assert dyn.phi0_of(profile, segment) == pytest.approx(
+        # the approach segment's phase is the exit's, negated
+        for segment, sign in (("first", -1), ("second", 1)):
+            assert sign * dyn.phi0_of(profile) == pytest.approx(
                 phi0_quad(profile, segment), rel=4e-16, abs=0
             )
 
@@ -161,8 +163,8 @@ class TestClosedForms:
         # the bound is 2e-14; the difference erf(b) - erf(a) of the same
         # bounds misses by 3e-11, since both lie within 1.6e-6 of 1
         assert dyn.theta_of(TAIL_ONLY) == pytest.approx(theta_quad(TAIL_ONLY), rel=4e-16, abs=0)
-        for segment in ("first", "second"):
-            assert dyn.phi0_of(TAIL_ONLY, segment) == pytest.approx(
+        for segment, sign in (("first", -1), ("second", 1)):
+            assert sign * dyn.phi0_of(TAIL_ONLY) == pytest.approx(
                 phi0_quad(TAIL_ONLY, segment), rel=2e-14, abs=0
             )
 
@@ -171,22 +173,22 @@ class TestAnalyticPropagators:
     cfg = HilbertConfig(n_max=14)
 
     def test_resonant_unitary(self):
-        assert unitarity_defect(dyn.u_resonant(1.3, self.cfg)) < 1e-10
+        assert unitarity_defect(u_resonant(1.3, self.cfg)) < 1e-10
 
     def test_pi_pulse_swaps_lowest_pair(self):
-        u = dyn.u_resonant(np.pi, self.cfg)
+        u = u_resonant(np.pi, self.cfg)
         dim = self.cfg.dim
         e0 = np.zeros(2 * dim, dtype=complex)
         e0[dim] = 1.0
         out = u @ e0
         assert abs(out[1] - 1.0) < 1e-14
         # and a 2 pi pulse returns |e,0> with a sign flip
-        out2 = dyn.u_resonant(2 * np.pi, self.cfg) @ e0
+        out2 = u_resonant(2 * np.pi, self.cfg) @ e0
         assert abs(out2[dim] + 1.0) < 1e-14
 
     def test_exchange_sign_convention(self):
         theta = 0.7
-        u = dyn.u_resonant(theta, self.cfg)
+        u = u_resonant(theta, self.cfg)
         dim = self.cfg.dim
         assert u[1, dim + 0] == pytest.approx(+np.sin(theta / 2))
         assert u[dim + 0, 1] == pytest.approx(-np.sin(theta / 2))
@@ -197,12 +199,12 @@ class TestAnalyticPropagators:
         theta = 2.1
         gen = jc_hamiltonian(1.0, 0.0, self.cfg)
         want = expm(-1j * theta * gen)
-        got = dyn.u_resonant(theta, self.cfg)
+        got = u_resonant(theta, self.cfg)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_dispersive_diagonal(self):
         phi0 = 0.37
-        u = dyn.u_dispersive(phi0, self.cfg)
+        u = u_dispersive(phi0, self.cfg)
         dim = self.cfg.dim
         n = np.arange(dim)
         assert np.max(np.abs(np.diag(u)[:dim] - np.exp(-1j * phi0 * n))) < 1e-14
@@ -213,9 +215,9 @@ class TestAnalyticPropagators:
         rng = np.random.default_rng(42)
         for _ in range(5):
             theta, phi0 = rng.uniform(0, 2 * np.pi, size=2)
-            uc = dyn.u_composite(theta, phi0, self.cfg)
+            uc = u_composite(theta, phi0, self.cfg)
             k = np.kron(np.eye(2), kerr_propagator(phi0, self.cfg))
-            ref = k @ dyn.u_resonant(theta, self.cfg) @ k.conj().T
+            ref = k @ u_resonant(theta, self.cfg) @ k.conj().T
             assert np.max(np.abs(uc - ref)) < 1e-12
 
     def test_hamiltonian_structure(self):
@@ -233,14 +235,14 @@ class TestBlockStep:
         omega, delta, dt = 3.1e5, 7.7e5, 2.3e-6
         h = jc_hamiltonian(omega, delta, self.cfg)
         want = expm(-1j * h * dt)
-        got = dyn._coeffs_to_matrix(
+        got = _coeffs_to_matrix(
             dyn._pair_coefficients(omega, delta, dt, self.cfg), self.cfg
         )
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_zero_coupling_step_is_pure_detuning_phase(self):
         delta, dt = 5.5e5, 1.1e-6
-        u = dyn._coeffs_to_matrix(
+        u = _coeffs_to_matrix(
             dyn._pair_coefficients(0.0, delta, dt, self.cfg), self.cfg
         )
         dim = self.cfg.dim
@@ -257,7 +259,7 @@ class TestBlockStep:
     def test_sparse_apply_matches_dense(self):
         rng = np.random.default_rng(3)
         co = dyn._pair_coefficients(2.2e5, -4e5, 3e-6, self.cfg)
-        u = dyn._coeffs_to_matrix(co, self.cfg)
+        u = _coeffs_to_matrix(co, self.cfg)
         x = rng.normal(size=(2 * self.cfg.dim, 2 * self.cfg.dim)) + 1j * rng.normal(
             size=(2 * self.cfg.dim, 2 * self.cfg.dim)
         )
@@ -291,8 +293,8 @@ class TestTransitIntegration:
         kernel = dyn.TransitKernel(SQUEEZE, cfg)
         u = np.eye(2 * cfg.dim, dtype=complex)
         for coeffs in kernel.slices[kernel.options.loss_slices + 1:]:
-            u = dyn._coeffs_to_matrix(coeffs, cfg) @ u
-        phi0 = dyn.phi0_of(SQUEEZE, "second")
+            u = _coeffs_to_matrix(coeffs, cfg) @ u
+        phi0 = dyn.phi0_of(SQUEEZE)
         dim = cfg.dim
         n = np.arange(dim)
         gg = np.diag(u)[:dim]
@@ -308,7 +310,7 @@ class TestTransitIntegration:
         # one loss-free analytic sample with an atom, dispersive wings included
         cfg = HilbertConfig(n_max=20)
         rho_f = density(coherent_state(0.9, cfg))
-        u = dyn.u_composite(dyn.theta_of(CAT2), dyn.phi0_of(CAT2, "second"), cfg)
+        u = u_composite(dyn.theta_of(CAT2), dyn.phi0_of(CAT2), cfg)
         got, want = analytic_sample(rho_f, CAT2, 0.45 * np.pi, u)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -318,7 +320,7 @@ class TestTransitIntegration:
             omega0=OMEGA0, w=WAIST, v=70.0, delta_disp=0.0, t_r=5e-6
         )
         rho_f = density(coherent_state(0.5, cfg))
-        u = dyn.u_resonant(dyn.theta_of(flat), cfg)
+        u = u_resonant(dyn.theta_of(flat), cfg)
         got, want = analytic_sample(rho_f, flat, 0.1, u)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -348,10 +350,10 @@ def dense_slices(profile, cfg, options=dyn.TransitOptions()):
                 mid = t0 + k * tau + dt * (j + 0.5)
                 omega = profile.omega0 * np.exp(-((profile.v * mid / profile.w) ** 2))
                 step = dyn._pair_coefficients(omega, delta, dt, cfg)
-                u = dyn._coeffs_to_matrix(step, cfg) @ u
+                u = _coeffs_to_matrix(step, cfg) @ u
             run.append((u, tau))
         wings.append(run)
-    resonant = (dyn.u_resonant(dyn.theta_of(profile), cfg), res[1] - res[0])
+    resonant = (u_resonant(dyn.theta_of(profile), cfg), res[1] - res[0])
     return wings[0] + [resonant] + wings[1]
 
 

@@ -25,7 +25,7 @@ from cavres.dynamics import (
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
-from oracles import analytic_sample
+from oracles import analytic_map, analytic_sample
 
 OMEGA0 = 2 * np.pi * 50e3
 WAIST = 6e-3
@@ -78,6 +78,12 @@ class TestRelax:
         with pytest.raises(ValueError):
             res.relax(random_density(5, seed=1), -1e-3, CavityParams())
 
+    def test_ideal_cavity_returns_a_copy(self):
+        rho = random_density(6, seed=2)
+        out = res.relax(rho, CAT2.t_i, None)
+        assert out is not rho
+        assert np.array_equal(out, rho)
+
 
 class TestSampleMap:
     def test_vacuum_is_resonant_pointer_state(self):
@@ -98,6 +104,18 @@ class TestSampleMap:
         out = res.sample_map(rho, config)
         want = res.relax(rho, CAT2.t_i, cav)
         assert np.max(np.abs(out - want)) < 1e-14
+
+    def test_no_atom_branch_goes_through_relax(self, monkeypatch):
+        # the branch without an atom calls relax by its module name, with or
+        # without a cavity, so a wrapper on reservoir.relax sees every call
+        calls = []
+        relax = res.relax
+        monkeypatch.setattr(res, "relax", lambda *a: calls.append(a[2]) or relax(*a))
+        rho = random_density(8, seed=4)
+        for cavity in (CavityParams(), None):
+            config = res.ReservoirConfig(profile=CAT2, u=0.2, cavity=cavity, p_at=0.0)
+            res.sample_map(rho, config)
+        assert calls == [CavityParams(), None]
 
     def test_preserves_density_invariants(self):
         cfg = HilbertConfig(n_max=14)
@@ -358,6 +376,32 @@ class TestAnalyticSample:
                 drawn = replace(config, p_at=p_at, mixing_mode="deterministic")
                 assert np.max(np.abs(got - analytic_sample(rho, drawn))) < 1e-12
             assert branches == {0.0, 1.0}
+
+    @pytest.mark.parametrize("n_max", [40, 60])
+    @pytest.mark.parametrize("name", ["cat2", "cat3", "squeeze", "banana"])
+    def test_map_matches_dense_build(self, name, n_max):
+        # the map built from the Kraus pair's pair coefficients against the
+        # pair sliced out of the dense composite crossing: one pattern, and
+        # the same entries to rounding
+        profile = sc.preset(name).reservoir.profile
+        for u in U_VALUES:
+            for p_at in (0.3, 1.0):
+                got = res._analytic_map(profile, u, p_at, n_max + 1)
+                want = analytic_map(profile, u, p_at, n_max + 1)
+                assert got.nnz == want.nnz
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.max(np.abs(got.data - want.data)) <= 1e-14 * np.max(np.abs(want.data))
+
+    def test_resonant_map_is_the_dense_build(self):
+        # with no detuning there are no gratings, and every entry is the
+        # dense build's to the bit
+        for n_max in (16, 40):
+            for u in U_VALUES:
+                got = res._analytic_map(RESONANT, u, 0.3, n_max + 1)
+                want = analytic_map(RESONANT, u, 0.3, n_max + 1)
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 class TestSuperoperatorCache:
