@@ -123,12 +123,24 @@ class CatFitResult:
     reference: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _levels(dim: int) -> np.ndarray:
+    """Photon numbers 0 .. dim-1 as floats; read-only, shared by every call."""
+    levels = np.arange(dim, dtype=float)
+    levels.flags.writeable = False
+    return levels
+
+
 def mean_photon(rho: np.ndarray) -> float:
-    return float(np.real(np.diag(rho) @ np.arange(rho.shape[0])))
+    """Mean photon number Tr(N rho): the real part of the diagonal dotted
+    with the photon numbers."""
+    return float(_levels(rho.shape[0]).dot(rho.diagonal().real))
 
 
 def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+    """Squared Frobenius norm |rho|_F^2 = sum |rho_ij|^2, which is Tr rho^2
+    on the Hermitian states validate_density admits."""
+    return float(np.vdot(rho, rho).real)
 
 
 def field_moments(rho: np.ndarray) -> tuple[complex, complex, float]:

@@ -484,17 +484,24 @@ def state_from_text(text: str) -> np.ndarray:
     rows = lines[1:]
     if len(rows) != dim:
         raise ConfigError(f"state file promises {dim} rows, has {len(rows)}")
-    rho = np.empty((dim, dim), dtype=complex)
+    values = np.empty((dim, 2 * dim))
     for i, row in enumerate(rows):
+        cells = row.split(",")
+        if len(cells) == 2 * dim:
+            try:
+                # numpy reads each cell as float() does, in one call per row
+                values[i] = cells
+                continue
+            except ValueError:
+                pass
+        # a cell that is no number, or a wrong count: float() names the cell
         try:
-            cells = np.array([float(c) for c in row.split(",")])
+            cells = [float(c) for c in cells]
         except ValueError as err:
             raise ConfigError(f"state file row {i}: {err}") from None
-        if cells.size != 2 * dim:
-            raise ConfigError(f"state file row {i} has {cells.size} numbers, "
-                              f"expected {2 * dim}")
-        rho[i] = cells[0::2] + 1j * cells[1::2]
-    return rho
+        raise ConfigError(f"state file row {i} has {len(cells)} numbers, "
+                          f"expected {2 * dim}")
+    return values[:, 0::2] + 1j * values[:, 1::2]
 
 
 def _format_summary(config: ScenarioConfig, summary: dict) -> str:

@@ -4,6 +4,7 @@ Frozen constants below were computed from closed forms (Poisson weights,
 coherent-state Gram overlaps) independently of the implementation.
 """
 
+import re
 from math import lgamma
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 
 from cavres.fock import (
     EIG_TOL,
+    HERM_TOL,
     HilbertConfig,
     StateInvariantError,
     TruncationError,
+    _factorization,
     _log_factorials,
     canonical_phase,
     coherent_state,
@@ -281,6 +284,75 @@ class TestValidators:
                 assert verdict == accept
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    # (matrix, message) per input dtype; message None means accepted.  Each
+    # matrix is exact in its dtype, so the verdicts rest on no rounding.
+    DTYPE_CASES = {
+        "real": [
+            ([[0.75, 0.25], [0.25, 0.25]], None),
+            ([[0.75, 0.25], [0.0, 0.25]], "Hermiticity defect 2.500e-01 > 1e-10"),
+            ([[0.75, 0.0], [0.0, 0.5]], "trace 1.25 deviates from 1"),
+            ([[0.5, 0.75], [0.75, 0.5]], "negative eigenvalue -2.500e-01 < -1e-08"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "Hermiticity defect nan > 1e-10"),
+        ],
+        "complex": [
+            ([[0.75, 0.25j], [-0.25j, 0.25]], None),
+            ([[0.75, 0.25j], [0.25j, 0.25]], "Hermiticity defect 5.000e-01 > 1e-10"),
+            ([[0.75, 0.0], [0.0, 0.5]], "trace 1.25 deviates from 1"),
+            ([[0.5, 0.75j], [-0.75j, 0.5]], "negative eigenvalue -2.500e-01 < -1e-08"),
+            ([[1.0, 0.0], [0.0, complex(0.0, np.nan)]], "Hermiticity defect nan > 1e-10"),
+        ],
+        "integer": [
+            ([[1, 0], [0, 0]], None),
+            ([[1, 1], [0, 0]], "Hermiticity defect 1.000e+00 > 1e-10"),
+            ([[1, 0], [0, 1]], "trace 2 deviates from 1"),
+            ([[1, 1], [1, 0]], "negative eigenvalue -6.180e-01 < -1e-08"),
+        ],
+    }
+
+    @pytest.mark.parametrize("dtype, kind", [
+        (np.float32, "real"), (np.float64, "real"),
+        (np.complex64, "complex"), (np.complex128, "complex"), (np.int64, "integer"),
+    ])
+    def test_verdicts_per_input_dtype(self, dtype, kind):
+        # the same verdicts and messages for every dtype, with the potrf of
+        # the factorization dtype looked up once per input dtype: float64
+        # for real and integer inputs, complex128 for complex ones
+        for matrix, message in self.DTYPE_CASES[kind]:
+            rho = np.array(matrix, dtype=dtype)
+            if message is None:
+                assert validate_density(rho) is rho
+            else:
+                with pytest.raises(StateInvariantError, match=re.escape(message)):
+                    validate_density(rho)
+        work, potrf = _factorization(np.dtype(dtype))
+        assert work == (complex if kind == "complex" else float)
+        assert potrf.typecode == ("z" if kind == "complex" else "d")
+        assert _factorization(np.dtype(dtype))[1] is potrf
+
+    def test_boolean_input_is_refused(self):
+        # numpy has no boolean subtraction, so a boolean matrix is refused
+        # with a TypeError before any check, even one that would pass
+        with pytest.raises(TypeError):
+            validate_density(np.array([[True, False], [False, False]]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_hermiticity_verdict_is_the_largest_modulus(self, dtype):
+        # the test is max |rho - rho'| <= HERM_TOL whether the defect sits in
+        # one entry or in every entry above the diagonal (a squared Frobenius
+        # norm far above HERM_TOL^2), and a failure reports the largest modulus
+        if dtype is complex:
+            rho = density(coherent_state(1.0 + 0.5j, CFG20))
+        else:
+            rho = density(coherent_state(1.0, CFG20)).real
+        dim = rho.shape[0]
+        single = np.zeros((dim, dim))
+        single[0, 1] = 1.0
+        spread = np.triu(np.ones((dim, dim)), k=1)
+        for pattern in (single, spread):
+            validate_density(rho + 0.9 * HERM_TOL * pattern)
+            with pytest.raises(StateInvariantError, match="Hermiticity defect 1.100e-10"):
+                validate_density(rho + 1.1 * HERM_TOL * pattern)
 
     def test_thermal_state(self):
         rho = thermal_state(0.05, CFG60)

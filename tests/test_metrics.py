@@ -16,6 +16,7 @@ from cavres.fock import (
     fock_state,
     ideal_mfss,
     kerr_propagator,
+    validate_density,
 )
 import cavres.metrics as met
 from cavres.scenarios import grid_axes
@@ -105,6 +106,20 @@ class TestScalars:
         assert nbar == pytest.approx(
             float(np.real(np.trace(rho @ a.conj().T @ a))), abs=1e-12
         )
+
+    @pytest.mark.parametrize("dim", [8, 17, 41, 61])
+    def test_scalars_match_dense_references(self, dim):
+        # seeded full-rank and low-rank states that validate_density admits:
+        # <N> is Tr(N rho) and the purity Tr rho^2, to 1e-14 relative
+        for seed, rank in ((dim, None), (dim + 1, 3), (dim + 2, 1)):
+            rho = validate_density(random_density(dim, seed, rank=rank))
+            n_op = np.diag(np.arange(dim))
+            assert met.mean_photon(rho) == pytest.approx(
+                np.trace(n_op @ rho).real, rel=1e-14, abs=0
+            )
+            assert met.purity(rho) == pytest.approx(
+                np.einsum("ij,ji->", rho, rho).real, rel=1e-14, abs=0
+            )
 
 
 class TestOverlapFidelity:

@@ -148,6 +148,32 @@ def test_benchmark_trace_hooks_resolve():
             assert hasattr(owner, attr), f"{owner.__name__}.{attr}"
 
 
+def test_trajectory_calls_each_traced_hook_per_sample(monkeypatch):
+    # the tracer times the map, the policing and the record by wrapping these
+    # names on the reservoir module, so a run that inlined one of them would
+    # leave its layer untimed while the names still resolve
+    import numpy as np
+    import cavres.reservoir as res
+    from cavres.dynamics import TransitProfile
+    from cavres.fock import HilbertConfig, density, fock_state
+
+    counts = dict.fromkeys(("sample_map", "validate_density", "mean_photon", "purity"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(res, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(res, name, counted)
+    profile = TransitProfile(omega0=2 * np.pi * 50e3, w=6e-3, v=300.0, delta_disp=0.0, t_r=1.7e-6)
+    n = 5
+    config = res.ReservoirConfig(
+        profile=profile, u=0.2, cavity=None, p_at=1.0, n_samples=n, backend="analytic"
+    )
+    res.run_trajectory(density(fock_state(0, HilbertConfig(n_max=6))), config)
+    assert counts == {"sample_map": n, "validate_density": n + 1, "mean_photon": n + 1,
+                      "purity": n + 1}
+
+
 def test_import_leaves_out_unneeded_modules():
     # every CLI call pays its imports, and the package needs none of these:
     # with scipy.integrate, scipy.optimize (which pulls in scipy.special) and

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cavres.fock import (
+    EIG_TOL,
     HilbertConfig,
     TruncationError,
     coherent_state,
@@ -260,8 +261,108 @@ class TestTrajectory:
     def test_invariant_violation_reports_index(self):
         bad = np.eye(8, dtype=complex) * (0.9 / 8)
         with pytest.raises(res.TrajectoryError) as err:
-            res._police_state(bad, 17, np.arange(8) > 0.9 * 7)
+            res._police_state(bad, 17, 7)
         assert err.value.sample_index == 17
+
+
+def low_density(dim, seed):
+    """Seeded full-rank state on the lower half of the levels, far from the
+    truncation guard."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:dim // 2, :dim // 2] = random_density(dim // 2, seed)
+    return validate_density(rho)
+
+
+class TestRunPolicing:
+    """run_trajectory polices every sample it makes and names the sample."""
+
+    CFG = HilbertConfig(n_max=10)
+    CONFIG = res.ReservoirConfig(
+        profile=RESONANT, u=0.2, cavity=None, p_at=1.0, n_samples=6, backend="analytic"
+    )
+
+    @staticmethod
+    def _planted(monkeypatch, j, bad):
+        """Make the j-th sample_map call of the run return bad."""
+        calls = []
+        sample_map = res.sample_map
+
+        def planted(rho, config, rng=None):
+            calls.append(rho)
+            out = sample_map(rho, config, rng=rng)
+            return bad if len(calls) == j else out
+
+        monkeypatch.setattr(res, "sample_map", planted)
+        return calls
+
+    @staticmethod
+    def _bad_state(kind, dim):
+        rho = density(coherent_state(0.5, HilbertConfig(n_max=dim - 1)))
+        if kind == "non-Hermitian":
+            rho[0, 1] += 1e-6
+        elif kind == "off-trace":
+            rho = 1.01 * rho
+        elif kind == "NaN":
+            rho[2, 1] = np.nan
+        else:  # smallest eigenvalue -2 EIG_TOL, unit trace
+            rho = np.diag([1.0 + 2 * EIG_TOL, -2 * EIG_TOL] + [0.0] * (dim - 2)).astype(complex)
+        return rho
+
+    @pytest.mark.parametrize("kind, message", [
+        ("non-Hermitian", "Hermiticity defect 1.000e-06"),
+        ("off-trace", "trace 1.01"),
+        ("NaN", "Hermiticity defect nan"),
+        ("negative", r"negative eigenvalue -2\.000e-08"),
+    ])
+    @pytest.mark.parametrize("j", [1, 4])
+    def test_bad_sample_raises_with_its_index(self, monkeypatch, kind, message, j):
+        calls = self._planted(monkeypatch, j, self._bad_state(kind, self.CFG.dim))
+        with pytest.raises(res.TrajectoryError, match=f"sample {j}: {message}") as err:
+            res.run_trajectory(density(fock_state(0, self.CFG)), self.CONFIG)
+        assert err.value.sample_index == j
+        assert len(calls) == j
+
+    @pytest.mark.parametrize("level, raises", [(9, False), (10, True)])
+    def test_population_above_the_guard_raises(self, monkeypatch, level, raises):
+        # 0.9 n_max = 9 exactly at n_max 10: only level 10 lies above it
+        bad = np.zeros((self.CFG.dim, self.CFG.dim), dtype=complex)
+        bad[0, 0], bad[level, level] = 1.0 - 1e-3, 1e-3
+        self._planted(monkeypatch, 3, bad)
+        rho0 = density(fock_state(0, self.CFG))
+        if raises:
+            with pytest.raises(TruncationError, match="sample 3: population 1.00e-03"):
+                res.run_trajectory(rho0, self.CONFIG)
+        else:
+            traj = res.run_trajectory(rho0, self.CONFIG)
+            assert len(traj.records) == self.CONFIG.n_samples + 1
+
+    def test_truncation_peak_is_the_largest_tail(self, monkeypatch):
+        # a tail below the 1e-4 abort is reported as the run's peak
+        bad = np.zeros((self.CFG.dim, self.CFG.dim), dtype=complex)
+        bad[0, 0], bad[10, 10] = 1.0 - 5e-5, 5e-5
+        self._planted(monkeypatch, 2, bad)
+        traj = res.run_trajectory(density(fock_state(0, self.CFG)), self.CONFIG)
+        assert traj.truncation_peak >= 5e-5
+        assert traj.truncation_peak < 1e-4
+
+    @pytest.mark.parametrize("dim", [8, 17, 41, 61])
+    def test_records_match_dense_references(self, dim):
+        # every record's nbar, purity and trace error equal Tr(N rho),
+        # Tr rho^2 and |Tr rho - 1| of the state it was taken from
+        states = []
+        config = replace(self.CONFIG, n_samples=4)
+        traj = res.run_trajectory(
+            low_density(dim, seed=dim), config, observer=lambda j, rho: states.append(rho)
+        )
+        n_op = np.diag(np.arange(dim))
+        for rec, rho in zip(traj.records, states, strict=True):
+            assert rec.n_bar == pytest.approx(np.trace(n_op @ rho).real, rel=1e-14, abs=0)
+            assert rec.purity == pytest.approx(
+                np.einsum("ij,ji->", rho, rho).real, rel=1e-14, abs=0
+            )
+            assert rec.trace_error == pytest.approx(
+                abs(np.trace(rho).real - 1.0), rel=1e-14, abs=0
+            )
 
 
 class TestSwitchOff:

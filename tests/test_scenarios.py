@@ -1,6 +1,7 @@
 """Config grammar, presets, the scenario runner, and sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,27 @@ class TestStateText:
         rng = np.random.default_rng(3)
         rho = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         assert np.array_equal(sc.state_from_text(sc.state_to_text(rho)), rho)
+
+    def test_cells_parse_as_float_does(self):
+        # padding, underscores, signed zero, nan, inf and subnormals read as
+        # float() reads them, cell by cell
+        rows = [" 1.5,-0,nan,1_000", "-inf,1e-320,2.5e300,-7"]
+        ref = np.array([[float(c) for c in row.split(",")] for row in rows])
+        rho = sc.state_from_text("# dim: 2\n" + "\n".join(rows) + "\n")
+        assert np.array_equal(rho, ref[:, 0::2] + 1j * ref[:, 1::2], equal_nan=True)
+
+    def test_names_the_first_bad_row(self):
+        # a cell that is no number is named before a wrong count in its row,
+        # and a one-cell row is a wrong count, not a row filled with its value
+        for rows, message in (
+            (["1,0,abc,0", "0,0,1,0"], "row 0: could not convert string to float: 'abc'"),
+            (["1,0,0,x,5", "0,0,1,0"], "row 0: could not convert string to float: 'x'"),
+            (["1,0,0", "0,x,1,0"], "row 0 has 3 numbers, expected 4"),
+            (["1,0,0,0", "0,0,1"], "row 1 has 3 numbers, expected 4"),
+            (["1,0,0,0", "0.5"], "row 1 has 1 numbers, expected 4"),
+        ):
+            with pytest.raises(sc.ConfigError, match=f"^state file {re.escape(message)}$"):
+                sc.state_from_text("# dim: 2\n" + "\n".join(rows) + "\n")
 
     def test_rejects_missing_header(self):
         with pytest.raises(sc.ConfigError):
