@@ -648,7 +648,8 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     sqrt(nbar), and the best node of a 16 x 16 rake over |Re alpha|,
     |Im alpha| <= sqrt(nbar) + 1, ranked by the phase grid alone.
     Deterministic; the better search's fidelity is re-evaluated from
-    ideal_mfss.
+    ideal_mfss.  Of the k relabelings alpha omega^s of one cat, the fit
+    reports the one with -pi/k < arg alpha <= pi/k.
     """
     if k < 2:
         raise ValueError("a cat needs at least 2 components")
@@ -678,7 +679,14 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     ]
     x, _ = min(runs, key=lambda run: run[1])  # the first on a tie
     alpha = complex(x[0], x[1])
-    phases = tuple(float(p % (2 * np.pi)) for p in _cat_profile(rho, alpha, k)[1])
+    theta = [0.0, *_cat_profile(rho, alpha, k)[1]]
+    # alpha omega^s with theta'_j = theta_(j+s) - theta_s is the same cat:
+    # report the one with -pi/k < arg alpha <= pi/k, so the answer does not
+    # depend on which relabeling the search happened to reach
+    s = (1 - math.ceil(k * cmath.phase(alpha) / (2 * math.pi) + 0.5)) % k
+    if s:
+        alpha *= cmath.exp(2j * math.pi * s / k)
+    phases = tuple(float((theta[(j + s) % k] - theta[s]) % (2 * np.pi)) for j in range(1, k))
     reference = ideal_mfss(alpha, k, phases, cfg)
     return CatFitResult(
         alpha=alpha,
@@ -692,17 +700,14 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
-
 def wigner_to_text(grid: WignerGrid) -> str:
     """Two-line header with the axes, then the value matrix row-major."""
     lines = [
-        "# xs: " + " ".join(_fmt(v) for v in grid.xs),
-        "# ys: " + " ".join(_fmt(v) for v in grid.ys),
+        "# xs: " + " ".join(f"{v:.9g}" for v in grid.xs),
+        "# ys: " + " ".join(f"{v:.9g}" for v in grid.ys),
     ]
     for row in grid.values:
-        lines.append(" ".join(_fmt(v) for v in row))
+        lines.append(" ".join(f"{v:.9g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -710,7 +715,7 @@ def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
-            f"{r.sample_index},{_fmt(r.time)},{_fmt(r.n_bar)},"
-            f"{_fmt(r.purity)},{_fmt(r.fidelity)},{_fmt(r.trace_error)}"
+            f"{r.sample_index},{r.time:.9g},{r.n_bar:.9g},"
+            f"{r.purity:.9g},{r.fidelity:.9g},{r.trace_error:.9g}"
         )
     return "\n".join(lines) + "\n"

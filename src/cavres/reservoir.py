@@ -32,11 +32,12 @@ four branch maps K_gg, K_ee, K_ge and K_eg read off probe propagations
 (column grouping over the known diagonal structure, as for sparse
 Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117 (1974)).
 The probes cross the adjoint of the crossing, where one image holds a
-probe's read-off for all four maps as its four atom blocks; with a cavity
-two probes share each propagation and part by Hermiticity, so a build
-takes ceil(dim/2) probe propagations (dim without a cavity).  The branch
-maps depend on neither u nor p_at and are cached, so runs in one process
-that differ only in those two reuse one build.
+probe's read-off for all four maps as its four atom blocks, and R is read
+the same way off the adjoint relaxation.  Two probes share each
+propagation and part by Hermiticity, so a build takes ceil(dim/2) probe
+propagations, and one reader builds each map in its own orientation.  The
+branch maps depend on neither u nor p_at and are cached, so runs in one
+process that differ only in those two reuse one build.
 """
 
 from __future__ import annotations
@@ -232,8 +233,9 @@ def sample_map(
 # sample operator
 # ---------------------------------------------------------------------------
 
-# Probe matrices per kernel call.  Larger batches were up to 9 % faster at
-# n_max 60 but grow the loss steps' workspace in proportion (see CHANGES.md).
+# Probe matrices per push through a map.  Larger batches were up to 9 %
+# faster at n_max 60 but grow the loss steps' workspace in proportion (see
+# CHANGES.md).
 _PROBE_BATCH = 8
 
 
@@ -244,32 +246,50 @@ def _probes(dim: int, levels: np.ndarray) -> np.ndarray:
     return (np.minimum.outer(field, field) == levels[:, None, None]).astype(float)
 
 
-def _diagonal_pattern(dim: int, shift: int) -> tuple[np.ndarray, ...]:
-    """CSR indptr and indices, on row-major vec, of a field map that sends
-    diagonal k (column - row) only to diagonal k + shift, and for each entry
-    in CSR order the flat index into the (dim, dim, dim) stack of probe
-    images it is read from: entry (r, c) of images[p] is the map's element
-    from element p of input diagonal c - r - shift to output entry (r, c).
-    Entries run by row, then by p, whose columns ascend, so the pattern is
-    canonical and maps of one dim and shift share it."""
-    levels = np.arange(dim)
-    k_in = levels[None, :] - levels[:, None] - shift
-    valid = np.abs(k_in)[..., None] + levels < dim
-    row, p = np.nonzero(valid.reshape(dim * dim, dim))
-    k = k_in.reshape(-1)[row]
-    indices = (p + np.maximum(-k, 0)) * dim + p + np.maximum(k, 0)
-    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=2).reshape(-1))))
-    return indptr, indices, p * dim * dim + row
+def _probe_images(push, dim: int) -> np.ndarray:
+    """conj(push(P_p)) for the probes p = 0 .. dim-1, stacked, where push
+    maps a stack of field matrices to a stack of images and preserves
+    Hermiticity.  Probes p and q = p + ceil(dim/2) travel together as
+    P_p + i P_q, and part as the conjugated Hermitian and anti-Hermitian
+    parts of the pair's image W, (conj(W) + W^T)/2 and (W^T - conj(W))/2i:
+    ceil(dim/2) matrices are pushed, _PROBE_BATCH at a time.  Conjugated in
+    the split rather than after it, a real image keeps +0 imaginary parts."""
+    sent = -(-dim // 2)
+    images = None
+    for start in range(0, sent, _PROBE_BATCH):
+        first = np.arange(start, min(start + _PROBE_BATCH, sent))
+        second = first[first + sent < dim] + sent
+        field = _probes(dim, first).astype(complex)
+        field[:len(second)] += 1j * _probes(dim, second)
+        out = push(field)
+        if images is None:
+            images = np.empty((dim, *out.shape[1:]), dtype=complex)
+        out_conj, out_t = out.conj(), out.swapaxes(-1, -2)
+        images[second] = (out_t[:len(second)] - out_conj[:len(second)]) / 2j
+        images[first] = (out_conj + out_t) / 2
+    return images
 
 
-def _diagonal_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
-    """CSR matrix of a field map that sends diagonal k only to k + shift,
-    read off the images of the probes 0 .. dim-1 (see _diagonal_pattern).
-    Exact zeros are kept, so maps of one dim and shift share one pattern."""
+def _read_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
+    """CSR matrix, on row-major vec, of a field map K that sends diagonal k
+    (column - row) only to k + shift, read off images[p] = conj(K'(P_p)),
+    the conjugated probe images under its Hilbert-Schmidt adjoint K'
+    (_probe_images).  K' sends k + shift back to k and P_p holds one element
+    of each diagonal, so row (r, c) of K is images[min(r, c)] along diagonal
+    c - r - shift, in ascending columns.  Exact zeros are kept, so maps of
+    one dim and shift share one pattern."""
     dim = images.shape[-1]
-    indptr, indices, take = _diagonal_pattern(dim, shift)
+    levels = np.arange(dim)
+    k_in = (levels[None, :] - levels[:, None] - shift).reshape(-1)
+    valid = np.abs(k_in)[:, None] + levels < dim
+    row, m = np.nonzero(valid)
+    k = k_in[row]
+    r_in, c_in = m + np.maximum(-k, 0), m + np.maximum(k, 0)
+    probe = np.minimum(*np.divmod(row, dim))
     return sparse.csr_matrix(
-        (images.reshape(-1)[take], indices, indptr), shape=(dim * dim, dim * dim)
+        (images[probe, r_in, c_in], r_in * dim + c_in,
+         np.concatenate(([0], np.cumsum(valid.sum(axis=1))))),
+        shape=(dim * dim, dim * dim),
     )
 
 
@@ -283,64 +303,30 @@ def _branch_maps(
     """K_gg, K_ee, K_ge and K_eg, with K_ab(X) = Tr_atom K(|a><b| tensor X)
     for the lossy crossing K.  Transit and loss both conserve the joint
     excitation difference, so K_gg and K_ee keep each field diagonal k on k,
-    K_ge sends it to k + 1 and K_eg to k - 1; so do their adjoints, with
-    the shifts reversed, and dim probes read off every element.  All four
-    come from the crossing's adjoint K': K_ab'(Y) = <a|K'(I tensor Y)|b>,
-    so one adjoint propagation of I tensor P gives probe P's image under
-    every K_ab' as one atom block, and K_ab is the conjugate transpose of the
-    map read off those images.  I tensor P is Hermitian and K' preserves
-    Hermiticity, so with a cavity probes p and p + ceil(dim/2) travel
-    together as P_p + i P_q and part as the Hermitian and anti-Hermitian
-    parts of the image: ceil(dim/2) probe propagations in all.  Without a
-    cavity the images keep exact zeros that this split would fill with
-    rounding, and the crossing has no loss steps, so each probe travels
-    alone: dim propagations.  None of the four maps depends on the atom
-    state u or on p_at.
+    K_ge sends it to k + 1 and K_eg to k - 1.  All four are read off the
+    crossing's adjoint K': K_ab'(Y) = <a|K'(I tensor Y)|b>, so one adjoint
+    propagation of I tensor P gives probe P's image under every K_ab' as one
+    atom block, and _read_map reads K_ab off those blocks.  I tensor P is
+    Hermitian and K' preserves Hermiticity, so _probe_images pushes
+    ceil(dim/2) paired probes, with or without a cavity.  K' preserves it
+    only to rounding, so where a loss-free map vanishes exactly it holds
+    residue of about 1e-17 instead.  None of the four maps depends on the
+    atom state u or on p_at.
     """
     adjoint = get_kernel(profile, cfg, cavity, options).adjoint()
     dim = cfg.dim
-    paired = cavity is not None
-    sent = -(-dim // 2) if paired else dim
-    # images[a, b, p] = K_ab'(P_p)
-    images = np.empty((2, 2, dim, dim, dim), dtype=complex)
-    for start in range(0, sent, _PROBE_BATCH):
-        first = np.arange(start, min(start + _PROBE_BATCH, sent))
-        second = first[first + sent < dim] + sent
-        field = _probes(dim, first).astype(complex)
-        field[:len(second)] += 1j * _probes(dim, second)
-        joint = np.zeros((len(first), 2, dim, 2, dim), dtype=complex)
+
+    def push(field: np.ndarray) -> np.ndarray:
+        joint = np.zeros((len(field), 2, dim, 2, dim), dtype=complex)
         joint[:, 0, :, 0, :] = field
         joint[:, 1, :, 1, :] = field
-        out = adjoint.propagate_batched(joint.reshape(len(first), 2 * dim, 2 * dim))
-        out = out.reshape(len(first), 2, dim, 2, dim)
-        if paired:
-            out_adj = out.conj().transpose(0, 3, 4, 1, 2)
-            part = (out[:len(second)] - out_adj[:len(second)]) / 2j
-            images[:, :, second] = part.transpose(1, 3, 0, 2, 4)
-            out = (out + out_adj) / 2
-        images[:, :, first] = out.transpose(1, 3, 0, 2, 4)
-    # the k -> k pattern is symmetric, so K_gg and K_ee keep R's pattern
+        return adjoint.propagate_batched(joint.reshape(len(field), 2 * dim, 2 * dim))
+
+    images = _probe_images(push, dim)
     return tuple(
-        _diagonal_map(images[a, b], shift).conj().T.tocsr()
-        for a, b, shift in ((0, 0, 0), (1, 1, 0), (0, 1, -1), (1, 0, 1))
+        _read_map(images[:, a * dim:(a + 1) * dim, b * dim:(b + 1) * dim], shift)
+        for a, b, shift in ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, -1))
     )
-
-
-def _relaxation_map(config: ReservoirConfig, dim: int) -> sparse.csr_matrix:
-    """R, the thermal relaxation over t_i (identity without a cavity), on
-    the diagonal-k-to-k pattern of _diagonal_map that K_gg and K_ee share."""
-    if config.cavity is None:
-        indptr, indices, take = _diagonal_pattern(dim, 0)
-        # take modulo dim^2 is the entry's row
-        identity = (indices == take % (dim * dim)).astype(complex)
-        return sparse.csr_matrix((identity, indices, indptr), shape=(dim * dim, dim * dim))
-    prop = _relax_propagator(config.profile.t_i, config.cavity, dim)
-    # in batches like the branch maps: apply_batched keeps a workspace as
-    # large as its largest call
-    return _diagonal_map(np.concatenate([
-        prop.apply_batched(_probes(dim, np.arange(start, min(start + _PROBE_BATCH, dim))))
-        for start in range(0, dim, _PROBE_BATCH)
-    ]), shift=0)
 
 
 def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
@@ -350,10 +336,12 @@ def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.
     thermal relaxation over t_i (identity without a cavity), and
     S = (1 - p_at) R + p_at A_u, with the lossy crossing
     A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge + c.c. built
-    from the cached u-independent branch maps.  Every map is read off the
-    same steps as the direct path, so the two agree to rounding.  The
-    operator serves numeric crossings only: an analytic sample is already
-    one sparse product (see sample_map).
+    from the cached u-independent branch maps.  R is read like them, off
+    paired probes pushed through its adjoint (_probe_images, _read_map), so
+    it shares the diagonal-k-to-k pattern of K_gg and K_ee.  Every map is
+    read off the same steps as the direct path, so the two agree to
+    rounding.  The operator serves numeric crossings only: an analytic
+    sample is already one sparse product (see sample_map).
     """
     if config.mixing_mode != "deterministic":
         raise ValueError(
@@ -365,7 +353,11 @@ def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.
             "the sample operator serves the numeric backend only, "
             f"got {config.backend!r}"
         )
-    s_map = _relaxation_map(config, cfg.dim)
+    relaxation = (
+        (lambda field: field) if config.cavity is None
+        else _relax_propagator(config.profile.t_i, config.cavity, cfg.dim).adjoint().apply_batched
+    )
+    s_map = _read_map(_probe_images(relaxation, cfg.dim), shift=0)
     if config.p_at > 0.0:
         k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity, config.options)
         psi_g, psi_e = config.atom.ket()

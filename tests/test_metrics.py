@@ -487,6 +487,38 @@ class TestCatFit:
         fit = met.fit_cat(rho, k)
         assert fit.fidelity >= fit_cat_nelder_mead(rho, k).fidelity - 1e-12
 
+    @pytest.mark.parametrize("k, alpha0, theta", [
+        (2, 1.1 * np.exp(1.2j), (0.7,)),
+        (3, 1.6 * np.exp(-0.5j), (1.0, 4.0)),
+        (3, 1.5 * np.exp(0.9j), (2.5, 0.3)),
+    ])
+    def test_one_representative_for_every_relabeling(self, k, alpha0, theta):
+        # alpha omega^s with theta'_j = theta_(j+s) - theta_s is the same
+        # cat for every s; built from each relabeling (and mixed with a
+        # rotation-invariant thermal state), the fit reports the one with
+        # -pi/k < arg alpha <= pi/k, and every relabeling of it has its
+        # fidelity
+        cfg = HilbertConfig(n_max=40)
+        noise = thermal_state(0.3, cfg)
+
+        def relabeled(alpha, phases, s):
+            full = [0.0, *phases]
+            shifted = [(full[(j + s) % k] - full[s]) % (2 * np.pi) for j in range(1, k)]
+            return ideal_mfss(alpha * np.exp(2j * np.pi * s / k), k, shifted, cfg)
+
+        fits = []
+        for s in range(k):
+            rho = 0.8 * density(relabeled(alpha0, theta, s)) + 0.2 * noise
+            fit = met.fit_cat(rho, k)
+            fits.append(fit)
+            assert -np.pi / k < np.angle(fit.alpha) <= np.pi / k
+            for r in range(1, k):
+                other = relabeled(fit.alpha, fit.rel_phases, r)
+                assert abs(met.overlap_fidelity(rho, other) - fit.fidelity) < 1e-12
+        for fit in fits[1:]:
+            assert abs(fit.alpha - fits[0].alpha) < 1e-6
+            assert abs(fit.fidelity - fits[0].fidelity) < 1e-12
+
     def test_peak_memory_of_a_fit(self):
         # a k = 3 fit at n_max 60 peaked at 2.65 MB when the alpha rake
         # formed every node's k components in log space at once
@@ -683,6 +715,25 @@ class TestSerialization:
         assert lines[1].split(",")[4] == "nan"
         # 9 significant digits
         assert lines[2].split(",")[2] == "1.23456789"
+
+    def test_cells_keep_their_text(self):
+        # nine significant digits in each cell's own form, for python and
+        # numpy floats alike
+        recs = [
+            met.MetricsRecord(0, -0.0, np.float64(1 / 3), 1e-300, float("nan"), float("inf")),
+            met.MetricsRecord(1, float("-inf"), 2.5714e-4, np.float64(0.5), 0.25, 1e-13),
+        ]
+        assert met.records_to_csv(recs).split("\n")[1:] == [
+            "0,-0,0.333333333,1e-300,nan,inf",
+            "1,-inf,0.00025714,0.5,0.25,1e-13",
+            "",
+        ]
+        grid = met.WignerGrid(
+            xs=np.array([np.nan, np.inf, -np.inf]),
+            ys=np.array([-0.0]),
+            values=np.array([[1e-300, 2 / 3, -0.0]]),
+        )
+        assert met.wigner_to_text(grid) == "# xs: nan inf -inf\n# ys: -0\n1e-300 0.666666667 -0\n"
 
     def test_wigner_text_round_trip(self):
         cfg = HilbertConfig(n_max=15)

@@ -1,8 +1,9 @@
 """The package namespace is the union of its modules' public names, every
 module-level import in the package is used, every module-level private name
-and every method of a package class is read somewhere in the package, and
-every entry point that the benchmark's tracer wraps is still where it
-looks, and importing the package leaves out the modules it does not need."""
+and every method of a package class is read somewhere in the package, one
+function builds the sample operator's probes, every entry point that the
+benchmark's tracer wraps is still where it looks, and importing the package
+leaves out the modules it does not need."""
 
 import ast
 import importlib
@@ -117,6 +118,29 @@ def test_methods_are_read_by_the_package():
                 ):
                     unread.append(f"{filename}:{node.lineno} {cls.name}.{node.name}")
     assert not unread, unread
+
+
+def test_probe_builder_has_one_caller():
+    # R and the four branch maps are read off one paired-probe path; a
+    # second function that reads the probe builder is a second read-off
+    callers = set()
+
+    def visit(node, filename, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, filename, child.name)
+                continue
+            reads = (
+                isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                and child.id == "_probes"
+            ) or (isinstance(child, ast.Attribute) and child.attr == "_probes")
+            if reads:
+                callers.add(f"{filename}:{owner}")
+            visit(child, filename, owner)
+
+    for filename, tree in _package_trees().items():
+        visit(tree, filename, "<module>")
+    assert len(callers) == 1, sorted(callers)
 
 
 def test_benchmark_trace_hooks_resolve():

@@ -14,7 +14,7 @@ from cavres.fock import (
     fock_state,
     validate_density,
 )
-from cavres.thermal import CavityParams
+from cavres.thermal import CavityParams, ThermalPropagator
 from cavres.dynamics import (
     TransitKernel,
     TransitOptions,
@@ -552,10 +552,13 @@ class TestSuperoperatorCache:
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_matches_sample_map_for_every_u_and_p_at(self, n_max):
+        # with and without a cavity the maps are read off paired probes, and
+        # where they vanish the split leaves rounding residue; at u = 0 and
+        # pi the atom enters in one level and the cross maps drop out
         cfg = HilbertConfig(n_max=n_max)
         states = [random_density(cfg.dim, seed=seed) for seed in (11, 12)]
         for cavity in (CavityParams(), None):
-            for u in U_VALUES:
+            for u in (0.0, *U_VALUES, np.pi):
                 for p_at in (0.3, 1.0):
                     config = res.ReservoirConfig(
                         profile=CAT2, u=u, cavity=cavity, p_at=p_at
@@ -613,29 +616,40 @@ class TestSuperoperatorCache:
 
     def test_branch_maps_are_built_once_for_all_u(self, monkeypatch, tmp_path):
         # the branch maps hold no u: three values of u cost one build, read
-        # off the adjoint crossing in calls of _PROBE_BATCH probes each, two
-        # probes to a matrix with a cavity (ceil(dim/2) in all) and one
-        # without (dim), whether built directly or by a serial sweep
-        pushed = []
+        # off the adjoint crossing in calls of _PROBE_BATCH probe matrices
+        # each, two probes to a matrix (ceil(dim/2) in all) with or without
+        # a cavity, whether built directly or by a serial sweep; R is read
+        # off ceil(dim/2) field matrices through the relaxation at each build
+        pushed, relaxed = [], []
         propagate = TransitKernel.propagate_batched
+        apply_batched = ThermalPropagator.apply_batched
 
         def spy(kernel, stack):
             pushed.append(len(stack))
             return propagate(kernel, stack)
 
+        def spy_relax(prop, mats):
+            if mats.shape[-1] == prop.dim:
+                relaxed.append(len(mats))
+            return apply_batched(prop, mats)
+
         def calls(sent):
             return -(-sent // res._PROBE_BATCH)
 
         monkeypatch.setattr(TransitKernel, "propagate_batched", spy)
+        monkeypatch.setattr(ThermalPropagator, "apply_batched", spy_relax)
         cfg = HilbertConfig(n_max=8)
-        for cavity, sent in ((CavityParams(), 5), (None, 9)):
+        # one call of five field matrices per build with a cavity, none without
+        for cavity, relaxations in ((CavityParams(), [5] * len(U_VALUES)), (None, [])):
             pushed.clear()
+            relaxed.clear()
             res._branch_maps.cache_clear()
             for u in U_VALUES:
                 config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity)
                 res.build_sample_superop(config, cfg)
-            assert sum(pushed) == sent
-            assert len(pushed) == calls(sent)
+            assert sum(pushed) == 5
+            assert len(pushed) == calls(5)
+            assert relaxed == relaxations
 
         pushed.clear()
         res._branch_maps.cache_clear()
@@ -655,15 +669,20 @@ class TestSuperoperatorCache:
         assert sum(pushed) == -(-dim // 2)
         assert len(pushed) == calls(-(-dim // 2))
 
-    @pytest.mark.parametrize("n_max, u, nnz", [
-        (8, 0.0, 145), (8, 0.3 * np.pi, 497), (24, 0.0, 1_201), (24, 0.3 * np.pi, 4_177),
-    ])
-    def test_loss_free_operator_keeps_exact_zeros(self, n_max, u, nnz):
-        # without a cavity each probe crosses alone, so the maps carry no
-        # rounding residue of a Hermitian split where they vanish exactly
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_relaxation_acts_on_non_hermitian_matrices(self, n_max):
+        # R is read off paired probes through its adjoint like the branch
+        # maps; only a non-Hermitian X tests the two probes of a pair apart
         cfg = HilbertConfig(n_max=n_max)
-        config = res.ReservoirConfig(profile=CAT2, u=u, cavity=None)
-        assert res.build_sample_superop(config, cfg).nnz == nnz
+        rng = np.random.default_rng(n_max + 1)
+        for cavity in (CavityParams(), None):
+            config = res.ReservoirConfig(profile=CAT2, u=0.1, cavity=cavity, p_at=0.0)
+            r_map = res.build_sample_superop(config, cfg)
+            for _ in range(3):
+                x = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
+                want = res.relax(x, CAT2.t_i, cavity)
+                got = (r_map @ x.reshape(-1)).reshape(cfg.dim, cfg.dim)
+                assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("extra, builds_expected", [(-1, 0), (0, 1)])
     def test_path_rule_boundary(self, builds, extra, builds_expected):
