@@ -8,9 +8,20 @@ suffixes (``us``, ``ms``, ``s``, ``mm``, ``m``, ``m/s``, ``Hz``, ``kHz``),
 frequencies and are converted to angular units internally; bare numbers are
 already in internal units (seconds, meters, radians, rad/s).
 
+One ordered table, ``_TABLE``, holds each key's kind and default; a
+required key's default is a sentinel that build_config reports as missing.
+A key ``section.field`` sets that field of the section's dataclass
+(HilbertConfig, TransitProfile, CavityParams, ReservoirConfig, AnalysisSpec),
+and ``_FIELDS`` names the exceptions: ``profile.delta`` sets ``delta_disp``,
+``reservoir.loss`` chooses between a CavityParams and None, and the
+``scenario`` and ``output`` keys set no dataclass field.  Parsing, building
+and serialization all walk that table, so a new key is one line in it.
+
 Precedence, lowest to highest: built-in defaults, preset base, config file,
 ``--set`` overrides, dedicated flags.  Serialization emits bare numbers in
-internal units so that ``parse(serialize(config)) == config`` exactly.
+internal units, in table order, so that ``parse(serialize(config)) ==
+config`` exactly; a config without a Wigner grid writes
+``analysis.wigner_grid = off``.
 """
 
 from __future__ import annotations
@@ -57,10 +68,10 @@ class AnalysisSpec:
     """Which analyses a scenario runs on its final state.
 
     wigner_grid is (xmin, xmax, step) applied to both quadrature axes, or
-    None to skip the map.  cat_k >= 2 requests a coherent-component fit of
-    that order.  The squeezing flag marks quadrature squeezing as the
-    scenario's figure of merit; the value is reported in every summary
-    regardless since it is closed-form cheap.
+    None (``off`` in a config) to skip the map.  cat_k >= 2 requests a
+    coherent-component fit of that order.  The squeezing flag marks
+    quadrature squeezing as the scenario's figure of merit; the value is
+    reported in every summary regardless since it is closed-form cheap.
     """
 
     wigner_grid: tuple[float, float, float] | None = (-3.5, 3.5, 0.07)
@@ -107,25 +118,23 @@ _UNIT_TABLES = {
 
 _BOOL_WORDS = {"on": True, "true": True, "off": False, "false": False}
 
-# sentinel factor for detunings declared relative to the Rabi coupling
-_OMEGA0_REL = "omega0"
 
-
-def parse_scalar(kind: str, text: str):
-    """Parse one numeric config value; returns a float, or
-    (_OMEGA0_REL, factor) when the value must be resolved against omega0."""
+def parse_scalar(key: str, text: str, omega0: float | None) -> float:
+    """Parse the numeric value of one key to internal units.  An ``omega0``
+    unit multiplies omega0, which is None while omega0 itself is parsed."""
+    kind = KEYS[key]
     m = _NUMBER_UNIT_RE.match(text)
-    if m is None:
-        raise ConfigError(f"cannot parse value {text!r}")
-    num_s, unit = m.group(1), m.group(2)
-    if num_s is None and unit != "pi":
-        raise ConfigError(f"cannot parse value {text!r}")
+    if m is None or (m.group(1) is None and m.group(2) != "pi"):
+        raise ConfigError(f"{key}: cannot parse value {text!r}")
+    num_s, unit = m.groups()
     num = 1.0 if num_s is None else float(num_s)
-    if kind == "angfreq" and unit == _OMEGA0_REL:
-        return (_OMEGA0_REL, num)
+    if kind == "angfreq" and unit == "omega0":
+        if omega0 is None:
+            raise ConfigError(f"{key} cannot be given in units of itself")
+        return num * omega0
     table = _UNIT_TABLES[kind]
     if unit not in table:
-        raise ConfigError(f"unit {unit!r} not valid for a {kind} value")
+        raise ConfigError(f"{key}: unit {unit!r} not valid for a {kind} value")
     return num * table[unit]
 
 
@@ -179,56 +188,57 @@ def grid_axes(spec: tuple[float, float, float]) -> np.ndarray:
     return np.linspace(xmin, xmin + step * (n - 1), n)
 
 
-# key -> kind; the single source of truth for the config namespace
-KEYS = {
-    "scenario.name": "str",
-    "scenario.preset": "str",
-    "hilbert.n_max": "int",
-    "profile.omega0": "angfreq",
-    "profile.w": "length",
-    "profile.v": "velocity",
-    "profile.t_r": "time",
-    "profile.delta": "angfreq",
-    "profile.window_factor": "float",
-    "reservoir.u": "angle",
-    "reservoir.p_at": "float",
-    "reservoir.n_samples": "int",
-    "reservoir.mixing_mode": "str",
-    "reservoir.seed": "int",
-    "reservoir.backend": "str",
-    "reservoir.loss": "bool",
-    "cavity.t_c": "time",
-    "cavity.n_t": "float",
-    "analysis.wigner_grid": "grid",
-    "analysis.cat_k": "int",
-    "analysis.squeezing": "bool",
-    "output.dir": "str",
-}
-
 OMEGA0_DEFAULT = _TWO_PI * 50e3
 
-_DEFAULTS = {
-    "scenario.name": "custom",
-    "hilbert.n_max": 60,
-    "profile.omega0": OMEGA0_DEFAULT,
-    "profile.w": 6e-3,
-    "profile.window_factor": 1.5,
-    "reservoir.p_at": 0.3,
-    "reservoir.n_samples": 200,
-    "reservoir.mixing_mode": "deterministic",
-    "reservoir.seed": None,
-    "reservoir.backend": "numeric",
-    "reservoir.loss": True,
-    "cavity.t_c": 0.13,
-    "cavity.n_t": 0.05,
-    "analysis.wigner_grid": (-3.5, 3.5, 0.07),
-    "analysis.cat_k": 0,
-    "analysis.squeezing": False,
+# the default of a key that every config must set
+_NO_DEFAULT = object()
+
+# The config namespace, key -> (kind, default), in the order serialize_config
+# writes it; keys whose value may be None come last.  A key section.field
+# sets that field of the section's dataclass, except as _FIELDS says.
+_TABLE = {
+    "scenario.name": ("str", "custom"),
+    "hilbert.n_max": ("int", 60),
+    "profile.omega0": ("angfreq", OMEGA0_DEFAULT),
+    "profile.w": ("length", 6e-3),
+    "profile.v": ("velocity", _NO_DEFAULT),
+    "profile.t_r": ("time", _NO_DEFAULT),
+    "profile.delta": ("angfreq", _NO_DEFAULT),
+    "profile.window_factor": ("float", 1.5),
+    "reservoir.u": ("angle", _NO_DEFAULT),
+    "reservoir.p_at": ("float", 0.3),
+    "reservoir.n_samples": ("int", 200),
+    "reservoir.mixing_mode": ("str", "deterministic"),
+    "reservoir.backend": ("str", "numeric"),
+    "reservoir.loss": ("bool", True),
+    "analysis.cat_k": ("int", 0),
+    "analysis.squeezing": ("bool", False),
+    "output.dir": ("str", None),
+    "reservoir.seed": ("int", None),
+    "cavity.t_c": ("time", 0.13),
+    "cavity.n_t": ("float", 0.05),
+    "analysis.wigner_grid": ("grid", (-3.5, 3.5, 0.07)),
+    "scenario.preset": ("str", None),
+}
+
+# keys whose field is not named after them; None sets no dataclass field
+# (reservoir.loss chooses between CavityParams(**cavity keys) and None)
+_FIELDS = {
+    "profile.delta": "delta_disp",
+    "reservoir.loss": None,
+    "scenario.name": None,
+    "scenario.preset": None,
     "output.dir": None,
 }
 
-# every preset needs these four; defaults cover the rest
-_REQUIRED = ("profile.v", "profile.t_r", "profile.delta", "reservoir.u")
+# key -> kind, the view that parsing and the sweep read
+KEYS = {key: kind for key, (kind, _) in _TABLE.items()}
+
+
+def _field(key: str) -> tuple[str, str | None]:
+    section, _, name = key.partition(".")
+    return section, _FIELDS.get(key, name)
+
 
 _PRESETS = {
     "cat2": {
@@ -287,7 +297,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _resolve(key: str, text: str, omega0: float):
+def _resolve(key: str, text: str, omega0: float | None):
     kind = KEYS[key]
     if kind == "str":
         return text.strip()
@@ -296,16 +306,8 @@ def _resolve(key: str, text: str, omega0: float):
     if kind == "int":
         return _parse_int(text)
     if kind == "grid":
-        return parse_grid(text)
-    try:
-        value = parse_scalar(kind, text)
-    except ConfigError as err:
-        raise ConfigError(f"{key}: {err}") from None
-    if isinstance(value, tuple):
-        if key == "profile.omega0":
-            raise ConfigError("profile.omega0 cannot be given in units of itself")
-        return value[1] * omega0
-    return value
+        return None if text.strip() == "off" else parse_grid(text)
+    return parse_scalar(key, text, omega0)
 
 
 def build_config(
@@ -322,7 +324,7 @@ def build_config(
     else:
         raw.pop("scenario.preset", None)
 
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default) in _TABLE.items()}
     if preset_name is not None:
         try:
             values.update(_PRESETS[preset_name])
@@ -333,48 +335,26 @@ def build_config(
         values["scenario.name"] = preset_name
 
     if "profile.omega0" in raw:
-        values["profile.omega0"] = _resolve(
-            "profile.omega0", raw.pop("profile.omega0"), math.nan
-        )
-    omega0 = values["profile.omega0"]
+        values["profile.omega0"] = _resolve("profile.omega0", raw.pop("profile.omega0"), None)
     for key, text in raw.items():
-        values[key] = _resolve(key, text, omega0)
+        values[key] = _resolve(key, text, values["profile.omega0"])
 
-    missing = [k for k in _REQUIRED if k not in values]
+    missing = [key for key, value in values.items() if value is _NO_DEFAULT]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
+    fields: dict[str, dict] = {}
+    for key, value in values.items():
+        section, field = _field(key)
+        if field is not None:
+            fields.setdefault(section, {})[field] = value
     name = values["scenario.name"]
     try:
-        hilbert = HilbertConfig(n_max=values["hilbert.n_max"])
-        profile = TransitProfile(
-            omega0=values["profile.omega0"],
-            w=values["profile.w"],
-            v=values["profile.v"],
-            delta_disp=values["profile.delta"],
-            t_r=values["profile.t_r"],
-            window_factor=values["profile.window_factor"],
-        )
-        cavity = (
-            CavityParams(t_c=values["cavity.t_c"], n_t=values["cavity.n_t"])
-            if values["reservoir.loss"]
-            else None
-        )
-        reservoir = ReservoirConfig(
-            profile=profile,
-            u=values["reservoir.u"],
-            cavity=cavity,
-            p_at=values["reservoir.p_at"],
-            n_samples=values["reservoir.n_samples"],
-            mixing_mode=values["reservoir.mixing_mode"],
-            seed=values["reservoir.seed"],
-            backend=values["reservoir.backend"],
-        )
-        analysis = AnalysisSpec(
-            wigner_grid=values["analysis.wigner_grid"],
-            cat_k=values["analysis.cat_k"],
-            squeezing=values["analysis.squeezing"],
-        )
+        hilbert = HilbertConfig(**fields["hilbert"])
+        profile = TransitProfile(**fields["profile"])
+        cavity = CavityParams(**fields["cavity"]) if values["reservoir.loss"] else None
+        reservoir = ReservoirConfig(profile=profile, cavity=cavity, **fields["reservoir"])
+        analysis = AnalysisSpec(**fields["analysis"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
     out_dir = values["output.dir"] or os.path.join("runs", name)
@@ -393,36 +373,32 @@ def preset(name: str) -> ScenarioConfig:
 
 
 def config_to_raw(config: ScenarioConfig) -> dict[str, str]:
-    """Canonical raw mapping: bare numbers in internal units, exact repr."""
+    """Canonical raw mapping in table order: bare numbers in internal units,
+    exact repr.  A value of None is left out, but no Wigner grid is off."""
     r = config.reservoir
-    p = r.profile
-    a = config.analysis
-    raw = {
-        "scenario.name": config.name,
-        "hilbert.n_max": repr(config.hilbert.n_max),
-        "profile.omega0": repr(p.omega0),
-        "profile.w": repr(p.w),
-        "profile.v": repr(p.v),
-        "profile.t_r": repr(p.t_r),
-        "profile.delta": repr(p.delta_disp),
-        "profile.window_factor": repr(p.window_factor),
-        "reservoir.u": repr(r.u),
-        "reservoir.p_at": repr(r.p_at),
-        "reservoir.n_samples": repr(r.n_samples),
-        "reservoir.mixing_mode": r.mixing_mode,
-        "reservoir.backend": r.backend,
-        "reservoir.loss": "on" if r.cavity is not None else "off",
-        "analysis.cat_k": repr(a.cat_k),
-        "analysis.squeezing": "on" if a.squeezing else "off",
-        "output.dir": config.out_dir,
-    }
-    if r.seed is not None:
-        raw["reservoir.seed"] = repr(r.seed)
-    if r.cavity is not None:
-        raw["cavity.t_c"] = repr(r.cavity.t_c)
-        raw["cavity.n_t"] = repr(r.cavity.n_t)
-    if a.wigner_grid is not None:
-        raw["analysis.wigner_grid"] = ":".join(repr(g) for g in a.wigner_grid)
+    owners = {"hilbert": config.hilbert, "profile": r.profile, "cavity": r.cavity,
+              "reservoir": r, "analysis": config.analysis}
+    values = {"scenario.name": config.name, "reservoir.loss": r.cavity is not None,
+              "output.dir": config.out_dir}
+    raw = {}
+    for key, kind in KEYS.items():
+        section, field = _field(key)
+        if field is None:
+            value = values.get(key)
+        else:
+            # an ideal cavity has no cavity keys
+            owner = owners[section]
+            value = None if owner is None else getattr(owner, field)
+        if kind == "grid":
+            raw[key] = "off" if value is None else ":".join(map(repr, value))
+        elif value is None:
+            continue
+        elif kind == "str":
+            raw[key] = value
+        elif kind == "bool":
+            raw[key] = "on" if value else "off"
+        else:
+            raw[key] = repr(value)
     return raw
 
 

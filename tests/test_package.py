@@ -1,9 +1,10 @@
 """The package namespace is the union of its modules' public names, every
 module-level import in the package is used, every module-level private name
 and every method of a package class is read somewhere in the package, one
-function builds the sample operator's probes, every entry point that the
-benchmark's tracer wraps is still where it looks, and importing the package
-leaves out the modules it does not need."""
+function builds the sample operator's probes, every dataclass field that a
+config sets has one config key, every entry point that the benchmark's tracer
+wraps is still where it looks, and importing the package leaves out the
+modules it does not need."""
 
 import ast
 import importlib
@@ -141,6 +142,40 @@ def test_probe_builder_has_one_caller():
     for filename, tree in _package_trees().items():
         visit(tree, filename, "<module>")
     assert len(callers) == 1, sorted(callers)
+
+
+def test_config_keys_match_dataclass_fields():
+    # each dataclass field a config sets has exactly one key, and every key
+    # but the scenario, output and loss switch names one such field, so a
+    # field added without a key fails here
+    import dataclasses
+    import cavres.scenarios as sc
+    from cavres.dynamics import TransitProfile
+    from cavres.fock import HilbertConfig
+    from cavres.reservoir import ReservoirConfig
+    from cavres.thermal import CavityParams
+
+    classes = {
+        "hilbert": HilbertConfig,
+        "profile": TransitProfile,
+        "cavity": CavityParams,
+        "reservoir": ReservoirConfig,
+        "analysis": sc.AnalysisSpec,
+    }
+    # ReservoirConfig holds the profile and cavity sections; options has no key
+    held = {"profile", "cavity", "options"}
+    fieldless = {"scenario.name", "scenario.preset", "output.dir", "reservoir.loss"}
+    keys_of = {(section, f.name): [] for section, cls in classes.items()
+               for f in dataclasses.fields(cls)
+               if f.init and not (section == "reservoir" and f.name in held)}
+    for key in sc.KEYS:
+        target = sc._field(key)
+        if key in fieldless:
+            assert target[1] is None, key
+        else:
+            assert target in keys_of, f"{key} names no field: {target}"
+            keys_of[target].append(key)
+    assert {target: keys for target, keys in keys_of.items() if len(keys) != 1} == {}
 
 
 def test_benchmark_trace_hooks_resolve():

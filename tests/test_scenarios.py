@@ -31,7 +31,10 @@ def tiny_raw(**extra):
 class TestPresets:
     def test_known_names(self):
         assert sc.PRESET_NAMES == ("cat2", "cat3", "squeeze", "banana")
-        with pytest.raises(sc.ConfigError):
+        choices = "cat2, cat3, squeeze, banana"
+        with pytest.raises(
+            sc.ConfigError, match=exact(f"unknown preset 'cat9'; choose from {choices}")
+        ):
             sc.preset("cat9")
 
     def test_shared_constants(self):
@@ -73,6 +76,34 @@ class TestPresets:
         assert ba.profile.delta_disp == pytest.approx(7 * ba.profile.omega0)
 
 
+# each malformed line and the message it must fail with
+MALFORMED = {
+    "profile.v = 70 mph": "profile.v: unit 'mph' not valid for a velocity value",
+    "unknown.key = 3": "line 1: unknown key 'unknown.key'",
+    "profile.omega0 = 2 omega0": "profile.omega0 cannot be given in units of itself",
+    "profile.w = 2.2 omega0": "profile.w: unit 'omega0' not valid for a length value",
+    "analysis.wigner_grid = 1:2": "grid spec must be XMIN:XMAX:STEP, got '1:2'",
+    "analysis.wigner_grid = 2:1:0.5": "grid needs xmax > xmin and step > 0",
+    "analysis.wigner_grid = -inf:inf:1": "grid bounds and step must be finite, got -inf:inf:1.0",
+    "analysis.wigner_grid = 0:inf:1": "grid bounds and step must be finite, got 0.0:inf:1.0",
+    "analysis.wigner_grid = 0:1:inf": "grid bounds and step must be finite, got 0.0:1.0:inf",
+    "analysis.wigner_grid = nan:1:0.5": "grid needs xmax > xmin and step > 0",
+    "analysis.wigner_grid = -1e308:1e308:1":
+        "grid bounds and step must be finite, got -1e+308:1e+308:1.0",
+    "analysis.wigner_grid = -3.5:3.5:0.001":
+        "grid -3.5:3.5:0.001 has more than 1001 points per axis",
+    "reservoir.loss = maybe": "expected on/off/true/false, got 'maybe'",
+    "hilbert.n_max = twelve": "expected an integer, got 'twelve'",
+    "reservoir.u =": "line 1: empty value for 'reservoir.u'",
+    "profile.v 70": "line 1: expected 'key = value', got 'profile.v 70'",
+}
+
+
+def exact(message):
+    """A pytest.raises pattern that matches this message and no other."""
+    return f"^{re.escape(message)}$"
+
+
 class TestGrammar:
     def test_unit_suffixes(self):
         raw = sc.parse_config_text(
@@ -111,29 +142,9 @@ class TestGrammar:
         assert sc.build_config(tiny_raw(**{"reservoir.loss": "off"})).reservoir.cavity is None
         assert sc.build_config(tiny_raw(**{"reservoir.loss": "on"})).reservoir.cavity is not None
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "profile.v = 70 mph",
-            "unknown.key = 3",
-            "profile.omega0 = 2 omega0",
-            "profile.w = 2.2 omega0",
-            "analysis.wigner_grid = 1:2",
-            "analysis.wigner_grid = 2:1:0.5",
-            "analysis.wigner_grid = -inf:inf:1",
-            "analysis.wigner_grid = 0:inf:1",
-            "analysis.wigner_grid = 0:1:inf",
-            "analysis.wigner_grid = nan:1:0.5",
-            "analysis.wigner_grid = -1e308:1e308:1",
-            "analysis.wigner_grid = -3.5:3.5:0.001",
-            "reservoir.loss = maybe",
-            "hilbert.n_max = twelve",
-            "reservoir.u =",
-            "profile.v 70",
-        ],
-    )
+    @pytest.mark.parametrize("line", list(MALFORMED))
     def test_rejects_malformed_lines(self, line):
-        with pytest.raises(sc.ConfigError):
+        with pytest.raises(sc.ConfigError, match=exact(MALFORMED[line])):
             sc.build_config(sc.parse_config_text(line), preset_name="cat2")
 
     def test_analysis_spec_rejects_non_finite_grid(self):
@@ -147,11 +158,12 @@ class TestGrammar:
             sc.AnalysisSpec(wigner_grid=(-5.0, 5.0, 0.00999))
 
     def test_rejects_duplicate_key(self):
-        with pytest.raises(sc.ConfigError, match="duplicate"):
+        with pytest.raises(sc.ConfigError, match=exact("line 2: duplicate key 'profile.v'")):
             sc.parse_config_text("profile.v = 70\nprofile.v = 80")
 
     def test_missing_required_keys(self):
-        with pytest.raises(sc.ConfigError, match="missing required"):
+        missing = "profile.v, profile.t_r, profile.delta, reservoir.u"
+        with pytest.raises(sc.ConfigError, match=exact(f"missing required keys: {missing}")):
             sc.build_config({})
 
     def test_preset_key_in_file(self):
@@ -164,6 +176,61 @@ class TestGrammar:
             sc.build_config(tiny_raw(**{"reservoir.p_at": "1.5"}))
         with pytest.raises(sc.ConfigError):
             sc.build_config(tiny_raw(**{"profile.t_r": "1 s"}))
+
+
+# every serialized key but reservoir.loss, away from its default: the text
+# that sets it, in the form serialize_config writes, and the value it sets
+EVERY_KEY = {
+    "scenario.name": ("every-key", "every-key"),
+    "hilbert.n_max": ("12", 12),
+    "profile.omega0": ("300000.0", 300000.0),
+    "profile.w": ("0.005", 0.005),
+    "profile.v": ("71.0", 71.0),
+    "profile.t_r": ("4e-06", 4e-06),
+    "profile.delta": ("650000.0", 650000.0),
+    "profile.window_factor": ("1.6", 1.6),
+    "reservoir.u": ("1.2", 1.2),
+    "reservoir.p_at": ("0.25", 0.25),
+    "reservoir.n_samples": ("7", 7),
+    "reservoir.mixing_mode": ("monte_carlo", "monte_carlo"),
+    "reservoir.backend": ("analytic", "analytic"),
+    "analysis.cat_k": ("3", 3),
+    "analysis.squeezing": ("on", True),
+    "output.dir": ("some/where", "some/where"),
+    "reservoir.seed": ("5", 5),
+    "cavity.t_c": ("0.2", 0.2),
+    "cavity.n_t": ("0.1", 0.1),
+    "analysis.wigner_grid": ("-2.0:2.0:0.5", (-2.0, 2.0, 0.5)),
+}
+
+
+def values_by_key(config):
+    """Each key's value, read off the config's dataclass fields by hand."""
+    r, p, a = config.reservoir, config.profile, config.analysis
+    values = {
+        "scenario.name": config.name,
+        "hilbert.n_max": config.hilbert.n_max,
+        "profile.omega0": p.omega0,
+        "profile.w": p.w,
+        "profile.v": p.v,
+        "profile.t_r": p.t_r,
+        "profile.delta": p.delta_disp,
+        "profile.window_factor": p.window_factor,
+        "reservoir.u": r.u,
+        "reservoir.p_at": r.p_at,
+        "reservoir.n_samples": r.n_samples,
+        "reservoir.mixing_mode": r.mixing_mode,
+        "reservoir.backend": r.backend,
+        "reservoir.loss": r.cavity is not None,
+        "analysis.cat_k": a.cat_k,
+        "analysis.squeezing": a.squeezing,
+        "output.dir": config.out_dir,
+        "reservoir.seed": r.seed,
+        "analysis.wigner_grid": a.wigner_grid,
+    }
+    if r.cavity is not None:
+        values.update({"cavity.t_c": r.cavity.t_c, "cavity.n_t": r.cavity.n_t})
+    return values
 
 
 class TestRoundTrip:
@@ -184,6 +251,35 @@ class TestRoundTrip:
             )
         )
         assert sc.build_config(sc.parse_config_text(sc.serialize_config(c))) == c
+
+    @pytest.mark.parametrize("loss", ["on", "off"])
+    def test_every_key_away_from_its_default(self, loss):
+        # loss off is the non-default, but it drops the cavity keys; with
+        # loss on the other 20 keys are all set away from their defaults
+        given = {key: text for key, (text, _) in EVERY_KEY.items()}
+        want = {key: value for key, (_, value) in EVERY_KEY.items()}
+        given["reservoir.loss"], want["reservoir.loss"] = loss, loss == "on"
+        if loss == "off":
+            for key in ("cavity.t_c", "cavity.n_t"):
+                del given[key], want[key]
+        assert len(given) == (21 if loss == "on" else 19)
+        c = sc.build_config(given)
+        assert values_by_key(c) == want
+        defaults = values_by_key(sc.build_config(tiny_raw()))
+        for key, value in want.items():
+            if key != "reservoir.loss" or loss == "off":
+                assert defaults[key] != value, key
+        text = sc.serialize_config(c)
+        assert sc.parse_config_text(text) == given
+        assert sc.build_config(sc.parse_config_text(text)) == c
+
+    def test_no_wigner_grid(self):
+        c = sc.build_config(tiny_raw(**{"analysis.wigner_grid": "off"}))
+        assert c.analysis.wigner_grid is None
+        text = sc.serialize_config(c)
+        assert "\nanalysis.wigner_grid = off\n" in text
+        assert sc.build_config(sc.parse_config_text(text)) == c
+        assert sc.with_override(c, "reservoir.u", "0.3pi").analysis.wigner_grid is None
 
     def test_with_override_changes_one_key(self):
         c = sc.preset("cat2")
@@ -368,6 +464,17 @@ class TestSweep:
         assert len(summaries) == 1
         direct = sc.run_scenario(config, out_dir=tmp_path / "direct")
         assert summaries[0]["nbar"] == pytest.approx(direct["nbar"], abs=1e-12)
+
+    def test_no_wigner_grid_writes_no_map(self, tmp_path):
+        config = sc.build_config(
+            tiny_raw(**{"reservoir.n_samples": "2", "analysis.wigner_grid": "off"})
+        )
+        out = tmp_path / "sw"
+        sc.sweep_scenario(config, "reservoir.p_at", ["0.25"], out_dir=out)
+        assert (out / "value_0" / "metrics.csv").exists()
+        assert not (out / "value_0" / "wigner_final.txt").exists()
+        echo = (out / "value_0" / "summary.txt").read_text().split("[config]\n", 1)[1]
+        assert "analysis.wigner_grid = off" in echo.splitlines()
 
     def test_rejects_unknown_parameter(self, tmp_path):
         config = sc.build_config(tiny_raw())
