@@ -93,21 +93,32 @@ def _log_factorials(dim: int) -> np.ndarray:
     return lg
 
 
+@lru_cache(maxsize=None)
+def _sqrt_levels(dim: int) -> np.ndarray:
+    """sqrt(n) for 1 <= n < dim; read-only, shared by every call."""
+    table = np.sqrt(np.arange(1, dim, dtype=float))
+    table.flags.writeable = False
+    return table
+
+
 def _coherent_amplitudes(alpha: "complex | np.ndarray", dim: int) -> np.ndarray:
-    """Unnormalized truncated coherent amplitudes, log-space magnitudes.
+    """Unnormalized truncated coherent amplitudes e^{-|alpha|^2/2}
+    alpha^n / sqrt(n!), n < dim, as one cumulative product of
+    e^{-|alpha|^2/2} and the factors alpha / sqrt(j), j = 1 .. n; alpha = 0
+    gives the vacuum exactly.
 
     alpha may be an array; the amplitudes then run along a new last axis.
+    Past |alpha| = 37.6 the leading factor e^{-|alpha|^2/2} falls below the
+    normal range (1e-308): it loses precision and then vanishes, and every
+    amplitude with it.  Callers either refuse that range by the coherent
+    guard (|alpha|^2 <= COHERENT_GUARD * n_max, below 37.6^2 while n_max is
+    at most 2,300) or discard the amplitudes there, as fit_cat's rake does.
     """
-    alpha = np.asarray(alpha, dtype=complex)[..., None]
-    n = np.arange(dim)
-    mag = np.abs(alpha)
-    lg = _log_factorials(dim)
-    # alpha = 0 is the vacuum: n log|alpha| is 0 at n = 0 and -inf above
-    log_pow = n * np.log(np.where(mag > 0, mag, 1.0))
-    log_pow = np.where((mag == 0) & (n > 0), -np.inf, log_pow)
-    log_mag = -0.5 * mag**2 + log_pow - 0.5 * lg
-    phase = np.angle(alpha) * n
-    return np.exp(log_mag + 1j * phase)
+    alpha = np.asarray(alpha, dtype=complex)
+    amps = np.empty((*alpha.shape, dim), dtype=complex)
+    amps[..., 0] = np.exp(-0.5 * (alpha.real**2 + alpha.imag**2))
+    np.divide(alpha[..., None], _sqrt_levels(dim), out=amps[..., 1:])
+    return np.multiply.accumulate(amps, axis=-1, out=amps)
 
 
 @lru_cache(maxsize=None)

@@ -30,13 +30,17 @@ the truncated state at every xi.
 The best-fit cat is found by variable projection.  At a fixed component
 amplitude alpha the overlap with a k-component cat is a ratio c'Mc / c'Gc
 of k x k forms in the component coefficients c = (1, e^{i theta_1}, ...).
-The components share |alpha|, so they are one truncated coherent vector
-times the rows of a cached table of the roots omega^(j n), and M and G come
-from one product with rho.  The relative phases are solved exactly: by one
-closed-form step for k = 2; for k >= 3 by two sweeps of coordinate ascent in
-closed-form steps from the best node of a phase grid, finished by Newton
-steps on all phases at once.  Nelder-Mead then searches alpha alone, from
-the k-th-moment direction and from the best node of a coarse alpha rake.
+The components share |alpha|, so they are one truncated coherent vector (one
+cumulative product) times the rows of a cached table of the roots
+omega^(j n), and M and G come from one product with rho.  The relative
+phases are solved exactly: by one closed-form step for k = 2; for k >= 3 by
+two sweeps of coordinate ascent in closed-form steps from the best node of a
+phase grid (one real product of the forms with a cached table of the nodes'
+coefficient pairs), finished by Newton steps on all phases at once.
+Nelder-Mead then searches alpha alone, its simplex held in Python floats,
+from the k-th-moment direction and from the best node of a coarse alpha
+rake.  The k x k steps and the simplex are plain Python, where numpy's
+per-call cost would dominate.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from cavres.fock import (
     COHERENT_GUARD,
     HilbertConfig,
     _coherent_amplitudes,
+    _log_factorials,
     _past_guard,
     _root_table,
     ideal_mfss,
@@ -521,25 +526,29 @@ def _cat_matrices(
 
 
 @lru_cache(maxsize=None)
-def _phase_nodes(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 8^(k-1) grid of relative phases, its rows of coefficients
-    c = (1, e^{i theta_1}, ...) and their conjugates; read-only, shared by
-    every fit."""
+def _phase_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 8^(k-1) grid of relative phases and the (2k^2, 8^(k-1)) real
+    table that turns a k x k form F, viewed as its (Re F_ij, Im F_ij) pairs,
+    into Re(c'Fc) at every node's coefficients c = (1, e^{i theta_1}, ...):
+    column p holds (Re w_ij, -Im w_ij) with w_ij = conj(c_i) c_j.  Read-only,
+    shared by every fit."""
     axis = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     nodes = np.stack(np.meshgrid(*([axis] * (k - 1)), indexing="ij"), axis=-1)
     nodes = nodes.reshape(-1, k - 1)
     coeff = np.exp(1j * np.concatenate([np.zeros((len(nodes), 1)), nodes], axis=1))
-    conj = coeff.conj()
-    nodes.flags.writeable = coeff.flags.writeable = conj.flags.writeable = False
-    return nodes, coeff, conj
+    w = coeff.conj()[:, :, None] * coeff[:, None, :]
+    table = np.stack((w.real, -w.imag), axis=-1).reshape(len(nodes), -1).T
+    nodes.flags.writeable = table.flags.writeable = False
+    return nodes, table
 
 
 def _phase_grid(m: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best value of c'Mc / c'Gc on the 8^(k-1) grid of relative phases, and
-    its node, for each pair of a (B, k, k) stack.  Nodes where c'Gc is not
+    its node, for each pair of a (B, k, k) stack: one real product of the
+    forms' (re, im) pairs with _phase_nodes' table.  Nodes where c'Gc is not
     positive are skipped; the node c = (1, ..., 1) never is."""
-    nodes, c, c_conj = _phase_nodes(m.shape[-1])
-    forms = np.einsum("pi,bij,pj->bp", c_conj, np.concatenate((m, g)), c).real
+    nodes, table = _phase_nodes(m.shape[-1])
+    forms = np.concatenate((m, g)).view(float).reshape(2 * len(m), -1) @ table
     num, den = forms[: len(m)], forms[len(m):]
     vals = np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0)
     return vals.max(axis=1), nodes[vals.argmax(axis=1)]
@@ -573,7 +582,7 @@ def _cat_profile(rho: np.ndarray, alpha: complex, k: int) -> tuple[float, list[f
 
 def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
     """(x, f(x)): the lowest vertex that a Nelder-Mead simplex search of f
-    from x0 reaches.
+    from the two-coordinate x0 reaches.
 
     The unbounded, non-adaptive method of scipy.optimize.minimize(method=
     "Nelder-Mead", options=_SIMPLEX), step for step: reflection 1,
@@ -581,53 +590,57 @@ def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
     coordinate of x0 in turn by 5 %, or to 0.00025 where it is zero; the
     search stops once every vertex lies within xatol of the best in each
     coordinate and every value within fatol of its value, or after
-    maxiter - 1 steps.  The vertices are ordered by the same argsort, twice
-    after the first evaluations, so ties fall as they do there; f gets a
-    copy of each point.
+    maxiter - 1 steps.  The three vertices and their values are Python
+    floats, where numpy's per-call cost would dominate, and every new
+    coordinate is the same one rounding of the same expression as scipy's.
+    They are ordered by a stable sort with NaN last, twice after the first
+    evaluations, as scipy orders them by np.argsort, which on three entries
+    is stable too, so ties fall as they do there; f gets each point as a
+    new array.
     """
     xatol, fatol, maxiter = _SIMPLEX["xatol"], _SIMPLEX["fatol"], _SIMPLEX["maxiter"]
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for j in range(n):
-        sim[j + 1, j] = 1.05 * x0[j] if x0[j] != 0 else 0.00025
-    fsim = np.array([f(x.copy()) for x in sim])
+    x, y = (float(v) for v in x0)
+    sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)]
+    fsim = [f(np.array(p)) for p in sim]
 
     def ordered(sim, fsim):
-        order = np.argsort(fsim)
-        return np.take(sim, order, 0), np.take(fsim, order, 0)
+        order = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+        return [sim[i] for i in order], [fsim[i] for i in order]
 
     sim, fsim = ordered(*ordered(sim, fsim))
     for _ in range(maxiter - 1):
-        spread = np.max(np.abs(sim[1:] - sim[0])), np.max(np.abs(fsim[0] - fsim[1:]))
-        if spread[0] <= xatol and spread[1] <= fatol:
+        (bx, by), (mx, my), (wx, wy) = sim  # best, middle, worst
+        # written so that a NaN fails the test, as it fails scipy's max
+        if all(abs(v) <= xatol for v in (mx - bx, my - by, wx - bx, wy - by)) and all(
+            abs(fsim[0] - v) <= fatol for v in fsim[1:]
+        ):
             break
-        xbar = sim[:-1].sum(axis=0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr.copy())
+        xbar, ybar = (bx + mx) / 2, (by + my) / 2
+        xr = (2 * xbar - wx, 2 * ybar - wy)
+        fxr = f(np.array(xr))
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe.copy())
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            xe = (3 * xbar - 2 * wx, 3 * ybar - 2 * wy)
+            fxe = f(np.array(xe))
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[1]:
+            sim[2], fsim[2] = xr, fxr
         else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc.copy())
+            if fxr < fsim[2]:  # outside contraction
+                xc = (1.5 * xbar - 0.5 * wx, 1.5 * ybar - 0.5 * wy)
+                fxc = f(np.array(xc))
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc.copy())
-                accept = fxc < fsim[-1]
+                xc = (0.5 * xbar + 0.5 * wx, 0.5 * ybar + 0.5 * wy)
+                fxc = f(np.array(xc))
+                accept = fxc < fsim[2]
             if accept:
-                sim[-1], fsim[-1] = xc, fxc
+                sim[2], fsim[2] = xc, fxc
             else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j].copy())
+                for j in (1, 2):
+                    sim[j] = (bx + 0.5 * (sim[j][0] - bx), by + 0.5 * (sim[j][1] - by))
+                    fsim[j] = f(np.array(sim[j]))
         sim, fsim = ordered(sim, fsim)
-    return sim[0], float(np.min(fsim))
+    return np.array(sim[0]), float(np.min(fsim))
 
 
 def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
@@ -658,7 +671,7 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     mag = math.sqrt(max(mean_photon(rho), 1e-6))
     # <a^k> of an equally spaced cat is alpha^k regardless of the phases,
     # so the k-th moment pins the pointer direction up to relabeling
-    log_fact = np.cumsum(np.log(np.maximum(np.arange(cfg.dim), 1)))
+    log_fact = _log_factorials(cfg.dim)
     a_k = complex(np.sum(np.exp(0.5 * (log_fact[k:] - log_fact[:-k])) * np.diag(rho, k=-k)))
     direction = np.angle(a_k) / k if abs(a_k) > 1e-12 else 0.0
     axis = np.linspace(-(mag + 1.0), mag + 1.0, 16)

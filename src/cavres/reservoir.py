@@ -233,10 +233,15 @@ def sample_map(
 # sample operator
 # ---------------------------------------------------------------------------
 
-# Probe matrices per push through a map.  Larger batches were up to 9 %
-# faster at n_max 60 but grow the loss steps' workspace in proportion (see
+# Probe matrices per push through a map: as many as fit in the joint
+# (2 dim x 2 dim) entries of _PROBE_BATCH of them at n_max 60, and never
+# fewer than _PROBE_BATCH.  Larger pushes were up to 9 % faster at n_max 60
+# but grow the loss steps' workspace in proportion, so up to n_max 60 no
+# field needs more workspace than n_max 60 does, and a smaller field goes out
+# in fewer pushes, each of which pays the propagation's fixed cost (see
 # CHANGES.md).
 _PROBE_BATCH = 8
+_PROBE_ENTRIES = _PROBE_BATCH * 122**2
 
 
 def _probes(dim: int, levels: np.ndarray) -> np.ndarray:
@@ -252,12 +257,14 @@ def _probe_images(push, dim: int) -> np.ndarray:
     Hermiticity.  Probes p and q = p + ceil(dim/2) travel together as
     P_p + i P_q, and part as the conjugated Hermitian and anti-Hermitian
     parts of the pair's image W, (conj(W) + W^T)/2 and (W^T - conj(W))/2i:
-    ceil(dim/2) matrices are pushed, _PROBE_BATCH at a time.  Conjugated in
-    the split rather than after it, a real image keeps +0 imaginary parts."""
+    ceil(dim/2) matrices are pushed, as many at a time as _PROBE_ENTRIES
+    admits.  Conjugated in the split rather than after it, a real image keeps
+    +0 imaginary parts."""
     sent = -(-dim // 2)
+    batch = max(_PROBE_BATCH, _PROBE_ENTRIES // (2 * dim) ** 2)
     images = None
-    for start in range(0, sent, _PROBE_BATCH):
-        first = np.arange(start, min(start + _PROBE_BATCH, sent))
+    for start in range(0, sent, batch):
+        first = np.arange(start, min(start + batch, sent))
         second = first[first + sent < dim] + sent
         field = _probes(dim, first).astype(complex)
         field[:len(second)] += 1j * _probes(dim, second)

@@ -408,9 +408,12 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 
 def with_override(config: ScenarioConfig, key: str, value: str) -> ScenarioConfig:
+    """config with one key set to value.  The transit step settings
+    (ReservoirConfig.options) have no key, so they are carried over."""
     raw = config_to_raw(config)
     raw[key] = value
-    return build_config(raw)
+    new = build_config(raw)
+    return replace(new, reservoir=replace(new.reservoir, options=config.reservoir.options))
 
 
 def ideal_target(config: ScenarioConfig) -> np.ndarray:

@@ -12,16 +12,19 @@ Kraus pair sliced out of the dense composite crossing, the analytic sample
 as dense Kraus products with each branch relaxed on its own, the
 dissipator in plain matrix form, the Wigner function summed term by term
 from scipy's Laguerre polynomials and by one Clenshaw recurrence per
-diagonal and point, scipy's Nelder-Mead search, and the cat fit as a
-Nelder-Mead search over the amplitude and the phases together.  None of
-this runs in the library: every pulse area and dispersive phase there is a
-closed erf form, every transit goes through the exact pair-block kernel,
-every analytic crossing is a Kraus pair built from pair coefficients, every
-analytic sample goes through one sparse product and one relaxation, every
-relaxation through the per-diagonal exponentials of ThermalPropagator,
-every Wigner map through one Clenshaw recurrence per distinct |xi| for all
-diagonals at once, and every cat fit through the amplitude-only search with
-exact phases, driven by the library's own Nelder-Mead steps.  Tests compare
+diagonal and point, truncated coherent amplitudes in mpmath arithmetic, the
+cat fit's phase grid as one einsum, scipy's Nelder-Mead search, and the cat
+fit as a Nelder-Mead search over the amplitude and the phases together.
+None of this runs in the library: every pulse area and dispersive phase
+there is a closed erf form, every transit goes through the exact pair-block
+kernel, every analytic crossing is a Kraus pair built from pair
+coefficients, every analytic sample goes through one sparse product and one
+relaxation, every relaxation through the per-diagonal exponentials of
+ThermalPropagator, every Wigner map through one Clenshaw recurrence per
+distinct |xi| for all diagonals at once, every coherent vector is one
+cumulative product in double precision, every phase grid one real matrix
+product, and every cat fit goes through the amplitude-only search with exact
+phases, driven by the library's own Nelder-Mead steps.  Tests compare
 those fast paths with the brute-force forms kept here.
 """
 
@@ -394,6 +397,35 @@ def wigner_clenshaw(rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
         coef = np.diagonal(rho, k) * (1.0 if k == 0 else 2.0)
         w = _laguerre_series(coef, k, x) + w * (2.0 / math.sqrt(k + 1) * xi)
     return 2.0 / np.pi * np.exp(-0.5 * x) * w.real
+
+
+def coherent_amplitudes_mp(alpha: complex, dim: int) -> list[complex]:
+    """e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < dim, each formed on its
+    own in 40-digit mpmath arithmetic and rounded once to a complex
+    double."""
+    import mpmath  # a test dependency only, imported where it is used
+
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha)
+        lead = mpmath.exp(-abs(a) ** 2 / 2)
+        return [complex(lead * a**n / mpmath.sqrt(mpmath.factorial(n))) for n in range(dim)]
+
+
+def phase_grid_einsum(m: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best value of c'Mc / c'Gc on the 8^(k-1) grid of relative phases,
+    and its node, for each pair of a (B, k, k) stack, as one three-operand
+    einsum of the nodes' coefficients c = (1, e^{i theta_1}, ...), their
+    conjugates and the forms; nodes where c'Gc is not positive are
+    skipped."""
+    k = m.shape[-1]
+    axis = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+    nodes = np.stack(np.meshgrid(*([axis] * (k - 1)), indexing="ij"), axis=-1)
+    nodes = nodes.reshape(-1, k - 1)
+    c = np.exp(1j * np.concatenate([np.zeros((len(nodes), 1)), nodes], axis=1))
+    forms = np.einsum("pi,bij,pj->bp", c.conj(), np.concatenate((m, g)), c).real
+    num, den = forms[: len(m)], forms[len(m):]
+    vals = np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0)
+    return vals.max(axis=1), nodes[vals.argmax(axis=1)]
 
 
 def scipy_nelder_mead(f, x0):

@@ -4,18 +4,21 @@ Frozen constants below were computed from closed forms (Poisson weights,
 coherent-state Gram overlaps) independently of the implementation.
 """
 
+import cmath
 import re
-from math import lgamma
+from math import lgamma, pi, sqrt
 
 import numpy as np
 import pytest
 
 from cavres.fock import (
+    COHERENT_GUARD,
     EIG_TOL,
     HERM_TOL,
     HilbertConfig,
     StateInvariantError,
     TruncationError,
+    _coherent_amplitudes,
     _factorization,
     _log_factorials,
     canonical_phase,
@@ -26,7 +29,7 @@ from cavres.fock import (
     kerr_propagator,
     validate_density,
 )
-from oracles import make_ladder, thermal_state
+from oracles import coherent_amplitudes_mp, make_ladder, thermal_state
 
 CFG20 = HilbertConfig(n_max=20)
 CFG60 = HilbertConfig(n_max=60)
@@ -95,6 +98,33 @@ class TestCoherent:
         psi = coherent_state(0.0, CFG20)
         assert psi[0] == pytest.approx(1.0)
         assert np.all(psi[1:] == 0)
+
+    def test_amplitudes_match_mpmath(self):
+        # the cumulative product against each amplitude formed on its own in
+        # 40-digit arithmetic, up to the coherent guard of every dim
+        # (the amplitudes of a smaller dim are the leading ones of dim 61)
+        pytest.importorskip("mpmath")
+        dims = range(2, CFG60.dim + 1)
+        worst = 0.0
+        for phase in (0.0, 0.9, 2.5, -1.7, pi):
+            cases = [(mag, dims) for mag in (0.0, 1e-3, 0.5, 3.0)]
+            cases += [(sqrt(COHERENT_GUARD * (dim - 1)), [dim]) for dim in dims]
+            for mag, sizes in cases:
+                alpha = mag * cmath.exp(1j * phase)
+                want = np.array(coherent_amplitudes_mp(alpha, max(sizes)))
+                for dim in sizes:
+                    got, ref = _coherent_amplitudes(alpha, dim), want[:dim]
+                    live = np.abs(ref) > 1e-300
+                    err = np.abs(got - ref)[live] / np.abs(ref[live])
+                    worst = max(worst, err.max())
+        assert worst <= 1e-13
+
+    def test_zero_amplitude_is_the_vacuum(self):
+        for dim in (2, 17, 61):
+            want = np.zeros(dim, dtype=complex)
+            want[0] = 1.0
+            assert np.array_equal(_coherent_amplitudes(0.0, dim), want)
+            assert np.array_equal(_coherent_amplitudes(np.zeros(3), dim), np.tile(want, (3, 1)))
 
     def test_log_factorial_table_is_shared_and_read_only(self):
         table = _log_factorials(CFG60.dim)

@@ -23,6 +23,7 @@ from cavres.scenarios import grid_axes
 from oracles import (
     fit_cat_nelder_mead,
     make_ladder,
+    phase_grid_einsum,
     scipy_nelder_mead,
     thermal_state,
     wigner_clenshaw,
@@ -616,6 +617,25 @@ class TestPhaseStep:
                 value, _ = met._cat_profile(rho, alpha, k)
                 m, g = met._cat_matrices(rho, np.array([alpha]), k)
                 assert value >= self.scan(m[0], g[0], k, points) - 1e-12
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_phase_grid_matches_einsum(self, k):
+        # seeded Hermitian positive stacks, and the forms of a state at
+        # amplitudes across the rake's range: the same best node everywhere
+        rng = np.random.default_rng(30 + k)
+
+        def gram(count):
+            z = rng.normal(size=(count, k, k)) + 1j * rng.normal(size=(count, k, k))
+            return z @ z.conj().transpose(0, 2, 1)
+
+        cfg = HilbertConfig(n_max=40)
+        alphas = rng.uniform(-4, 4, 64) + 1j * rng.uniform(-4, 4, 64)
+        rho = random_density(cfg.dim, 40 + k, rank=2)
+        for m, g in ((gram(64), gram(64)), met._cat_matrices(rho, alphas, k)):
+            values, nodes = met._phase_grid(m, g)
+            want_values, want_nodes = phase_grid_einsum(m, g)
+            assert np.array_equal(nodes, want_nodes)
+            assert np.all(np.abs(values - want_values) <= 1e-14 * np.abs(want_values))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_profile_is_the_truncated_overlap(self, k):

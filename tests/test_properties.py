@@ -1,6 +1,7 @@
 """Standalone property suites: algebraic identities, channel invariants,
 Wigner marginals, and byte-level reproducibility."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.polynomial.hermite import hermval
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
-from cavres.fock import HilbertConfig, validate_density
+from cavres.fock import COHERENT_GUARD, HilbertConfig, validate_density
 from cavres.thermal import CavityParams
 from cavres.dynamics import TransitProfile
 from oracles import make_ladder
@@ -123,6 +124,18 @@ def quadrature_density(rho, xs):
         ]
     )
     return np.real(np.einsum("xm,mn,xn->x", psi, rho, psi.conj()))
+
+
+class TestCatFitBounds:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_random_states(self, k):
+        # seeded rank-1 to rank-3 states at n_max 30 to 60: the fit returns,
+        # with a fidelity in [0, 1] and an amplitude the coherent guard admits
+        for seed, (n_max, rank) in enumerate(itertools.product((30, 45, 60), (1, 2, 3))):
+            rho = ginibre_density(n_max + 1, 100 * k + seed, rank=rank)
+            fit = met.fit_cat(rho, k)
+            assert 0.0 <= fit.fidelity <= 1.0
+            assert abs(fit.alpha) ** 2 <= COHERENT_GUARD * n_max
 
 
 class TestWignerMarginal:

@@ -616,10 +616,12 @@ class TestSuperoperatorCache:
 
     def test_branch_maps_are_built_once_for_all_u(self, monkeypatch, tmp_path):
         # the branch maps hold no u: three values of u cost one build, read
-        # off the adjoint crossing in calls of _PROBE_BATCH probe matrices
-        # each, two probes to a matrix (ceil(dim/2) in all) with or without
-        # a cavity, whether built directly or by a serial sweep; R is read
-        # off ceil(dim/2) field matrices through the relaxation at each build
+        # off the adjoint crossing two probes to a matrix (ceil(dim/2) in
+        # all) with or without a cavity, whether built directly or by a
+        # serial sweep; R is read off ceil(dim/2) field matrices through the
+        # relaxation at each build.  A push takes as many matrices as fit in
+        # the joint entries of 8 at n_max 60, and at least 8: all 9 at once
+        # at n_max 16, 8 at a time at n_max 60
         pushed, relaxed = [], []
         propagate = TransitKernel.propagate_batched
         apply_batched = ThermalPropagator.apply_batched
@@ -633,9 +635,6 @@ class TestSuperoperatorCache:
                 relaxed.append(len(mats))
             return apply_batched(prop, mats)
 
-        def calls(sent):
-            return -(-sent // res._PROBE_BATCH)
-
         monkeypatch.setattr(TransitKernel, "propagate_batched", spy)
         monkeypatch.setattr(ThermalPropagator, "apply_batched", spy_relax)
         cfg = HilbertConfig(n_max=8)
@@ -647,13 +646,12 @@ class TestSuperoperatorCache:
             for u in U_VALUES:
                 config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity)
                 res.build_sample_superop(config, cfg)
-            assert sum(pushed) == 5
-            assert len(pushed) == calls(5)
+            assert pushed == [5]
             assert relaxed == relaxations
 
         pushed.clear()
         res._branch_maps.cache_clear()
-        dim = 16
+        dim = 17
         config = sc.build_config({
             "hilbert.n_max": str(dim - 1),
             "profile.v": "70",
@@ -666,8 +664,18 @@ class TestSuperoperatorCache:
         sc.sweep_scenario(
             config, "reservoir.u", ["0.3pi", "0.45pi", "0.5pi"], out_dir=tmp_path
         )
-        assert sum(pushed) == -(-dim // 2)
-        assert len(pushed) == calls(-(-dim // 2))
+        assert pushed == [9]
+
+        # a build at n_max 60 takes seconds: its pushes are counted off
+        # _probe_images with a stand-in map
+        sizes = []
+
+        def stand_in(field):
+            sizes.append(len(field))
+            return np.zeros((len(field), 122, 122), dtype=complex)
+
+        res._probe_images(stand_in, 61)
+        assert sizes == [8, 8, 8, 7]
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_relaxation_acts_on_non_hermitian_matrices(self, n_max):

@@ -2,13 +2,14 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cavres.metrics as met
 import cavres.scenarios as sc
-from cavres.dynamics import theta_of
+from cavres.dynamics import TransitOptions, theta_of
 from cavres.fock import coherent_state, density, fock_state
 from cavres.reservoir import micromaser_amplitude
 
@@ -286,6 +287,25 @@ class TestRoundTrip:
         c2 = sc.with_override(c, "reservoir.u", "0.3pi")
         assert c2.reservoir.u == pytest.approx(0.3 * math.pi)
         assert c2.profile == c.profile
+
+    def test_overrides_keep_the_transit_options(self, monkeypatch, tmp_path):
+        # the step settings have no config key, so neither an override nor a
+        # sweep value may reset them to the defaults
+        c = sc.preset("cat2")
+        options = TransitOptions(fine_steps=2048)
+        c = replace(c, reservoir=replace(c.reservoir, options=options))
+        assert sc.with_override(c, "reservoir.u", "0.3pi").reservoir.options == options
+        swept = []
+
+        def record(config, out_dir):
+            swept.append(config.reservoir.options)
+            return dict.fromkeys(
+                ("nbar", "purity", "fidelity", "squeezing_db", "truncation_peak"), 0.0
+            )
+
+        monkeypatch.setattr(sc, "run_scenario", record)
+        sc.sweep_scenario(c, "reservoir.u", ["0.3pi", "0.45pi"], out_dir=tmp_path)
+        assert swept == [options, options]
 
 
 class TestGridAxes:
