@@ -44,7 +44,7 @@ from cavres.thermal import CavityParams, ThermalPropagator
 
 __all__ = [
     "TransitProfile",
-    "AtomPreparation",
+    "atom_ket",
     "TransitOptions",
     "ZeroDetuningError",
     "theta_of",
@@ -96,14 +96,9 @@ class TransitProfile:
         return 2.0 * self.window_factor * self.w / self.v
 
 
-@dataclass(frozen=True)
-class AtomPreparation:
+def atom_ket(u: float) -> np.ndarray:
     """Injected atom state cos(u/2)|g> + sin(u/2)|e>."""
-
-    u: float
-
-    def ket(self) -> np.ndarray:
-        return np.array([np.cos(self.u / 2), np.sin(self.u / 2)], dtype=complex)
+    return np.array([np.cos(u / 2), np.sin(u / 2)], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -234,9 +229,9 @@ def _apply_left(coeffs, x: np.ndarray, dim: int) -> np.ndarray:
     return y
 
 
-def embed_with_atom(rho_field: np.ndarray, atom_ket: np.ndarray) -> np.ndarray:
+def embed_with_atom(rho_field: np.ndarray, atom: np.ndarray) -> np.ndarray:
     """rho_field tensor |atom><atom| in atom (x) field ordering."""
-    return np.kron(np.outer(atom_ket, atom_ket.conj()), rho_field)
+    return np.kron(np.outer(atom, atom.conj()), rho_field)
 
 
 def trace_atom(rho_joint: np.ndarray) -> np.ndarray:
@@ -318,11 +313,11 @@ class TransitKernel:
         # the resonant slice sits between the two dispersive runs
         self.slices = wings[:n_slices] + [resonant] + wings[n_slices:]
         self._slices_conj = [tuple(c.conj() for c in co) for co in self.slices]
-        self.slice_durations = np.concatenate([spans[0], [res[1] - res[0]], spans[1]])
+        durations = np.concatenate([spans[0], [res[1] - res[0]], spans[1]])
 
         self.loss_steps: list[ThermalPropagator] = []
         if cavity is not None:
-            halves = np.append(self.slice_durations, 0.0) / 2
+            halves = np.append(durations, 0.0) / 2
             merged = (halves + np.roll(halves, 1)).tolist()
             props = {tau: ThermalPropagator(tau, cavity, cfg.dim) for tau in set(merged)}
             self.loss_steps = [props[tau] for tau in merged]
@@ -336,7 +331,6 @@ class TransitKernel:
         reverse = self.slices[::-1]
         adj.slices = [(ag.conj(), ae.conj(), bl.conj(), bg.conj()) for ag, ae, bg, bl in reverse]
         adj._slices_conj = [(ag, ae, bl, bg) for ag, ae, bg, bl in reverse]
-        adj.slice_durations = self.slice_durations[::-1]
         adjoints = {step: step.adjoint() for step in set(self.loss_steps)}
         adj.loss_steps = [adjoints[step] for step in self.loss_steps[::-1]]
         return adj
@@ -365,11 +359,9 @@ class TransitKernel:
         return np.moveaxis(relaxed, 0, -1)
 
 
-@lru_cache(maxsize=16)
+# one entry: a run, its switch-off and each serial sweep value use one key
+@lru_cache(maxsize=1)
 def get_kernel(
-    profile: TransitProfile,
-    cfg: HilbertConfig,
-    cavity: CavityParams | None,
-    options: TransitOptions,
+    profile: TransitProfile, cfg: HilbertConfig, cavity: CavityParams | None
 ) -> TransitKernel:
-    return TransitKernel(profile, cfg, cavity, options)
+    return TransitKernel(profile, cfg, cavity)

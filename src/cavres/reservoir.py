@@ -42,6 +42,7 @@ process that differ only in those two reuse one build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -51,10 +52,9 @@ from scipy import sparse
 from cavres.fock import HilbertConfig, TruncationError, validate_density
 from cavres.thermal import CavityParams, ThermalPropagator
 from cavres.dynamics import (
-    AtomPreparation,
-    TransitOptions,
     TransitProfile,
     _pair_coefficients,
+    atom_ket,
     embed_with_atom,
     get_kernel,
     phi0_of,
@@ -100,9 +100,10 @@ class ReservoirConfig:
     mixing_mode: str = "deterministic"
     seed: int | None = None
     backend: str = "numeric"
-    options: TransitOptions = TransitOptions()
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.u):
+            raise ValueError(f"u must be finite, got {self.u}")
         if not 0.0 <= self.p_at <= 1.0:
             raise ValueError(f"p_at must lie in [0, 1], got {self.p_at}")
         if self.n_samples < 0:
@@ -111,12 +112,10 @@ class ReservoirConfig:
             raise ValueError(f"unknown mixing_mode {self.mixing_mode!r}")
         if self.mixing_mode == "monte_carlo" and self.seed is None:
             raise ValueError("monte_carlo mixing requires an explicit seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.backend not in ("numeric", "analytic"):
             raise ValueError(f"unknown backend {self.backend!r}")
-
-    @property
-    def atom(self) -> AtomPreparation:
-        return AtomPreparation(self.u)
 
 
 @dataclass
@@ -133,7 +132,10 @@ class TrajectoryResult:
     truncation_peak: float
 
 
-@lru_cache(maxsize=64)
+# Each cache below keeps one entry: a run, its switch-off and each serial
+# sweep value use one key, and a u or p_at sweep shares the key of the
+# u-independent builds.
+@lru_cache(maxsize=1)
 def _relax_propagator(duration: float, cavity: CavityParams, dim: int) -> ThermalPropagator:
     return ThermalPropagator(duration, cavity, dim)
 
@@ -169,7 +171,7 @@ def _kraus_pair(
     return k_g, k_e
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _analytic_map(
     profile: TransitProfile, u: float, p_at: float, dim: int
 ) -> sparse.csr_matrix:
@@ -178,7 +180,7 @@ def _analytic_map(
     K_g is lower- and K_e upper-bidiagonal, so A has
     2 (2 dim - 1)^2 - dim^2 entries (11,441 at n_max 40)."""
     phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile)
-    k_g, k_e = _kraus_pair(theta_of(profile), phi0, AtomPreparation(u).ket(), dim)
+    k_g, k_e = _kraus_pair(theta_of(profile), phi0, atom_ket(u), dim)
     crossing = (
         sparse.kron(k_g, k_g.conj(), format="csr")
         + sparse.kron(k_e, k_e.conj(), format="csr")
@@ -192,8 +194,8 @@ def _analytic_map(
 def _atom_branch(rho: np.ndarray, config: ReservoirConfig) -> np.ndarray:
     """Field map of one numeric crossing by one atom, loss interleaved."""
     cfg = HilbertConfig(n_max=rho.shape[0] - 1)
-    kernel = get_kernel(config.profile, cfg, config.cavity, config.options)
-    return trace_atom(kernel.propagate(embed_with_atom(rho, config.atom.ket())))
+    kernel = get_kernel(config.profile, cfg, config.cavity)
+    return trace_atom(kernel.propagate(embed_with_atom(rho, atom_ket(config.u))))
 
 
 def sample_map(
@@ -300,12 +302,9 @@ def _read_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
     )
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _branch_maps(
-    profile: TransitProfile,
-    cfg: HilbertConfig,
-    cavity: CavityParams | None,
-    options: TransitOptions,
+    profile: TransitProfile, cfg: HilbertConfig, cavity: CavityParams | None
 ) -> tuple[sparse.csr_matrix, ...]:
     """K_gg, K_ee, K_ge and K_eg, with K_ab(X) = Tr_atom K(|a><b| tensor X)
     for the lossy crossing K.  Transit and loss both conserve the joint
@@ -320,7 +319,7 @@ def _branch_maps(
     residue of about 1e-17 instead.  None of the four maps depends on the
     atom state u or on p_at.
     """
-    adjoint = get_kernel(profile, cfg, cavity, options).adjoint()
+    adjoint = get_kernel(profile, cfg, cavity).adjoint()
     dim = cfg.dim
 
     def push(field: np.ndarray) -> np.ndarray:
@@ -366,8 +365,8 @@ def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.
     )
     s_map = _read_map(_probe_images(relaxation, cfg.dim), shift=0)
     if config.p_at > 0.0:
-        k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity, config.options)
-        psi_g, psi_e = config.atom.ket()
+        k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity)
+        psi_g, psi_e = atom_ket(config.u)
         cross = psi_g * np.conj(psi_e)
         # R, K_gg and K_ee keep diagonal k on k over one pattern, so their
         # part of S is summed on R's data in place, in the order of

@@ -408,12 +408,10 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 
 def with_override(config: ScenarioConfig, key: str, value: str) -> ScenarioConfig:
-    """config with one key set to value.  The transit step settings
-    (ReservoirConfig.options) have no key, so they are carried over."""
+    """config with one key set to value."""
     raw = config_to_raw(config)
     raw[key] = value
-    new = build_config(raw)
-    return replace(new, reservoir=replace(new.reservoir, options=config.reservoir.options))
+    return build_config(raw)
 
 
 def ideal_target(config: ScenarioConfig) -> np.ndarray:
@@ -523,7 +521,6 @@ def run_scenario(
     """
     started = time.perf_counter()
     out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     cfg = config.hilbert
     rho0 = density(fock_state(0, cfg))
@@ -566,6 +563,8 @@ def run_scenario(
         "out_dir": str(out),
     }
 
+    # made only now, so a run that fails leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "metrics.csv", met.records_to_csv(records))
     _atomic_write(out / "state_final.txt", state_to_text(rho))
     if config.analysis.wigner_grid is not None:

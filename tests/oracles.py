@@ -39,10 +39,10 @@ from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln
 
 from cavres.dynamics import (
-    AtomPreparation,
     _compose,
     _pair_coefficients,
     _segments,
+    atom_ket,
     phi0_of,
     theta_of,
 )
@@ -235,7 +235,7 @@ def dense_kraus_pair(profile, u: float, dim: int) -> tuple[np.ndarray, np.ndarra
     m in {g, e}, sliced out of the dense composite crossing U."""
     phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile)
     u_mat = u_composite(theta_of(profile), phi0, HilbertConfig(n_max=dim - 1))
-    psi_g, psi_e = AtomPreparation(u).ket()
+    psi_g, psi_e = atom_ket(u)
     injected = psi_g * u_mat[:, :dim] + psi_e * u_mat[:, dim:]
     return injected[:dim], injected[dim:]
 

@@ -72,7 +72,7 @@ def test_c01_composite_is_kerr_conjugated_exchange():
     # dense Kerr-conjugated exchange (I x K) U_r (I x K)' on the injected atom
     cfg = HilbertConfig(n_max=20)
     dim = cfg.dim
-    psi = dyn.AtomPreparation(0.45 * np.pi).ket()
+    psi = dyn.atom_ket(0.45 * np.pi)
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
     worst = 0.0

@@ -113,6 +113,18 @@ class TestRun:
         ])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--set", "reservoir.mixing_mode=monte_carlo", "--seed", "-1"], "seed must be >= 0"),
+        (["--set", "reservoir.u=1e400"], "u must be finite"),
+    ])
+    def test_bad_reservoir_values_are_config_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "r"
+        code = cli.main(["run", "--preset", "cat2", *TINY, *flags, "--out", str(out)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_usage_error(self):
         with pytest.raises(SystemExit) as exc:

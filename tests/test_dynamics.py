@@ -56,7 +56,7 @@ def analytic_sample(rho_f, profile, u_atom, u):
     config = res.ReservoirConfig(
         profile, u_atom, cavity=None, p_at=1.0, backend="analytic"
     )
-    joint = dyn.embed_with_atom(rho_f, dyn.AtomPreparation(u_atom).ket())
+    joint = dyn.embed_with_atom(rho_f, dyn.atom_ket(u_atom))
     return res.sample_map(rho_f, config), dyn.trace_atom(u @ joint @ u.conj().T)
 
 
@@ -327,7 +327,7 @@ class TestTransitIntegration:
     def test_embed_trace_roundtrip(self):
         cfg = HilbertConfig(n_max=9)
         rho = density(coherent_state(0.8, cfg))
-        atom = dyn.AtomPreparation(1.1).ket()
+        atom = dyn.atom_ket(1.1)
         joint = dyn.embed_with_atom(rho, atom)
         assert np.trace(joint) == pytest.approx(1.0)
         assert np.max(np.abs(dyn.trace_atom(joint) - rho)) < 1e-14
@@ -464,7 +464,7 @@ class TestAgainstMasterEquation:
         cav = CavityParams()
         rho_f = np.zeros((cfg.dim, cfg.dim), dtype=complex)
         rho_f[0, 0] = 1.0
-        joint = dyn.embed_with_atom(rho_f, dyn.AtomPreparation(0.45 * np.pi).ket())
+        joint = dyn.embed_with_atom(rho_f, dyn.atom_ket(0.45 * np.pi))
         fast = dyn.TransitKernel(CAT2, cfg, cav).propagate(joint)
         ref = rk4_master(joint, CAT2, cav, cfg)
         assert abs(np.trace(fast).real - 1.0) < 1e-10
@@ -477,7 +477,7 @@ class TestAgainstMasterEquation:
         cav = CavityParams()
         rho_f = np.zeros((cfg.dim, cfg.dim), dtype=complex)
         rho_f[0, 0] = 1.0
-        joint = dyn.embed_with_atom(rho_f, dyn.AtomPreparation(0.45 * np.pi).ket())
+        joint = dyn.embed_with_atom(rho_f, dyn.atom_ket(0.45 * np.pi))
         default = dyn.TransitOptions()
         halved = dyn.TransitOptions(
             fine_steps=2 * default.fine_steps, loss_slices=2 * default.loss_slices

@@ -162,8 +162,8 @@ def test_config_keys_match_dataclass_fields():
         "reservoir": ReservoirConfig,
         "analysis": sc.AnalysisSpec,
     }
-    # ReservoirConfig holds the profile and cavity sections; options has no key
-    held = {"profile", "cavity", "options"}
+    # ReservoirConfig holds the profile and cavity sections
+    held = {"profile", "cavity"}
     fieldless = {"scenario.name", "scenario.preset", "output.dir", "reservoir.loss"}
     keys_of = {(section, f.name): [] for section, cls in classes.items()
                for f in dataclasses.fields(cls)

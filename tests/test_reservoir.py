@@ -17,8 +17,8 @@ from cavres.fock import (
 from cavres.thermal import CavityParams, ThermalPropagator
 from cavres.dynamics import (
     TransitKernel,
-    TransitOptions,
     TransitProfile,
+    atom_ket,
     get_kernel,
     theta_of,
     trace_atom,
@@ -67,6 +67,16 @@ class TestConfigValidation:
             res.ReservoirConfig(profile=CAT2, u=0.3, mixing_mode="quantum")
         with pytest.raises(ValueError):
             res.ReservoirConfig(profile=CAT2, u=0.3, backend="magic")
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            res.ReservoirConfig(profile=CAT2, u=0.3, mixing_mode="monte_carlo", seed=-1)
+        assert res.ReservoirConfig(profile=CAT2, u=0.3, seed=0).seed == 0
+
+    @pytest.mark.parametrize("u", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_atom_angle(self, u):
+        with pytest.raises(ValueError, match="u must be finite"):
+            res.ReservoirConfig(profile=CAT2, u=u)
 
 
 class TestRelax:
@@ -578,8 +588,8 @@ class TestSuperoperatorCache:
         dim = cfg.dim
         rng = np.random.default_rng(n_max)
         for cavity in (CavityParams(), None):
-            kernel = get_kernel(CAT2, cfg, cavity, TransitOptions())
-            maps = res._branch_maps(CAT2, cfg, cavity, TransitOptions())
+            kernel = get_kernel(CAT2, cfg, cavity)
+            maps = res._branch_maps(CAT2, cfg, cavity)
             for k_ab, (a, b) in zip(maps, ((0, 0), (1, 1), (0, 1), (1, 0))):
                 x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 joint = np.zeros((2 * dim, 2 * dim), dtype=complex)
@@ -593,14 +603,14 @@ class TestSuperoperatorCache:
         # sum of R and the branch maps bit for bit, exact zeros dropped
         cfg = HilbertConfig(n_max=8)
         for cavity in (CavityParams(), None):
-            k_gg, k_ee, k_ge, k_eg = res._branch_maps(CAT2, cfg, cavity, TransitOptions())
+            k_gg, k_ee, k_ge, k_eg = res._branch_maps(CAT2, cfg, cavity)
             r_map = res.build_sample_superop(
                 res.ReservoirConfig(profile=CAT2, u=0.0, cavity=cavity, p_at=0.0), cfg
             )
             for u in (0.0, *U_VALUES):
                 for p_at in (0.3, 1.0):
                     config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity, p_at=p_at)
-                    psi_g, psi_e = config.atom.ket()
+                    psi_g, psi_e = atom_ket(config.u)
                     cross = psi_g * np.conj(psi_e)
                     a_map = (
                         abs(psi_g) ** 2 * k_gg
@@ -676,6 +686,29 @@ class TestSuperoperatorCache:
 
         res._probe_images(stand_in, 61)
         assert sizes == [8, 8, 8, 7]
+
+    def test_a_serial_sweep_keeps_one_build_per_cache(self, tmp_path):
+        # each value of a profile.v sweep builds anew, and the caches keep
+        # only the scenario running now
+        caches = (get_kernel, res._branch_maps, res._relax_propagator, res._analytic_map)
+        for cache in caches:
+            cache.cache_clear()
+        dim = 17
+        config = sc.build_config({
+            "hilbert.n_max": str(dim - 1),
+            "profile.v": "70",
+            "profile.t_r": "5 us",
+            "profile.delta": "2.2 omega0",
+            "reservoir.u": "0.3pi",
+            "reservoir.n_samples": str(3 * dim),
+            "analysis.wigner_grid": "-1:1:1",
+        })
+        velocities = ["60", "70", "80"]
+        sc.sweep_scenario(config, "profile.v", velocities, out_dir=tmp_path / "numeric")
+        analytic = sc.with_override(config, "reservoir.backend", "analytic")
+        sc.sweep_scenario(analytic, "profile.v", velocities, out_dir=tmp_path / "analytic")
+        assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1, 1]
+        assert [cache.cache_info().misses for cache in caches] == [3, 3, 6, 3]
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_relaxation_acts_on_non_hermitian_matrices(self, n_max):

@@ -2,15 +2,14 @@
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cavres.metrics as met
 import cavres.scenarios as sc
-from cavres.dynamics import TransitOptions, theta_of
-from cavres.fock import coherent_state, density, fock_state
+from cavres.dynamics import theta_of
+from cavres.fock import TruncationError, coherent_state, density, fock_state
 from cavres.reservoir import micromaser_amplitude
 
 
@@ -288,25 +287,6 @@ class TestRoundTrip:
         assert c2.reservoir.u == pytest.approx(0.3 * math.pi)
         assert c2.profile == c.profile
 
-    def test_overrides_keep_the_transit_options(self, monkeypatch, tmp_path):
-        # the step settings have no config key, so neither an override nor a
-        # sweep value may reset them to the defaults
-        c = sc.preset("cat2")
-        options = TransitOptions(fine_steps=2048)
-        c = replace(c, reservoir=replace(c.reservoir, options=options))
-        assert sc.with_override(c, "reservoir.u", "0.3pi").reservoir.options == options
-        swept = []
-
-        def record(config, out_dir):
-            swept.append(config.reservoir.options)
-            return dict.fromkeys(
-                ("nbar", "purity", "fidelity", "squeezing_db", "truncation_peak"), 0.0
-            )
-
-        monkeypatch.setattr(sc, "run_scenario", record)
-        sc.sweep_scenario(c, "reservoir.u", ["0.3pi", "0.45pi"], out_dir=tmp_path)
-        assert swept == [options, options]
-
 
 class TestGridAxes:
     def test_inclusive_endpoints(self):
@@ -392,6 +372,14 @@ class TestRunScenario:
         assert not list(out.glob("*.tmp"))
         assert summary["nbar"] > 0
         assert 0 < summary["purity"] <= 1
+
+    def test_failed_run_leaves_no_directory(self, tmp_path):
+        # the output directory is made only once the artifacts are ready
+        config = sc.build_config({"hilbert.n_max": "6", "reservoir.n_samples": "60"},
+                                 preset_name="cat2")
+        with pytest.raises(TruncationError):
+            sc.run_scenario(config, out_dir=tmp_path / "runs" / "cat2")
+        assert list(tmp_path.iterdir()) == []
 
     def test_metrics_rows_and_posthoc_fidelity(self, tmp_path):
         _, out, summary = run_tiny(tmp_path, "r2", **{"analysis.cat_k": "2"})
