@@ -271,7 +271,8 @@ class TransitKernel:
     segment, each spanning (t1 - t0) / loss_slices, and the resonant window
     as one slice.  Every slice conserves excitation number, so it is kept as
     its pair coefficients (ag, ae, bg, bl; see _pair_coefficients) and acts
-    on joint states as O(dim^2) updates of row pairs and column pairs.  The
+    on joint states as O(dim^2) updates of row pairs, both halves of
+    U X U' on contiguous rows with a transposed copy in between.  The
     dispersive slices are products of exact frozen-midpoint substeps,
     composed for all slices at once; the resonant slice is the exact rotation
     of pulse area Theta, since there H(t) commutes with itself.
@@ -280,7 +281,10 @@ class TransitKernel:
     of loss.  All of them share one generator, so the two half-steps that
     meet at a slice boundary are merged into one exact step:
     loss_steps[k] runs before slice k, and the last one after the final
-    slice.  Steps of equal duration share one ThermalPropagator.
+    slice.  Steps of equal duration share one ThermalPropagator.  A loss
+    step acts alike on a state and on its transpose, since diagonal k of
+    atom block (a, b) and diagonal -k of block (b, a) relax by one real
+    block.
     """
 
     def __init__(
@@ -346,11 +350,17 @@ class TransitKernel:
         out = np.ascontiguousarray(np.moveaxis(stack, 0, -1), dtype=complex)
         for k, (coeffs, conj) in enumerate(zip(self.slices, self._slices_conj)):
             out = self._loss_step(k, out)
-            out = _apply_left(coeffs, out, dim)
-            # rho U' = (conj(U) rho^T)^T: the column pairs take conjugate coefficients
-            out = _apply_left(conj, out.swapaxes(0, 1), dim).swapaxes(0, 1)
+            # both halves of U Z U' are contiguous row updates.  Held as Z,
+            # rows with U, a transposed copy and rows with conj(U) leave
+            # (U Z U')^T; held as Z^T, conj(U) first and U second leave
+            # U Z U'.  The held orientation toggles at every slice.
+            first, second = (coeffs, conj) if k % 2 == 0 else (conj, coeffs)
+            out = _apply_left(first, out, dim)
+            out = np.ascontiguousarray(out.swapaxes(0, 1))
+            out = _apply_left(second, out, dim)
         out = self._loss_step(len(self.slices), out)
-        return np.moveaxis(out, -1, 0)
+        # 2 loss_slices + 1 slices, an odd count, leave the state transposed
+        return np.moveaxis(out.swapaxes(0, 1), -1, 0)
 
     def _loss_step(self, k: int, states: np.ndarray) -> np.ndarray:
         if not self.loss_steps:

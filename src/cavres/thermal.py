@@ -12,21 +12,22 @@ carries no time-step error here.  All operator products are taken on the
 truncated space (a'|n_max> = 0), which keeps the generator trace-preserving
 and completely positive on the retained levels.
 
-ThermalPropagator keeps the 2 dim - 1 diagonal blocks (the lower diagonal
-of offset -d shares the block of +d) in a few real stacks, one for each run
-of at most _BUCKET_SPAN consecutive offsets |k|.  A stack holds the slots of
-its run in ascending k (the -k slots, then the +k ones) and is zero-padded
-only to its own longest diagonal: at n_max = 60 the four stacks do 1.39
-times the useful multiply-adds, where one stack padded to dim did 2.97
+ThermalPropagator keeps one real block per offset |k| (the diagonals -k and
++k share it) in a few stacks, one for each run of at most _BUCKET_SPAN
+consecutive offsets.  A stack holds one slot per |k| of its run, ascending,
+and is zero-padded only to its own longest diagonal: at n_max = 60 the four
+stacks hold 61 slots and do 1.41 times the useful multiply-adds (diagonal 0
+fills both columns of its slot), where one stack padded to dim did 2.97
 times.  Up to _BUCKET_SPAN offsets there is a single stack.  Applying
-exp(L t) to a stack of matrices is one gather and one batched real matmul
-per stack, with the complex entries viewed as pairs of real columns, each
-into its slice of one buffer, and one inverse gather back; there is no loop
-over diagonals.  Joint (atom x field) matrices go through the same gathers
-with all four atom blocks side by side, since the jumps act on the field
-factor only.  Propagators of different durations share the gather tables
-(one set per dim and atom levels) and the rate blocks (one set per dim and
-cavity).
+exp(L t) to a stack of matrices is one gather, one batched real matmul per
+stack and one inverse gather back, with no loop over diagonals: the gather
+puts diagonals -k and +k of every atom block and every matrix side by side
+as the columns of the slot of |k|, the complex entries viewed as pairs of
+real columns, and each matmul writes its slice of one buffer.  Joint
+(atom x field) matrices go through the same gathers with all four atom
+blocks side by side, since the jumps act on the field factor only.
+Propagators of different durations share the gather tables (one set per
+dim and atom levels) and the rate blocks (one set per dim and cavity).
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def rate_block(d: int, dim: int, cavity: CavityParams) -> np.ndarray:
 # Offsets per diagonal stack.  A longer run pads its shorter diagonals to the
 # length of its longest one, a shorter run adds a matmul call; at n_max 60,
 # runs of 10 to 20 offsets tied and longer ones were slower (see CHANGES.md),
-# and 20 keeps every n_max up to 19 in one stack.
+# with one slot per offset as with two, and 20 keeps every n_max up to 19 in
+# one stack.
 _BUCKET_SPAN = 20
 
 
@@ -116,11 +118,9 @@ def _rate_blocks(dim: int, cavity: CavityParams) -> tuple[np.ndarray, ...]:
 
 
 def _bucket_offsets(dim: int) -> list[np.ndarray]:
-    """Diagonal offsets k (column minus row) of each stack, ascending: the
-    offsets split into ceil(dim / _BUCKET_SPAN) runs of nearly equal length,
-    and each stack takes -k and +k for every |k| of its run."""
-    runs = np.array_split(np.arange(dim), -(-dim // _BUCKET_SPAN))
-    return [np.concatenate((-run[::-1], run[run > 0])) for run in runs]
+    """Offsets |k| of each stack, ascending: 0 .. dim-1 split into
+    ceil(dim / _BUCKET_SPAN) runs of nearly equal length."""
+    return np.array_split(np.arange(dim), -(-dim // _BUCKET_SPAN))
 
 
 @lru_cache(maxsize=16)
@@ -130,26 +130,29 @@ def _stack_indices(
     """Gather and inverse-gather indices between the diagonal stacks and a
     (levels*dim)-square matrix flattened row-major.
 
-    For each stack, gather[s, m, q] is the flat index of entry m of the
-    stack's s-th field diagonal in atom block q = levels*a + b; entries past
-    the end of a diagonal point at 0 and meet zero columns of the stack.
-    Laid end to end, the gathered arrays of stack j fill positions
-    bounds[j] to bounds[j+1], and scatter[i] is the position of flat entry
-    i.  Read-only, shared by every propagator.
+    For each stack, gather[s, m, sign, q] is the flat index of entry m of
+    field diagonal -k (sign 0) or +k (sign 1), for the stack's s-th offset
+    k, in atom block q = levels*a + b.  Entries past the end of a diagonal
+    point at 0 and meet zero columns of the stack; diagonal -0 repeats +0,
+    and the inverse gather reads only the latter.  Laid end to end, the
+    gathered arrays of stack j fill positions bounds[j] to bounds[j+1], and
+    scatter[i] is the position of flat entry i.  Read-only, shared by every
+    propagator.
     """
     a, b = np.divmod(np.arange(levels * levels), levels)
     size = levels * dim
     gathers, bounds = [], [0]
     scatter = np.empty(size * size, dtype=np.intp)
     for offsets in _bucket_offsets(dim):
-        k = offsets[:, None]
-        m = np.arange(dim - np.abs(offsets).min())[None, :]
-        row, col = m + np.maximum(-k, 0), m + np.maximum(k, 0)
-        valid = np.maximum(row, col) < dim
+        k = offsets[:, None, None]
+        m = np.arange(dim - offsets[0])[None, :, None]
+        plus = np.array([0, 1])  # sign 0: entry (m+k, m); sign 1: entry (m, m+k)
+        row, col = m + k * (1 - plus), m + k * plus
+        inside = (m + k < dim)[..., None]
         gather = (a * dim + row[..., None]) * size + b * dim + col[..., None]
-        valid = np.broadcast_to(valid[..., None], gather.shape)
+        valid = np.broadcast_to(inside & ((k > 0) | (plus == 1))[..., None], gather.shape)
         scatter[gather[valid]] = bounds[-1] + np.flatnonzero(valid)
-        gathers.append(np.where(valid, gather, 0))
+        gathers.append(np.where(inside, gather, 0))
         gathers[-1].flags.writeable = False
         bounds.append(bounds[-1] + gather.size)
     scatter.flags.writeable = False
@@ -185,12 +188,12 @@ class ThermalPropagator:
         self.cavity = cavity
         self.dim = dim
         blocks = [expm(rate * duration) for rate in _rate_blocks(dim, cavity)]
-        # one stack per run of offsets; -k and +k share the block of |k|
+        # one stack per run of offsets, one slot per |k|
         self.stacks = []
         for offsets in _bucket_offsets(dim):
-            length = dim - np.abs(offsets).min()
+            length = dim - offsets[0]
             stack = np.zeros((len(offsets), length, length))
-            for slot, d in enumerate(np.abs(offsets)):
+            for slot, d in enumerate(offsets):
                 stack[slot, : dim - d, : dim - d] = blocks[d]
             self.stacks.append(stack)
         # field matrices (dim square) and joint ones (2 dim square)

@@ -151,6 +151,15 @@ class TestRun:
         assert "points per axis" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_cat_fit_fails_before_the_trajectory(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main([
+            "run", "--preset", "cat2", *TINY, "--set", "analysis.cat_k=7", "--out", str(out),
+        ])
+        assert code == 2
+        assert "cat_k must be 0 (off) or from 2 to 6" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_combined_csv(self, tmp_path):

@@ -396,13 +396,19 @@ def random_joint_states(dim, count, seed):
 
 
 class TestKernelAgainstDenseOracle:
-    @pytest.mark.parametrize("n_max", [8, 24])
+    # n_max 40: three loss stacks of 14, 14 and 13 offsets
+    @pytest.mark.parametrize("n_max", [8, 24, 40])
     @pytest.mark.parametrize("lossy", [False, True])
     def test_propagation_matches(self, n_max, lossy):
+        # Hermitian states and non-Hermitian matrices: the kernel holds its
+        # state transposed after every other slice, where mixing up a
+        # transpose with a conjugate would hide on Hermitian input alone
         cfg = HilbertConfig(n_max=n_max)
         cavity = CavityParams() if lossy else None
         kernel = dyn.TransitKernel(CAT2, cfg, cavity)
-        stack = random_joint_states(cfg.dim, 5, seed=n_max)
+        rng = np.random.default_rng(n_max)
+        skew = random_matrices(2 * cfg.dim, 2, rng) / (2 * cfg.dim)
+        stack = np.concatenate([random_joint_states(cfg.dim, 5, seed=n_max), skew])
         want = oracle_propagate(stack, CAT2, cfg, cavity)
         assert np.max(np.abs(kernel.propagate_batched(stack) - want)) < 1e-12
         assert np.max(np.abs(kernel.propagate(stack[0]) - want[0])) < 1e-12

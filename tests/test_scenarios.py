@@ -157,6 +157,16 @@ class TestGrammar:
         with pytest.raises(ValueError, match="points per axis"):
             sc.AnalysisSpec(wigner_grid=(-5.0, 5.0, 0.00999))
 
+    def test_cat_k_is_bounded(self):
+        # the fit's phase grid has 8^(k-1) nodes; k = 7 would need about
+        # 0.2 GB, so it fails as a config value, before anything is built
+        for k in (0, 2, 6):
+            assert sc.build_config(tiny_raw(**{"analysis.cat_k": str(k)})).analysis.cat_k == k
+        message = exact("cat_k must be 0 (off) or from 2 to 6")
+        for k in (1, 7, 9):
+            with pytest.raises(sc.ConfigError, match=message):
+                sc.build_config(tiny_raw(**{"analysis.cat_k": str(k)}))
+
     def test_rejects_duplicate_key(self):
         with pytest.raises(sc.ConfigError, match=exact("line 2: duplicate key 'profile.v'")):
             sc.parse_config_text("profile.v = 70\nprofile.v = 80")
@@ -306,6 +316,18 @@ class TestStateText:
         rng = np.random.default_rng(3)
         rho = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         assert np.array_equal(sc.state_from_text(sc.state_to_text(rho)), rho)
+
+    def test_cells_are_17g_pairs(self):
+        # one %.17g cell per real and imaginary part: signed zeros, exact
+        # zeros, subnormals and non-finite parts print as they did cell by cell
+        rng = np.random.default_rng(4)
+        rho = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        rho[0, :4] = [-0.0, -0.0j, 5e-324 - 1e-310j, complex(np.inf, np.nan)]
+        for m in (rho, rho.real, rho[::2, 1::2]):
+            want = "".join(
+                ",".join("%.17g,%.17g" % (z.real, z.imag) for z in row) + "\n" for row in m
+            )
+            assert sc.state_to_text(m) == f"# dim: {m.shape[0]}\n" + want
 
     def test_cells_parse_as_float_does(self):
         # padding, underscores, signed zero, nan, inf and subnormals read as

@@ -142,8 +142,8 @@ class TestThermalPropagator:
         for dim in (1, 2, 15, 20, 21, 22, 40, 41, 61):
             prop = ThermalPropagator(t, cav, dim)
             assert len(prop.stacks) == -(-dim // 20)
-            if dim <= 20:  # the single stack holds every diagonal, padded to dim
-                assert prop.stacks[0].shape == (2 * dim - 1, dim, dim)
+            if dim <= 20:  # the single stack holds one slot per |k|, padded to dim
+                assert prop.stacks[0].shape == (dim, dim, dim)
             rng = np.random.default_rng(dim)
             for levels, count, hermitian in itertools.product((1, 2), (1, 8), (True, False)):
                 size = levels * dim
