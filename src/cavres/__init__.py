@@ -2,11 +2,19 @@
 
 An atomic beam crosses a cavity; each atom sees a dispersive-resonant-
 dispersive interaction schedule that turns the ensemble into a reservoir
-whose pointer states are Kerr-evolved coherent states (Schrodinger cats,
+whose pointer states are Kerr-evolved fields (Schrodinger cats,
 multi-component superpositions, squeezed and banana-shaped states).  This
 package simulates the repeated-interaction dynamics in a truncated Fock
 space and provides the analysis tools (Wigner maps, cat fits, squeezing)
 used to characterize the stabilized states.
+
+What is exact: in the instantaneous crossing of the analytic backend the
+dispersive wings act only as a Kerr conjugation.  The loss-free sample map
+at dispersive phase phi0 is the resonant-only map conjugated by
+K(phi0) = exp(-i phi0 n(n+1)), so the loss-free analytic pointer state is
+K(phi0) applied to the resonant-only one.  That one is close to, but not,
+a coherent state, and the numeric backend, which resolves the transit in
+time with loss interleaved, has no such identity (README, Pointer states).
 """
 
 import os as _os

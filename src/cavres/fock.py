@@ -27,8 +27,6 @@ __all__ = [
     "TruncationError",
     "StateInvariantError",
     "fock_state",
-    "coherent_state",
-    "kerr_propagator",
     "ideal_mfss",
     "density",
     "canonical_phase",
@@ -138,35 +136,6 @@ def _past_guard(alpha: "complex | np.ndarray", n_max: int) -> "bool | np.ndarray
     array.  Every admission test of an amplitude goes through here, so an
     amplitude one caller admits is admitted by all of them."""
     return np.abs(alpha) ** 2 > COHERENT_GUARD * n_max
-
-
-def coherent_state(alpha: complex, cfg: HilbertConfig) -> np.ndarray:
-    """Truncated coherent state |alpha>, renormalized to unit norm.
-
-    Refuses amplitudes whose mean photon number |alpha|^2 exceeds
-    COHERENT_GUARD * n_max, where the discarded Poisson tail would no
-    longer be negligible.
-    """
-    if _past_guard(alpha, cfg.n_max):
-        raise TruncationError(
-            f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds {COHERENT_GUARD} * n_max "
-            f"= {COHERENT_GUARD * cfg.n_max:.1f}; increase n_max"
-        )
-    amps = _coherent_amplitudes(alpha, cfg.dim)
-    amps /= np.linalg.norm(amps)
-    return canonical_phase(amps)
-
-
-def kerr_propagator(phi0: float, cfg: HilbertConfig) -> np.ndarray:
-    """Diagonal Kerr-evolution unitary diag(exp(-i phi0 n(n+1))).
-
-    Since n(n+1) is even, the propagator is pi-periodic in phi0; phi0 = pi
-    gives the identity.
-    """
-    if not np.isfinite(phi0):
-        raise ValueError("phi0 must be finite")
-    n = np.arange(cfg.dim)
-    return np.diag(np.exp(-1j * phi0 * n * (n + 1)))
 
 
 def ideal_mfss(

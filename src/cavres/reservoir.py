@@ -72,7 +72,6 @@ __all__ = [
     "run_trajectory",
     "switch_off_decay",
     "build_sample_superop",
-    "micromaser_amplitude",
 ]
 
 
@@ -506,8 +505,3 @@ def switch_off_decay(
         records=traj.records + continued,
         truncation_peak=max(traj.truncation_peak, tail.truncation_peak),
     )
-
-
-def micromaser_amplitude(u: float, theta: float) -> float:
-    """Equilibrium coherent amplitude 2u/Theta of a weak resonant stream."""
-    return 2.0 * u / theta

@@ -35,10 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import HilbertConfig, coherent_state, density, fock_state, kerr_propagator
+from .fock import HilbertConfig, density, fock_state
 from .thermal import CavityParams
-from .dynamics import TransitProfile, phi0_of, theta_of
-from .reservoir import ReservoirConfig, micromaser_amplitude, run_trajectory
+from .dynamics import TransitProfile
+from .reservoir import ReservoirConfig, run_trajectory
 from . import metrics as met
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "PRESET_NAMES",
     "ScenarioConfig",
     "build_config",
-    "ideal_target",
     "parse_config_text",
     "preset",
     "run_scenario",
@@ -418,18 +417,6 @@ def with_override(config: ScenarioConfig, key: str, value: str) -> ScenarioConfi
     raw = config_to_raw(config)
     raw[key] = value
     return build_config(raw)
-
-
-def ideal_target(config: ScenarioConfig) -> np.ndarray:
-    """Loss-free pointer state the scenario aims at: the per-transit Kerr map
-    applied to the coherent state the resonant exchange alone would pump."""
-    cfg = config.hilbert
-    p = config.profile
-    alpha = micromaser_amplitude(config.reservoir.u, theta_of(p))
-    ket = coherent_state(alpha, cfg)
-    if p.delta_disp > 0:
-        ket = kerr_propagator(phi0_of(p), cfg) @ ket
-    return ket
 
 
 # ---------------------------------------------------------------------------

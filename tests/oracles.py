@@ -1,6 +1,8 @@
 """Reference forms the library is validated against.
 
-The dense annihilation operator, the thermal state, the coupling Omega(t)
+The dense annihilation operator, the thermal state, the truncated coherent
+state |alpha>, the diagonal Kerr propagator K(phi0) = exp(-i phi0 n(n+1)),
+the weak-coupling micromaser amplitude 2u/Theta, the coupling Omega(t)
 along the crossing, the pulse area and the dispersive phase by adaptive
 quadrature of the mode profile, the dense Jaynes-Cummings Hamiltonian for
 frozen coupling and detuning, pair coefficients as dense joint matrices, the
@@ -46,7 +48,15 @@ from cavres.dynamics import (
     phi0_of,
     theta_of,
 )
-from cavres.fock import COHERENT_GUARD, HilbertConfig, ideal_mfss
+from cavres.fock import (
+    COHERENT_GUARD,
+    HilbertConfig,
+    TruncationError,
+    _coherent_amplitudes,
+    _past_guard,
+    canonical_phase,
+    ideal_mfss,
+)
 from cavres.metrics import _SIMPLEX, CatFitResult, field_moments, overlap_fidelity
 from cavres.thermal import CavityParams, ThermalPropagator, _aadag_diag
 
@@ -70,6 +80,40 @@ def thermal_state(n_bar: float, cfg: HilbertConfig) -> np.ndarray:
         p = np.exp(n * np.log(n_bar / (1.0 + n_bar)))
         p /= p.sum()
     return np.diag(p).astype(complex)
+
+
+def coherent_state(alpha: complex, cfg: HilbertConfig) -> np.ndarray:
+    """Truncated coherent state |alpha>, renormalized to unit norm.
+
+    Refuses amplitudes whose mean photon number |alpha|^2 exceeds
+    COHERENT_GUARD * n_max, where the discarded Poisson tail would no
+    longer be negligible.
+    """
+    if _past_guard(alpha, cfg.n_max):
+        raise TruncationError(
+            f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds {COHERENT_GUARD} * n_max "
+            f"= {COHERENT_GUARD * cfg.n_max:.1f}; increase n_max"
+        )
+    amps = _coherent_amplitudes(alpha, cfg.dim)
+    amps /= np.linalg.norm(amps)
+    return canonical_phase(amps)
+
+
+def kerr_propagator(phi0: float, cfg: HilbertConfig) -> np.ndarray:
+    """Diagonal Kerr-evolution unitary diag(exp(-i phi0 n(n+1))).
+
+    Since n(n+1) is even, the propagator is pi-periodic in phi0; phi0 = pi
+    gives the identity.
+    """
+    if not np.isfinite(phi0):
+        raise ValueError("phi0 must be finite")
+    n = np.arange(cfg.dim)
+    return np.diag(np.exp(-1j * phi0 * n * (n + 1)))
+
+
+def micromaser_amplitude(u: float, theta: float) -> float:
+    """Equilibrium coherent amplitude 2u/Theta of a weak resonant stream."""
+    return 2.0 * u / theta
 
 
 class ScheduleError(ValueError):

@@ -22,15 +22,14 @@ import cavres.dynamics as dyn
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
-from cavres.fock import (
-    HilbertConfig,
+from cavres.fock import HilbertConfig, density, fock_state, ideal_mfss
+from oracles import (
+    _coeffs_to_matrix,
     coherent_state,
-    density,
-    fock_state,
-    ideal_mfss,
     kerr_propagator,
+    rk4_propagator,
+    u_resonant,
 )
-from oracles import _coeffs_to_matrix, rk4_propagator, u_resonant
 
 pytestmark = pytest.mark.acceptance
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavres.fock import HilbertConfig, coherent_state, density, kerr_propagator
+from cavres.fock import HilbertConfig, density
 from cavres import dynamics as dyn
 from cavres import reservoir as res
 from cavres.metrics import mean_photon, purity
@@ -14,8 +14,10 @@ from cavres.thermal import CavityParams, rate_block
 from oracles import (
     ScheduleError,
     _coeffs_to_matrix,
+    coherent_state,
     jc_hamiltonian,
     kernel_unitary,
+    kerr_propagator,
     phi0_quad,
     rabi_coupling,
     rk4_master,

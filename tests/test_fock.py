@@ -22,14 +22,18 @@ from cavres.fock import (
     _factorization,
     _log_factorials,
     canonical_phase,
-    coherent_state,
     density,
     fock_state,
     ideal_mfss,
-    kerr_propagator,
     validate_density,
 )
-from oracles import coherent_amplitudes_mp, make_ladder, thermal_state
+from oracles import (
+    coherent_amplitudes_mp,
+    coherent_state,
+    kerr_propagator,
+    make_ladder,
+    thermal_state,
+)
 
 CFG20 = HilbertConfig(n_max=20)
 CFG60 = HilbertConfig(n_max=60)

@@ -11,17 +11,17 @@ from scipy.special import gammaln
 from cavres.fock import (
     COHERENT_GUARD,
     HilbertConfig,
-    coherent_state,
     density,
     fock_state,
     ideal_mfss,
-    kerr_propagator,
     validate_density,
 )
 import cavres.metrics as met
 from cavres.scenarios import grid_axes
 from oracles import (
+    coherent_state,
     fit_cat_nelder_mead,
+    kerr_propagator,
     make_ladder,
     phase_grid_einsum,
     scipy_nelder_mead,

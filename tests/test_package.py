@@ -1,6 +1,7 @@
 """The package namespace is the union of its modules' public names, every
-module-level import in the package is used, every module-level private name
-and every method of a package class is read somewhere in the package, one
+module-level import in the package is used, every module-level private name,
+public function and class (but the API-only switch_off_decay) and every
+method of a package class is read somewhere in the package, one
 function builds the sample operator's probes, the pair updates take only
 contiguous rows from one caller, every dataclass field that a config sets
 has one config key, every entry point that the benchmark's tracer wraps is
@@ -80,14 +81,19 @@ def _names_read(trees):
 
 def test_private_helpers_are_referenced():
     # a module-level _name that no code in the package reads is a helper
-    # left behind by a deletion
+    # left behind by a deletion; a public function or class that no code in
+    # the package reads serves only the tests, and belongs with the reference
+    # forms in tests/oracles.py.  switch_off_decay is the one entry point
+    # that only API callers use.
     trees = _package_trees()
-    read = _names_read(trees)
+    read = _names_read(trees) | {"switch_off_decay"}
     orphans = []
     for filename, tree in trees.items():
         for node in tree.body:
+            public_def = False
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
+                public_def = not node.name.startswith("_")
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
@@ -97,7 +103,7 @@ def test_private_helpers_are_referenced():
                 continue
             for name in names:
                 private = name.startswith("_") and not name.startswith("__")
-                if private and name not in read:
+                if (private or public_def) and name not in read:
                     orphans.append(f"{filename}:{node.lineno} {name}")
     assert not orphans, orphans
 

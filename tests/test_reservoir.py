@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cavres.fock import (
     EIG_TOL,
     HilbertConfig,
     TruncationError,
-    coherent_state,
     density,
     fock_state,
     validate_density,
@@ -20,13 +20,20 @@ from cavres.dynamics import (
     TransitProfile,
     atom_ket,
     get_kernel,
+    phi0_of,
     theta_of,
     trace_atom,
 )
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
-from oracles import analytic_map, analytic_sample
+from oracles import (
+    analytic_map,
+    analytic_sample,
+    coherent_state,
+    kerr_propagator,
+    micromaser_amplitude,
+)
 
 OMEGA0 = 2 * np.pi * 50e3
 WAIST = 6e-3
@@ -504,6 +511,26 @@ class TestAnalyticSample:
                 assert np.array_equal(got.indptr, want.indptr)
                 assert np.max(np.abs(got.data - want.data)) <= 1e-14 * np.max(np.abs(want.data))
 
+    @pytest.mark.parametrize("name", ["cat2", "cat3", "squeeze", "banana"])
+    def test_map_is_kerr_conjugate_of_resonant_map(self, name):
+        """The dispersive wings act on the analytic map only as a Kerr
+        conjugation: with k = exp(-i phi0 n(n+1)) and phi0 = phi0_of(profile),
+        S = diag(k (x) conj(k)) S_0 diag(conj(k) (x) k), where S_0 is the map
+        of the same profile at delta_disp = 0.  So the loss-free analytic
+        pointer state at phi0 is K(phi0) applied to the resonant-only one:
+        the abstract's Kerr-evolved pointer state, exact in this model."""
+        profile = sc.preset(name).reservoir.profile
+        resonant = replace(profile, delta_disp=0.0)
+        dim = 31
+        k = np.diag(kerr_propagator(phi0_of(profile), HilbertConfig(n_max=dim - 1)))
+        kerr = sparse.diags(np.kron(k, k.conj()))
+        for u in U_VALUES:
+            for p_at in (1.0, 0.3):
+                got = res._analytic_map(profile, u, p_at, dim)
+                s_0 = res._analytic_map(resonant, u, p_at, dim)
+                want = kerr @ s_0 @ kerr.conj()
+                assert abs(got - want).max() <= 1e-12
+
     def test_resonant_map_is_the_dense_build(self):
         # with no detuning there are no gratings, and every entry is the
         # dense build's to the bit
@@ -808,7 +835,7 @@ class TestSuperoperatorCache:
 
 class TestMicromaser:
     def test_amplitude_formula(self):
-        assert res.micromaser_amplitude(0.1, 0.05) == pytest.approx(4.0)
+        assert micromaser_amplitude(0.1, 0.05) == pytest.approx(4.0)
 
     def test_equilibrium_amplitude(self):
         # weak resonant stream pumps the field to a coherent state 2u/Theta
@@ -825,5 +852,5 @@ class TestMicromaser:
         for _ in range(12_000):
             rho = res.sample_map(rho, config)
         amp, _, _ = met.field_moments(rho)
-        target = res.micromaser_amplitude(0.1, theta)
+        target = micromaser_amplitude(0.1, theta)
         assert abs(abs(amp) - target) / target < 0.05

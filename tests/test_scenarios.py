@@ -9,8 +9,7 @@ import pytest
 import cavres.metrics as met
 import cavres.scenarios as sc
 from cavres.dynamics import theta_of
-from cavres.fock import TruncationError, coherent_state, density, fock_state
-from cavres.reservoir import micromaser_amplitude
+from cavres.fock import TruncationError
 
 
 def tiny_raw(**extra):
@@ -359,23 +358,6 @@ class TestStateText:
         clipped = "\n".join(text.splitlines()[:-1])
         with pytest.raises(sc.ConfigError):
             sc.state_from_text(clipped)
-
-
-class TestIdealTarget:
-    def test_resonant_only_is_coherent(self):
-        raw = tiny_raw(**{"profile.delta": "0", "reservoir.u": "0.1"})
-        c = sc.build_config(raw)
-        target = sc.ideal_target(c)
-        alpha = micromaser_amplitude(0.1, theta_of(c.profile))
-        want = coherent_state(alpha, c.hilbert)
-        assert abs(abs(np.vdot(want, target)) - 1) < 1e-12
-
-    def test_kerr_target_keeps_photon_number(self):
-        c = sc.preset("cat2")
-        target = sc.ideal_target(c)
-        alpha = micromaser_amplitude(c.reservoir.u, theta_of(c.profile))
-        nbar = float(np.sum(np.arange(c.hilbert.dim) * np.abs(target) ** 2))
-        assert nbar == pytest.approx(abs(alpha) ** 2, rel=1e-10)
 
 
 def run_tiny(tmp_path, subdir, **extra):

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from cavres.fock import (
     HilbertConfig,
-    coherent_state,
     density,
     fock_state,
     validate_density,
@@ -20,7 +19,7 @@ import cavres.thermal as thermal
 from cavres.dynamics import TransitKernel, TransitProfile
 from cavres.reservoir import ReservoirConfig, build_sample_superop
 from cavres.thermal import CavityParams, ThermalPropagator, rate_block
-from oracles import dissipator_rhs, make_ladder, thermal_state
+from oracles import coherent_state, dissipator_rhs, make_ladder, thermal_state
 
 
 def random_density(dim, seed):
