@@ -28,14 +28,25 @@ pair coefficients (reservoir._kraus_pair).  On the truncated space the top
 pair partner |g, n_max+1> is absent, so the resonant blocks complete the
 lone |e, n_max> level as identity; this is exactly the exponential of the
 truncated generator and keeps every step unitary.
+
+The numeric crossing is built from two exact symmetries.  Omega(t) is even
+in t and the exit detuning is minus the approach one, so the exit wing is
+the approach wing run backwards at -Delta.  In each pair,
+H(Omega, -delta) = P H(Omega, delta)^T P with P swapping |g,n+1> and |e,n>,
+so a step at -delta is P S^T P for the step S at +delta, and a product of
+such steps reversed in time is P (product)^T P: every exit slice is an
+approach slice with its diagonal pair entries swapped (_mirrored).  And the
+loss steps inside a wing last one slice, twice the half-slice steps at its
+ends, so they are those half-steps squared (ThermalPropagator.squared).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -264,6 +275,16 @@ def _frozen_midpoint_steps(
     return acc
 
 
+def _mirrored(coeffs):
+    """Pair coefficients of P U^T P, where P swaps |g,n+1> and |e,n> in every
+    pair: the step U at detuning delta becomes the step at -delta.  Each pair
+    block [[ag[n+1], bg[n]], [bl[n], ae[n]]] becomes [[ae[n], bg[n]],
+    [bl[n], ag[n+1]]], and the lone levels |g,0> and |e,n_max> trade their
+    phases."""
+    ag, ae, bg, bl = coeffs
+    return np.roll(ae, 1, axis=-1), np.roll(ag, -1, axis=-1), bg, bl
+
+
 class TransitKernel:
     """Precomputed one-crossing propagation machinery for a fixed scenario.
 
@@ -273,18 +294,23 @@ class TransitKernel:
     its pair coefficients (ag, ae, bg, bl; see _pair_coefficients) and acts
     on joint states as O(dim^2) updates of row pairs, both halves of
     U X U' on contiguous rows with a transposed copy in between.  The
-    dispersive slices are products of exact frozen-midpoint substeps,
-    composed for all slices at once; the resonant slice is the exact rotation
-    of pulse area Theta, since there H(t) commutes with itself.
+    approach slices are products of exact frozen-midpoint substeps, composed
+    for all of them at once; exit slice j is approach slice
+    loss_slices - 1 - j mirrored (see the module docstring), which is the
+    same discretization as composing it, to rounding.  The resonant slice
+    is the exact rotation of pulse area Theta, since there H(t) commutes
+    with itself.
 
     With a cavity attached, each slice is Strang-wrapped in two half-steps
     of loss.  All of them share one generator, so the two half-steps that
     meet at a slice boundary are merged into one exact step:
     loss_steps[k] runs before slice k, and the last one after the final
-    slice.  Steps of equal duration share one ThermalPropagator.  A loss
-    step acts alike on a state and on its transpose, since diagonal k of
-    atom block (a, b) and diagonal -k of block (b, a) relax by one real
-    block.
+    slice.  That leaves three durations, each one ThermalPropagator: half a
+    slice at the two ends, a whole slice inside each wing (the end step
+    squared) and half a slice plus half the resonant span on either side of
+    the resonant slice.  A loss step acts alike on a state and on its
+    transpose, since diagonal k of atom block (a, b) and diagonal -k of
+    block (b, a) relax by one real block.
     """
 
     def __init__(
@@ -299,32 +325,32 @@ class TransitKernel:
         self.cavity = cavity
         self.options = options
 
-        d1, res, d2 = _segments(profile)
+        (t0, t1, delta), res, _ = _segments(profile)
         n_slices = options.loss_slices
         n_sub = -(-options.fine_steps // n_slices)  # ceil per slice
-        starts, spans, deltas = [], [], []
-        for (t0, t1, delta) in (d1, d2):
-            tau = (t1 - t0) / n_slices
-            starts.append(t0 + tau * np.arange(n_slices))
-            spans.append(np.full(n_slices, tau))
-            deltas.append(np.full(n_slices, delta))
-        disp = _frozen_midpoint_steps(
-            profile, np.concatenate(starts), np.concatenate(spans), np.concatenate(deltas),
-            n_sub, cfg,
+        tau = (t1 - t0) / n_slices
+        approach = _frozen_midpoint_steps(
+            profile, t0 + tau * np.arange(n_slices), tau, delta, n_sub, cfg
         )
-        wings = [tuple(c[k] for c in disp) for k in range(2 * n_slices)]
+        # exit slice j mirrors approach slice n_slices - 1 - j
+        exit_wing = _mirrored(tuple(c[::-1] for c in approach))
         resonant = _pair_coefficients(1.0, 0.0, theta_of(profile), cfg)
         # the resonant slice sits between the two dispersive runs
-        self.slices = wings[:n_slices] + [resonant] + wings[n_slices:]
+        self.slices = (
+            [tuple(c[k] for c in approach) for k in range(n_slices)]
+            + [resonant]
+            + [tuple(c[k] for c in exit_wing) for k in range(n_slices)]
+        )
         self._slices_conj = [tuple(c.conj() for c in co) for co in self.slices]
-        durations = np.concatenate([spans[0], [res[1] - res[0]], spans[1]])
 
         self.loss_steps: list[ThermalPropagator] = []
         if cavity is not None:
-            halves = np.append(durations, 0.0) / 2
-            merged = (halves + np.roll(halves, 1)).tolist()
-            props = {tau: ThermalPropagator(tau, cavity, cfg.dim) for tau in set(merged)}
-            self.loss_steps = [props[tau] for tau in merged]
+            # ends, inside a wing, and either side of the resonant slice
+            end = ThermalPropagator(tau / 2, cavity, cfg.dim)
+            inner = end.squared()
+            bridge = ThermalPropagator((res[1] - res[0]) / 2 + tau / 2, cavity, cfg.dim)
+            wing = [end] + [inner] * (n_slices - 1) + [bridge]
+            self.loss_steps = wing + wing[::-1]
 
     def adjoint(self) -> TransitKernel:
         """The crossing's Hilbert-Schmidt adjoint K', with
@@ -369,8 +395,40 @@ class TransitKernel:
         return np.moveaxis(relaxed, 0, -1)
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _one_entry_cache(build):
+    """build cached for one key, like lru_cache(maxsize=1) with its
+    cache_info() and cache_clear(), except that a new key releases the held
+    entry before it builds: with lru_cache the old and the new build are
+    both alive at the new build's peak.  For builds that hold megabytes and
+    whose key changes from one scenario to the next."""
+    held = {}
+    stats = [0, 0]  # hits, misses
+
+    @functools.wraps(build)
+    def cached(*args, **kwargs):
+        key = (args, tuple(kwargs.items()))
+        if key in held:
+            stats[0] += 1
+            return held[key]
+        held.clear()
+        stats[1] += 1
+        held[key] = value = build(*args, **kwargs)
+        return value
+
+    def cache_clear():
+        held.clear()
+        stats[:] = [0, 0]
+
+    cached.cache_info = lambda: _CacheInfo(*stats, 1, len(held))
+    cached.cache_clear = cache_clear
+    return cached
+
+
 # one entry: a run, its switch-off and each serial sweep value use one key
-@lru_cache(maxsize=1)
+@_one_entry_cache
 def get_kernel(
     profile: TransitProfile, cfg: HilbertConfig, cavity: CavityParams | None
 ) -> TransitKernel:

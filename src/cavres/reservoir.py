@@ -53,6 +53,7 @@ from cavres.fock import HilbertConfig, TruncationError, validate_density
 from cavres.thermal import CavityParams, ThermalPropagator
 from cavres.dynamics import (
     TransitProfile,
+    _one_entry_cache,
     _pair_coefficients,
     atom_ket,
     embed_with_atom,
@@ -83,12 +84,21 @@ class TrajectoryError(RuntimeError):
         self.sample_index = sample_index
 
 
+# Largest cavity loss over one transit, kappa t_i = 2 t_i / t_c.  A 3-sample
+# cat2 run first failed its state checks at kappa t_i of 2.2e6 (profile.v,
+# n_max 60) to 1.0e7 (cavity.t_c, n_max 15), with trace errors above 1e-8,
+# and a NaN state far beyond; the presets sit at 4e-3.
+_KAPPA_T_MAX = 1e5
+
+
 @dataclass(frozen=True)
 class ReservoirConfig:
     """One reservoir scenario: who crosses the cavity, and how often.
 
     cavity None disables loss entirely (ideal cavity).  monte_carlo mode
-    requires an explicit seed so that every output can be reproduced.
+    requires an explicit seed so that every output can be reproduced.  The
+    loss over one transit, kappa t_i, is bounded by _KAPPA_T_MAX, more than
+    20 times below where runs start to fail their state checks.
     """
 
     profile: TransitProfile
@@ -115,6 +125,13 @@ class ReservoirConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.backend not in ("numeric", "analytic"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if self.cavity is not None:
+            loss = self.cavity.kappa * self.profile.t_i
+            if not loss <= _KAPPA_T_MAX:
+                raise ValueError(
+                    f"cavity loss over one transit kappa t_i = 2 t_i / t_c = {loss:.3g} "
+                    f"exceeds {_KAPPA_T_MAX:.0e}: raise cavity.t_c or profile.v"
+                )
 
 
 @dataclass
@@ -133,7 +150,9 @@ class TrajectoryResult:
 
 # Each cache below keeps one entry: a run, its switch-off and each serial
 # sweep value use one key, and a u or p_at sweep shares the key of the
-# u-independent builds.
+# u-independent builds.  _branch_maps, like get_kernel, drops its entry
+# before it builds the next; the lookups made once per sample stay on the
+# C lru_cache, which is cheaper per call.
 @lru_cache(maxsize=1)
 def _relax_propagator(duration: float, cavity: CavityParams, dim: int) -> ThermalPropagator:
     return ThermalPropagator(duration, cavity, dim)
@@ -301,7 +320,7 @@ def _read_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
     )
 
 
-@lru_cache(maxsize=1)
+@_one_entry_cache
 def _branch_maps(
     profile: TransitProfile, cfg: HilbertConfig, cavity: CavityParams | None
 ) -> tuple[sparse.csr_matrix, ...]:

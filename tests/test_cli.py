@@ -126,6 +126,22 @@ class TestRun:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", [
+        "cavity.t_c=1e-300", "profile.v=1e-300", "cavity.t_c=1e-11",
+    ])
+    def test_loss_step_out_of_range_is_a_config_error(self, tmp_path, capsys, setting):
+        # kappa t_i past the bound used to run into a NaN state or a trace
+        # error, exit 3
+        out = tmp_path / "r"
+        code = cli.main([
+            "run", "--preset", "cat2", *TINY, "--set", setting, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: cavity loss over one transit" in err
+        assert "cavity.t_c" in err and "profile.v" in err
+        assert not out.exists()
+
     def test_unknown_preset_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--preset", "nope"])

@@ -1,5 +1,6 @@
 """Transit schedule, analytic propagators, and the numeric integrators."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.linalg import expm
 from cavres.fock import HilbertConfig, density
 from cavres import dynamics as dyn
 from cavres import reservoir as res
+from cavres import scenarios as sc
 from cavres.metrics import mean_photon, purity
-from cavres.thermal import CavityParams, rate_block
+from cavres.thermal import CavityParams, ThermalPropagator, rate_block
 from oracles import (
     ScheduleError,
     _coeffs_to_matrix,
@@ -434,6 +436,92 @@ class TestKernelAgainstDenseOracle:
         assert len({id(p) for p in kernel.loss_steps}) == 3
         total = sum(p.duration for p in kernel.loss_steps)
         assert total == pytest.approx(CAT2.t_i, rel=1e-12)
+
+
+def preset_profiles():
+    """The four presets' profiles, and cat2's without detuning."""
+    profiles = {name: sc.preset(name).reservoir.profile for name in sc.PRESET_NAMES}
+    profiles["cat2_resonant"] = dataclasses.replace(profiles["cat2"], delta_disp=0.0)
+    return profiles
+
+
+class TestKernelSymmetries:
+    # the kernel composes the approach wing only: exit slice j is approach
+    # slice n-1-j mirrored (S(omega, -delta) = P S(omega, delta)^T P), and
+    # the step inside a wing is the end half-step squared
+    @pytest.mark.parametrize("name", list(preset_profiles()))
+    def test_exit_wing_mirrors_approach_wing(self, name):
+        profile = preset_profiles()[name]
+        cfg = HilbertConfig(n_max=30)
+        options = dyn.TransitOptions()
+        kernel = dyn.TransitKernel(profile, cfg, None, options)
+        t0, t1, delta = dyn._segments(profile)[2]
+        n_slices = options.loss_slices
+        tau = (t1 - t0) / n_slices
+        n_sub = -(-options.fine_steps // n_slices)
+        direct = dyn._frozen_midpoint_steps(
+            profile, t0 + tau * np.arange(n_slices), tau, delta, n_sub, cfg
+        )
+        for k, coeffs in enumerate(kernel.slices[n_slices + 1:]):
+            for got, want in zip(coeffs, direct):
+                assert np.max(np.abs(got - want[k])) < 1e-14
+
+    def test_build_composes_one_wing_and_two_loss_steps(self, monkeypatch):
+        # two expm builds per lossy kernel (end half-step and the step
+        # beside the resonant slice), none without loss, and one wing of
+        # loss_slices slices composed
+        builds, composed = [], []
+        init = ThermalPropagator.__init__
+        steps = dyn._frozen_midpoint_steps
+
+        def spy_init(prop, duration, cavity, dim):
+            builds.append(duration)
+            init(prop, duration, cavity, dim)
+
+        def spy_steps(profile, t0, span, delta, n_steps, cfg):
+            composed.append(np.shape(t0))
+            return steps(profile, t0, span, delta, n_steps, cfg)
+
+        monkeypatch.setattr(ThermalPropagator, "__init__", spy_init)
+        monkeypatch.setattr(dyn, "_frozen_midpoint_steps", spy_steps)
+        cfg = HilbertConfig(n_max=8)
+        n_slices = dyn.TransitOptions().loss_slices
+        kernel = dyn.TransitKernel(CAT2, cfg, CavityParams())
+        assert len(builds) == 2
+        assert composed == [(n_slices,)]
+        end, inner = kernel.loss_steps[:2]
+        assert inner.duration == 2 * end.duration
+        builds.clear()
+        composed.clear()
+        dyn.TransitKernel(CAT2, cfg, None)
+        assert builds == []
+        assert composed == [(n_slices,)]
+
+
+class TestFineSteps:
+    def test_step_halving_is_second_order(self):
+        # trace distance between the fields after one lossy crossing of
+        # (|2><2| + |5><5|)/2 at fine_steps 512, 1024 and 2048: each halving
+        # shrinks it about fourfold (3.9-4.1), and the default 1024 sits
+        # 3.4e-7 (squeeze) to 1.3e-6 (cat2) from 2048
+        cfg = HilbertConfig(n_max=30)
+        rho = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+        rho[2, 2] = rho[5, 5] = 0.5
+        for name in sc.PRESET_NAMES:
+            r = sc.preset(name).reservoir
+            joint = dyn.embed_with_atom(rho, dyn.atom_ket(r.u))
+            fields = [
+                dyn.trace_atom(dyn.TransitKernel(
+                    r.profile, cfg, r.cavity, dyn.TransitOptions(fine_steps=steps)
+                ).propagate(joint))
+                for steps in (512, 1024, 2048)
+            ]
+            coarse, fine = (
+                0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)))
+                for a, b in zip(fields, fields[1:])
+            )
+            assert 3 <= coarse / fine <= 5, name
+            assert fine <= 2e-6, name
 
 
 def random_matrices(size, count, rng):

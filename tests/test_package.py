@@ -231,14 +231,33 @@ def test_config_keys_match_dataclass_fields():
     assert {target: keys for target, keys in keys_of.items() if len(keys) != 1} == {}
 
 
-def test_benchmark_trace_hooks_resolve():
-    # the benchmark tracer wraps each hook at owner.__dict__[attr] for a
-    # class and getattr(owner, attr) for a module; a hook that moved away
-    # makes `perfbench/run.py --trace 1` fail with a KeyError
+def _benchmark_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_presets_and_benchmark_configs_build():
+    # each sits far inside the kappa t_i bound (4e-3 on the presets)
+    import cavres.scenarios as sc
+
+    configs = [sc.preset(name) for name in sc.PRESET_NAMES] + [
+        sc.build_config(dict(overrides), preset_name=name)
+        for name, overrides in _benchmark_workloads().TRAJECTORY.values()
+    ]
+    for c in configs:
+        cavity = c.reservoir.cavity
+        if cavity is not None:
+            assert cavity.kappa * c.profile.t_i < 1e-2
+
+
+def test_benchmark_trace_hooks_resolve():
+    # the benchmark tracer wraps each hook at owner.__dict__[attr] for a
+    # class and getattr(owner, attr) for a module; a hook that moved away
+    # makes `perfbench/run.py --trace 1` fail with a KeyError
+    workloads = _benchmark_workloads()
 
     class Recorder:
         def __init__(self):

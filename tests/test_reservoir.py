@@ -1,5 +1,7 @@
 """Per-sample reservoir map, trajectories, and the sparse sample operator."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from cavres.dynamics import (
     theta_of,
     trace_atom,
 )
+import cavres.dynamics as dyn
 import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
@@ -736,6 +739,27 @@ class TestSuperoperatorCache:
         sc.sweep_scenario(analytic, "profile.v", velocities, out_dir=tmp_path / "analytic")
         assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1, 1]
         assert [cache.cache_info().misses for cache in caches] == [3, 3, 6, 3]
+
+    def test_a_new_key_releases_the_held_builds_first(self, monkeypatch):
+        # a serial sweep value peaks at one build: when the next kernel
+        # build starts, the previous kernel and branch maps are unreachable
+        cfg, cavity = HilbertConfig(n_max=6), CavityParams()
+        get_kernel.cache_clear()
+        res._branch_maps.cache_clear()
+        old_kernel = weakref.ref(get_kernel(CAT2, cfg, cavity))
+        old_map = weakref.ref(res._branch_maps(CAT2, cfg, cavity)[0])
+        alive = []
+        build = dyn.TransitKernel
+
+        def spy(*args, **kwargs):
+            gc.collect()
+            alive.append((old_kernel(), old_map()))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(dyn, "TransitKernel", spy)
+        res._branch_maps(replace(CAT2, v=80.0), cfg, cavity)
+        assert alive == [(None, None)]
+        assert [c.cache_info().currsize for c in (get_kernel, res._branch_maps)] == [1, 1]
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_relaxation_acts_on_non_hermitian_matrices(self, n_max):
