@@ -19,9 +19,10 @@ time with loss interleaved, has no such identity (README, Pointer states).
 
 import os as _os
 
-# must run before numpy is first imported to take effect
-_threads = _os.environ.get("CAVRES_THREADS")
-if _threads:
+# must run before numpy is first imported to take effect; only a positive
+# integer is copied, and cli.main rejects any other value with exit code 2
+_threads = _os.environ.get("CAVRES_THREADS", "")
+if _threads.isascii() and _threads.isdigit() and int(_threads) > 0:
     for _var in (
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",

@@ -2,9 +2,11 @@
 stored state's Wigner function.
 
 Exit codes: 0 on success, 2 for configuration problems (bad files, keys,
-values, unknown presets), 3 for numerical failures (truncation overflow,
-invariant violations).  The CAVRES_THREADS environment variable caps BLAS
-threads (applied on package import) and sets the worker count for sweeps.
+values, unknown presets, an output path that cannot be written), 3 for
+numerical failures (truncation overflow, invariant violations).  The
+CAVRES_THREADS environment variable, a positive integer checked for every
+command, caps BLAS threads (applied on package import) and sets the worker
+count for sweeps.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .fock import StateInvariantError, TruncationError, validate_density
-from .dynamics import ZeroDetuningError
 from .reservoir import TrajectoryError
 from . import metrics as met
 from . import scenarios as sc
@@ -26,23 +28,21 @@ _NUMERICAL_ERRORS = (
     TruncationError,
     StateInvariantError,
     TrajectoryError,
-    ZeroDetuningError,
     FloatingPointError,
     np.linalg.LinAlgError,
 )
 
 
 def _worker_count() -> int:
+    """CAVRES_THREADS as a positive integer, 1 when unset; any other value is
+    a config error, and the package import copies none into the BLAS
+    variables."""
     raw = os.environ.get("CAVRES_THREADS")
     if raw is None:
         return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise sc.ConfigError(f"CAVRES_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise sc.ConfigError("CAVRES_THREADS must be >= 1")
-    return count
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise sc.ConfigError(f"CAVRES_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser, run_only: bool) -> None:
@@ -142,12 +142,26 @@ def _config_from_args(args: argparse.Namespace) -> sc.ScenarioConfig:
         raw["reservoir.backend"] = args.backend
     if args.out:
         raw["output.dir"] = args.out
-    return sc.build_config(raw, preset_name=args.preset)
+    config = sc.build_config(raw, preset_name=args.preset)
+    # checked before anything runs: a run writes its directory only at the end
+    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
+        raise sc.ConfigError(f"output path {config.out_dir!r} exists and is not a directory")
+    return config
+
+
+@contextmanager
+def _writing_to(out_dir: str):
+    """An OSError raised while artifacts are written, as a config error."""
+    try:
+        yield
+    except OSError as err:
+        raise sc.ConfigError(f"cannot write artifacts to {out_dir!r}: {err}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    summary = sc.run_scenario(config)
+    with _writing_to(config.out_dir):
+        summary = sc.run_scenario(config)
     for key in ("name", "nbar", "purity", "fidelity", "squeezing_db",
                 "truncation_peak", "wall_time_s"):
         print(f"{key} = {summary[key]}")
@@ -158,15 +172,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    summaries = sc.sweep_scenario(
-        config,
-        args.param,
-        values,
-        out_dir=args.out,
-        max_workers=_worker_count(),
-    )
-    out = args.out if args.out is not None else config.out_dir
-    print(f"{len(summaries)} runs; combined table in {Path(out) / 'sweep.csv'}")
+    with _writing_to(config.out_dir):
+        summaries = sc.sweep_scenario(config, args.param, values, max_workers=args.workers)
+    print(f"{len(summaries)} runs; combined table in {Path(config.out_dir) / 'sweep.csv'}")
     return 0
 
 
@@ -182,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.workers = _worker_count()
         return args.func(args)
     except sc.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

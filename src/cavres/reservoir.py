@@ -9,26 +9,31 @@ acquires dispersive wings.
 
 Two transit backends share this engine.  "numeric" integrates the full
 time-dependent schedule with loss interleaved (see dynamics); "analytic"
-applies the instantaneous composite crossing, held as its Kraus pair.  The
-deterministic mixing mode averages the atom/no-atom branches; monte_carlo
-draws one branch per sample from a seeded generator.
+applies the instantaneous composite crossing.  The deterministic mixing
+mode averages the atom/no-atom branches; monte_carlo draws one branch per
+sample from a seeded generator.
 
-Both branches of an analytic sample relax over the same t_i, so the sample
-is R((1 - p_at) I + p_at A): one product with a cached sparse map, where
-A = sum_m K_m (x) conj(K_m) is the crossing over its two bidiagonal Kraus
-operators (25,561 nonzeros at n_max 60), then one relaxation R when there
-is a cavity.  The composite crossing conserves excitation number, so the
-Kraus pair is built straight from its pair coefficients (_kraus_pair): no
-joint matrix is formed.  A Monte-Carlo draw is the same map at p_at 1 or 0.
+A crossing without loss is one excitation-conserving unitary, so it acts on
+the field through two bidiagonal Kraus operators built straight from its
+pair coefficients (_kraus_pair): no joint matrix is formed.  The analytic
+backend takes the coefficients of the closed form, and a loss-free numeric
+crossing those of the kernel's slices composed in order (exact, since no
+loss step sits between them).  Both branches of an analytic sample relax
+over the same t_i, so every analytic or loss-free sample is
+R((1 - p_at) I + p_at A): one product with a cached sparse map, where
+A = sum_m K_m (x) conj(K_m) (25,561 nonzeros at n_max 60), then one
+relaxation R when there is a cavity.  A Monte-Carlo draw is the same map at
+p_at 1 or 0.
 
 The deterministic numeric map is linear in the state, so a numeric run long
 enough to pay for it (n_samples >= 3 dim) first builds the map as one
 sparse (dim^2, dim^2) operator and then iterates sparse matrix-vector
 products; Monte-Carlo runs, analytic runs and shorter runs apply sample_map
-directly.  The operator serves numeric crossings only.  Transit and
-loss conserve the joint excitation difference, so the numeric crossing maps
-each field diagonal only to its neighbours: the operator is assembled from
-four branch maps K_gg, K_ee, K_ge and K_eg read off probe propagations
+directly.  The operator serves numeric crossings only, and without a cavity
+it is the loss-free Kraus map itself.  Transit and loss conserve the joint
+excitation difference, so the lossy numeric crossing maps each field
+diagonal only to its neighbours: the operator is assembled from four branch
+maps K_gg, K_ee, K_ge and K_eg read off probe propagations
 (column grouping over the known diagonal structure, as for sparse
 Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117 (1974)).
 The probes cross the adjoint of the crossing, where one image holds a
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
@@ -53,6 +58,7 @@ from cavres.fock import HilbertConfig, TruncationError, validate_density
 from cavres.thermal import CavityParams, ThermalPropagator
 from cavres.dynamics import (
     TransitProfile,
+    _compose,
     _one_entry_cache,
     _pair_coefficients,
     atom_ket,
@@ -168,52 +174,58 @@ def relax(rho: np.ndarray, duration: float, cavity: CavityParams | None) -> np.n
     return _relax_propagator(duration, cavity, rho.shape[0]).apply(rho)
 
 
-def _kraus_pair(
-    theta: float, phi0: float, psi: np.ndarray, dim: int
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+def _kraus_pair(coeffs, psi: np.ndarray) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """Field-space Kraus pair K_m = (<m_atom| tensor I) U (|psi> tensor I),
-    m in {g, e}, of the composite crossing U = U_d(phi0) U_r(theta) U_d(phi0)'
-    for an atom injected in psi = (psi_g, psi_e).  U keeps the pair blocks of
-    U_r (coefficients ag, ae, bg, bl; see dynamics._pair_coefficients) and
-    the dephasing only adds Kerr gratings to their exchange entries, so
+    m in {g, e}, of an excitation-conserving crossing U with pair
+    coefficients (ag, ae, bg, bl; see dynamics._pair_coefficients), for an
+    atom injected in psi = (psi_g, psi_e):
 
-        K_g = psi_g diag(ag) + psi_e subdiag(bg exp(-2i phi0 (n+1)))
-        K_e = psi_e diag(ae) + psi_g superdiag(bl exp(+2i phi0 (n+1)))
+        K_g = psi_g diag(ag) + psi_e subdiag(bg)
+        K_e = psi_e diag(ae) + psi_g superdiag(bl)
 
-    for n = 0 .. dim-2: K_g is lower- and K_e upper-bidiagonal."""
+    K_g is lower- and K_e upper-bidiagonal."""
+    ag, ae, bg, bl = coeffs
     psi_g, psi_e = psi
-    ag, ae, bg, bl = _pair_coefficients(1.0, 0.0, theta, HilbertConfig(n_max=dim - 1))
-    grating = np.exp(-2j * phi0 * np.arange(1, dim))
-    k_g = sparse.diags([psi_g * ag, psi_e * (bg * grating)], [0, -1], format="csr")
-    k_e = sparse.diags([psi_e * ae, psi_g * (bl * grating.conj())], [0, 1], format="csr")
+    k_g = sparse.diags([psi_g * ag, psi_e * bg], [0, -1], format="csr")
+    k_e = sparse.diags([psi_e * ae, psi_g * bl], [0, 1], format="csr")
     return k_g, k_e
 
 
-@lru_cache(maxsize=1)
-def _analytic_map(
-    profile: TransitProfile, u: float, p_at: float, dim: int
-) -> sparse.csr_matrix:
-    """(1 - p_at) I + p_at A on row-major vec, for the instantaneous composite
-    crossing A = sum_m K_m (x) conj(K_m) over its Kraus pair (_kraus_pair).
-    K_g is lower- and K_e upper-bidiagonal, so A has
-    2 (2 dim - 1)^2 - dim^2 entries (11,441 at n_max 40)."""
+def _crossing_coefficients(profile: TransitProfile, backend: str, dim: int):
+    """Pair coefficients of the loss-free crossing.  analytic: the composite
+    U_d(phi0) U_r(Theta) U_d(phi0)', whose dephasing only adds the Kerr
+    gratings exp(-+2i phi0 (n+1)) to the exchange entries bg and bl of U_r.
+    numeric: the kernel's slices composed in order, exact here since no loss
+    step sits between them."""
+    cfg = HilbertConfig(n_max=dim - 1)
+    if backend == "numeric":
+        slices = get_kernel(profile, cfg, None).slices
+        return reduce(lambda acc, later: _compose(later, acc), slices)
+    ag, ae, bg, bl = _pair_coefficients(1.0, 0.0, theta_of(profile), cfg)
     phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile)
-    k_g, k_e = _kraus_pair(theta_of(profile), phi0, atom_ket(u), dim)
-    crossing = (
-        sparse.kron(k_g, k_g.conj(), format="csr")
-        + sparse.kron(k_e, k_e.conj(), format="csr")
-    )
-    identity = sparse.identity(dim * dim, dtype=complex, format="csr")
-    s_map = (1.0 - p_at) * identity + p_at * crossing
-    s_map.eliminate_zeros()
+    grating = np.exp(-2j * phi0 * np.arange(1, dim))
+    return ag, ae, bg * grating, bl * grating.conj()
+
+
+@lru_cache(maxsize=1)
+def _kraus_map(
+    profile: TransitProfile, backend: str, u: float, p_at: float, dim: int
+) -> sparse.csr_matrix:
+    """(1 - p_at) I + p_at A on row-major vec, for the loss-free crossing
+    A = sum_m K_m (x) conj(K_m) over its Kraus pair (_kraus_pair) in either
+    backend; the identity at p_at 0, with no crossing built.  K_g is lower-
+    and K_e upper-bidiagonal, so A has 2 (2 dim - 1)^2 - dim^2 entries
+    (11,441 at n_max 40)."""
+    s_map = sparse.identity(dim * dim, dtype=complex, format="csr")
+    if p_at > 0.0:
+        k_g, k_e = _kraus_pair(_crossing_coefficients(profile, backend, dim), atom_ket(u))
+        crossing = (
+            sparse.kron(k_g, k_g.conj(), format="csr")
+            + sparse.kron(k_e, k_e.conj(), format="csr")
+        )
+        s_map = (1.0 - p_at) * s_map + p_at * crossing
+        s_map.eliminate_zeros()
     return s_map
-
-
-def _atom_branch(rho: np.ndarray, config: ReservoirConfig) -> np.ndarray:
-    """Field map of one numeric crossing by one atom, loss interleaved."""
-    cfg = HilbertConfig(n_max=rho.shape[0] - 1)
-    kernel = get_kernel(config.profile, cfg, config.cavity)
-    return trace_atom(kernel.propagate(embed_with_atom(rho, atom_ket(config.u))))
 
 
 def sample_map(
@@ -226,8 +238,10 @@ def sample_map(
     Deterministic mode mixes the atom and no-atom branches with weight
     p_at; monte_carlo mode draws one branch (pass the trajectory's
     generator via rng, else a fresh one is seeded from config.seed), which
-    is the deterministic map at p_at 1 or 0.  An analytic sample is one
-    product with _analytic_map, then one relaxation if there is a cavity.
+    is the deterministic map at p_at 1 or 0.  An analytic or loss-free
+    sample is one product with the Kraus map (_kraus_map), then one
+    relaxation if there is a cavity; a lossy numeric sample propagates the
+    joint state through the kernel.
     """
     p_at = config.p_at
     if config.mixing_mode == "monte_carlo":
@@ -236,14 +250,16 @@ def sample_map(
         p_at = 1.0 if rng.random() < config.p_at else 0.0
     if p_at == 0.0:
         return relax(rho, config.profile.t_i, config.cavity)
-    if config.backend == "analytic":
+    if config.backend == "analytic" or config.cavity is None:
         dim = rho.shape[0]
-        s_map = _analytic_map(config.profile, config.u, p_at, dim)
+        s_map = _kraus_map(config.profile, config.backend, config.u, p_at, dim)
         out = (s_map @ rho.reshape(-1)).reshape(dim, dim)
         if config.cavity is None:
             return out
         return relax(out, config.profile.t_i, config.cavity)
-    atom_part = _atom_branch(rho, config)
+    # one numeric crossing by one atom, loss interleaved
+    kernel = get_kernel(config.profile, HilbertConfig(n_max=rho.shape[0] - 1), config.cavity)
+    atom_part = trace_atom(kernel.propagate(embed_with_atom(rho, atom_ket(config.u))))
     if p_at == 1.0:
         return atom_part
     return (1.0 - p_at) * relax(rho, config.profile.t_i, config.cavity) + p_at * atom_part
@@ -322,20 +338,18 @@ def _read_map(images: np.ndarray, shift: int) -> sparse.csr_matrix:
 
 @_one_entry_cache
 def _branch_maps(
-    profile: TransitProfile, cfg: HilbertConfig, cavity: CavityParams | None
+    profile: TransitProfile, cfg: HilbertConfig, cavity: CavityParams
 ) -> tuple[sparse.csr_matrix, ...]:
     """K_gg, K_ee, K_ge and K_eg, with K_ab(X) = Tr_atom K(|a><b| tensor X)
-    for the lossy crossing K.  Transit and loss both conserve the joint
-    excitation difference, so K_gg and K_ee keep each field diagonal k on k,
-    K_ge sends it to k + 1 and K_eg to k - 1.  All four are read off the
-    crossing's adjoint K': K_ab'(Y) = <a|K'(I tensor Y)|b>, so one adjoint
-    propagation of I tensor P gives probe P's image under every K_ab' as one
-    atom block, and _read_map reads K_ab off those blocks.  I tensor P is
-    Hermitian and K' preserves Hermiticity, so _probe_images pushes
-    ceil(dim/2) paired probes, with or without a cavity.  K' preserves it
-    only to rounding, so where a loss-free map vanishes exactly it holds
-    residue of about 1e-17 instead.  None of the four maps depends on the
-    atom state u or on p_at.
+    for the lossy crossing K (a loss-free crossing is its Kraus map).
+    Transit and loss both conserve the joint excitation difference, so K_gg
+    and K_ee keep each field diagonal k on k, K_ge sends it to k + 1 and
+    K_eg to k - 1.  All four are read off the crossing's adjoint K':
+    K_ab'(Y) = <a|K'(I tensor Y)|b>, so one adjoint propagation of
+    I tensor P gives probe P's image under every K_ab' as one atom block,
+    and _read_map reads K_ab off those blocks.  I tensor P is Hermitian and
+    K' preserves Hermiticity, so _probe_images pushes ceil(dim/2) paired
+    probes.  None of the four maps depends on the atom state u or on p_at.
     """
     adjoint = get_kernel(profile, cfg, cavity).adjoint()
     dim = cfg.dim
@@ -356,9 +370,10 @@ def _branch_maps(
 def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
     """Sparse matrix S of the deterministic sample map on vectorized states.
 
-    Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  R is the
-    thermal relaxation over t_i (identity without a cavity), and
-    S = (1 - p_at) R + p_at A_u, with the lossy crossing
+    Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  Without a
+    cavity S is the loss-free Kraus map that sample_map applies (_kraus_map),
+    the identity at p_at 0.  With one, R is the thermal relaxation over t_i
+    and S = (1 - p_at) R + p_at A_u, with the lossy crossing
     A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge + c.c. built
     from the cached u-independent branch maps.  R is read like them, off
     paired probes pushed through its adjoint (_probe_images, _read_map), so
@@ -377,11 +392,11 @@ def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.
             "the sample operator serves the numeric backend only, "
             f"got {config.backend!r}"
         )
-    relaxation = (
-        (lambda field: field) if config.cavity is None
-        else _relax_propagator(config.profile.t_i, config.cavity, cfg.dim).adjoint().apply_batched
-    )
-    s_map = _read_map(_probe_images(relaxation, cfg.dim), shift=0)
+    if config.cavity is None:
+        # a copy: the cached map is the one every loss-free sample applies
+        return _kraus_map(config.profile, config.backend, config.u, config.p_at, cfg.dim).copy()
+    relaxation = _relax_propagator(config.profile.t_i, config.cavity, cfg.dim).adjoint()
+    s_map = _read_map(_probe_images(relaxation.apply_batched, cfg.dim), shift=0)
     if config.p_at > 0.0:
         k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity)
         psi_g, psi_e = atom_ket(config.u)
@@ -449,12 +464,13 @@ def run_trajectory(
     j = 0).  reference, when given, is the pure state fidelity is tracked
     against.  rho0 is policed before anything is built.
     Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
-    operator of build_sample_superop, whose ceil(dim/2) probe propagations
-    cost about as much as 0.2-0.3 dim direct samples at n_max 16 and
-    0.5-0.6 dim at n_max 60.  All other runs call sample_map each sample;
-    an analytic sample there is one sparse product with a cached map plus
-    at most one relaxation, as cheap as an operator product (README, Long
-    runs).  The two paths agree to rounding.
+    operator of build_sample_superop.  With a cavity its ceil(dim/2) probe
+    propagations cost about as much as 0.2-0.3 dim direct samples at n_max
+    16 and 0.5-0.6 dim at n_max 60; without one it is the Kraus map that
+    sample_map applies.  All other runs call sample_map each sample; an
+    analytic or loss-free sample there is one sparse product with a cached
+    map plus at most one relaxation, as cheap as an operator product
+    (README, Long runs).  The two paths agree to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     rho = rho0.astype(complex)

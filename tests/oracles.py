@@ -9,8 +9,8 @@ frozen coupling and detuning, pair coefficients as dense joint matrices, the
 resonant rotation, the dispersive dephasing and the composite crossing
 U_d U_r U_d' as dense joint matrices, fixed-step RK4 on the Schrodinger
 equation and on the full master equation, the transit kernel's loss-free
-unitary as the dense product of its slices, the analytic sample map with its
-Kraus pair sliced out of the dense composite crossing, the analytic sample
+unitary as the dense product of its slices, the loss-free sample map with
+its Kraus pair sliced out of a dense joint crossing, the analytic sample
 as dense Kraus products with each branch relaxed on its own, the
 dissipator in plain matrix form, the Wigner function summed term by term
 from scipy's Laguerre polynomials and by one Clenshaw recurrence per
@@ -19,14 +19,15 @@ cat fit's phase grid as one einsum, scipy's Nelder-Mead search, and the cat
 fit as a Nelder-Mead search over the amplitude and the phases together.
 None of this runs in the library: every pulse area and dispersive phase
 there is a closed erf form, every transit goes through the exact pair-block
-kernel, every analytic crossing is a Kraus pair built from pair
-coefficients, every analytic sample goes through one sparse product and one
-relaxation, every relaxation through the per-diagonal exponentials of
-ThermalPropagator, every Wigner map through one Clenshaw recurrence per
-distinct |xi| for all diagonals at once, every coherent vector is one
-cumulative product in double precision, every phase grid one real matrix
-product, and every cat fit goes through the amplitude-only search with exact
-phases, driven by the library's own Nelder-Mead steps.  Tests compare
+kernel, every loss-free crossing is a Kraus pair built from pair
+coefficients, every analytic or loss-free sample goes through one sparse
+product and at most one relaxation, every relaxation through the
+per-diagonal exponentials of ThermalPropagator, every Wigner map through
+one Clenshaw recurrence per distinct |xi| for all diagonals at once, every
+coherent vector is one cumulative product in double precision, every phase
+grid one real matrix product, and every cat fit goes through the
+amplitude-only search with exact phases, driven by the library's own
+Nelder-Mead steps.  Tests compare
 those fast paths with the brute-force forms kept here.
 """
 
@@ -274,20 +275,27 @@ def kernel_unitary(kernel) -> np.ndarray:
     return _coeffs_to_matrix(acc, kernel.cfg)
 
 
-def dense_kraus_pair(profile, u: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def dense_kraus_pair(u_mat: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense Kraus pair K_m = (<m_atom| tensor I) U (|u_atom> tensor I),
-    m in {g, e}, sliced out of the dense composite crossing U."""
-    phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile)
-    u_mat = u_composite(theta_of(profile), phi0, HilbertConfig(n_max=dim - 1))
+    m in {g, e}, sliced out of the dense joint crossing U."""
+    dim = len(u_mat) // 2
     psi_g, psi_e = atom_ket(u)
     injected = psi_g * u_mat[:, :dim] + psi_e * u_mat[:, dim:]
     return injected[:dim], injected[dim:]
 
 
-def analytic_map(profile, u: float, p_at: float, dim: int) -> sparse.csr_matrix:
+def composite_unitary(profile, dim: int) -> np.ndarray:
+    """The analytic backend's crossing U_d(phi0) U_r(Theta) U_d(phi0)' of a
+    profile as one dense joint matrix, with phi0 = 0 without detuning."""
+    phi0 = 0.0 if profile.delta_disp == 0 else phi0_of(profile)
+    return u_composite(theta_of(profile), phi0, HilbertConfig(n_max=dim - 1))
+
+
+def kraus_map(u_mat: np.ndarray, u: float, p_at: float) -> sparse.csr_matrix:
     """(1 - p_at) I + p_at sum_m K_m (x) conj(K_m) on row-major vec, with the
     Kraus pair of dense_kraus_pair; exact zeros eliminated."""
-    k_g, k_e = map(sparse.csr_matrix, dense_kraus_pair(profile, u, dim))
+    dim = len(u_mat) // 2
+    k_g, k_e = map(sparse.csr_matrix, dense_kraus_pair(u_mat, u))
     crossing = (
         sparse.kron(k_g, k_g.conj(), format="csr")
         + sparse.kron(k_e, k_e.conj(), format="csr")
@@ -306,7 +314,8 @@ def analytic_sample(rho: np.ndarray, config) -> np.ndarray:
     dim = rho.shape[0]
     profile = config.profile
     empty = rho
-    crossed = sum(k @ rho @ k.conj().T for k in dense_kraus_pair(profile, config.u, dim))
+    pair = dense_kraus_pair(composite_unitary(profile, dim), config.u)
+    crossed = sum(k @ rho @ k.conj().T for k in pair)
     if config.cavity is not None:
         relax = ThermalPropagator(profile.t_i, config.cavity, dim).apply
         empty, crossed = relax(empty), relax(crossed)

@@ -13,6 +13,7 @@ import csv
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,21 +68,26 @@ def cat2_runs(tmp_path_factory):
 
 
 def test_c01_composite_is_kerr_conjugated_exchange():
-    # the library's Kraus pair, built from pair coefficients, against the
-    # dense Kerr-conjugated exchange (I x K) U_r (I x K)' on the injected atom
+    # the library's Kraus pair, built from a profile's pair coefficients,
+    # against the dense Kerr-conjugated exchange (I x K) U_r (I x K)' on the
+    # injected atom; each draw scales omega0 to the drawn Theta and the
+    # detuning to the drawn phi0 (phi0_of is positive)
     cfg = HilbertConfig(n_max=20)
     dim = cfg.dim
     psi = dyn.atom_ket(0.45 * np.pi)
+    base = dyn.TransitProfile(omega0=1.0, w=6e-3, v=70.0, delta_disp=1.0, t_r=5e-6)
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
-        theta = rng.uniform(0.0, 2 * np.pi)
-        phi0 = rng.uniform(-np.pi, np.pi)
+        prof = replace(base, omega0=rng.uniform(0.0, 2 * np.pi) / dyn.theta_of(base))
+        prof = replace(prof, delta_disp=dyn.phi0_of(prof) / (np.pi - rng.uniform(0.0, np.pi)))
+        theta, phi0 = dyn.theta_of(prof), dyn.phi0_of(prof)
         k = np.kron(np.eye(2), kerr_propagator(phi0, cfg))
         ref = k @ u_resonant(theta, cfg) @ k.conj().T
         injected = psi[0] * ref[:, :dim] + psi[1] * ref[:, dim:]
-        for got, want in zip(res._kraus_pair(theta, phi0, psi, dim),
+        coeffs = res._crossing_coefficients(prof, "analytic", dim)
+        for got, want in zip(res._kraus_pair(coeffs, psi),
                              (injected[:dim], injected[dim:])):
             worst = max(worst, float(np.max(np.abs(got.toarray() - want))))
     wall = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 """Command line surface: flags, exit codes, artifact plumbing."""
 
+import os
 import subprocess
 import sys
 
@@ -142,6 +143,28 @@ class TestRun:
         assert "cavity.t_c" in err and "profile.v" in err
         assert not out.exists()
 
+    def test_output_path_that_is_a_file_fails_before_the_trajectory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_trajectory(*args, **kwargs):
+            raise AssertionError("the trajectory ran")
+
+        monkeypatch.setattr(sc, "run_trajectory", no_trajectory)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert cli.main(["run", "--preset", "cat2", *TINY, "--out", str(taken)]) == 2
+        assert "exists and is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys):
+        # the directory check passes, and the write at the end fails
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "r"
+        assert cli.main(["run", "--preset", "cat2", *TINY, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write artifacts" in err
+        assert str(out) in err
+
     def test_unknown_preset_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--preset", "nope"])
@@ -219,6 +242,18 @@ class TestSweep:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["file", "under_file"])
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys, target):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" if target == "file" else tmp_path / "taken" / "sw"
+        code = cli.main([
+            "sweep", "--preset", "cat2", *TINY,
+            "--param", "reservoir.u", "--values", "0.45pi",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+
 
 class TestWigner:
     def test_maps_stored_state(self, tmp_path, capsys):
@@ -273,6 +308,29 @@ class TestWigner:
             captured = capsys.readouterr()
             assert message in captured.err
             assert captured.out == ""
+
+
+@pytest.mark.parametrize("threads, blas, code", [
+    ("abc", None, 2), ("0", None, 2), ("-2", None, 2), ("2", "2", 0),
+])
+def test_thread_env_is_checked_for_every_command(tmp_path, threads, blas, code):
+    # a fresh process: the package import copies CAVRES_THREADS into the
+    # BLAS variables only when it is a positive integer, and the CLI rejects
+    # any other value before a run starts
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["CAVRES_THREADS"] = threads
+    script = (
+        "import os, sys, cavres.cli; print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+        "sys.exit(cavres.cli.main(sys.argv[1:]))"
+    )
+    out = tmp_path / "r"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--preset", "cat2", *TINY, "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[0] == str(blas)
+    assert out.exists() == (code == 0)
 
 
 def test_package_runs_as_module():

@@ -31,10 +31,12 @@ import cavres.metrics as met
 import cavres.reservoir as res
 import cavres.scenarios as sc
 from oracles import (
-    analytic_map,
     analytic_sample,
     coherent_state,
+    composite_unitary,
+    kernel_unitary,
     kerr_propagator,
+    kraus_map,
     micromaser_amplitude,
 )
 
@@ -507,8 +509,8 @@ class TestAnalyticSample:
         profile = sc.preset(name).reservoir.profile
         for u in U_VALUES:
             for p_at in (0.3, 1.0):
-                got = res._analytic_map(profile, u, p_at, n_max + 1)
-                want = analytic_map(profile, u, p_at, n_max + 1)
+                got = res._kraus_map(profile, "analytic", u, p_at, n_max + 1)
+                want = kraus_map(composite_unitary(profile, n_max + 1), u, p_at)
                 assert got.nnz == want.nnz
                 assert np.array_equal(got.indices, want.indices)
                 assert np.array_equal(got.indptr, want.indptr)
@@ -529,8 +531,8 @@ class TestAnalyticSample:
         kerr = sparse.diags(np.kron(k, k.conj()))
         for u in U_VALUES:
             for p_at in (1.0, 0.3):
-                got = res._analytic_map(profile, u, p_at, dim)
-                s_0 = res._analytic_map(resonant, u, p_at, dim)
+                got = res._kraus_map(profile, "analytic", u, p_at, dim)
+                s_0 = res._kraus_map(resonant, "analytic", u, p_at, dim)
                 want = kerr @ s_0 @ kerr.conj()
                 assert abs(got - want).max() <= 1e-12
 
@@ -539,8 +541,8 @@ class TestAnalyticSample:
         # dense build's to the bit
         for n_max in (16, 40):
             for u in U_VALUES:
-                got = res._analytic_map(RESONANT, u, 0.3, n_max + 1)
-                want = analytic_map(RESONANT, u, 0.3, n_max + 1)
+                got = res._kraus_map(RESONANT, "analytic", u, 0.3, n_max + 1)
+                want = kraus_map(composite_unitary(RESONANT, n_max + 1), u, 0.3)
                 for part in ("data", "indices", "indptr"):
                     assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
@@ -588,13 +590,13 @@ class TestSuperoperatorCache:
     def test_loss_free_analytic_operator_is_banded(self):
         # K_g is lower- and K_e upper-bidiagonal: (2 dim - 1)^2 entries per
         # Kraus operator, dim^2 of them shared on the diagonal blocks
-        assert res._analytic_map(RESONANT, 0.4, p_at=1.0, dim=41).nnz == 11_441
+        assert res._kraus_map(RESONANT, "analytic", 0.4, p_at=1.0, dim=41).nnz == 11_441
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_matches_sample_map_for_every_u_and_p_at(self, n_max):
-        # with and without a cavity the maps are read off paired probes, and
-        # where they vanish the split leaves rounding residue; at u = 0 and
-        # pi the atom enters in one level and the cross maps drop out
+        # with a cavity the maps are read off paired probes, and without one
+        # the operator is the sample's own Kraus map; at u = 0 and pi the
+        # atom enters in one level and the cross maps drop out
         cfg = HilbertConfig(n_max=n_max)
         states = [random_density(cfg.dim, seed=seed) for seed in (11, 12)]
         for cavity in (CavityParams(), None):
@@ -611,57 +613,56 @@ class TestSuperoperatorCache:
 
     @pytest.mark.parametrize("n_max", [8, 24])
     def test_branch_maps_act_on_non_hermitian_matrices(self, n_max):
-        # with a cavity two probes share a propagation and part by
-        # Hermiticity; states are Hermitian, so only a non-Hermitian X tests
-        # each map on its own
+        # two probes share a propagation and part by Hermiticity; states
+        # are Hermitian, so only a non-Hermitian X tests each map on its own
         cfg = HilbertConfig(n_max=n_max)
         dim = cfg.dim
         rng = np.random.default_rng(n_max)
-        for cavity in (CavityParams(), None):
-            kernel = get_kernel(CAT2, cfg, cavity)
-            maps = res._branch_maps(CAT2, cfg, cavity)
-            for k_ab, (a, b) in zip(maps, ((0, 0), (1, 1), (0, 1), (1, 0))):
-                x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                joint = np.zeros((2 * dim, 2 * dim), dtype=complex)
-                joint[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = x
-                want = trace_atom(kernel.propagate(joint))
-                got = (k_ab @ x.reshape(-1)).reshape(dim, dim)
-                assert np.max(np.abs(got - want)) < 1e-12
+        cavity = CavityParams()
+        kernel = get_kernel(CAT2, cfg, cavity)
+        maps = res._branch_maps(CAT2, cfg, cavity)
+        for k_ab, (a, b) in zip(maps, ((0, 0), (1, 1), (0, 1), (1, 0))):
+            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            joint = np.zeros((2 * dim, 2 * dim), dtype=complex)
+            joint[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = x
+            want = trace_atom(kernel.propagate(joint))
+            got = (k_ab @ x.reshape(-1)).reshape(dim, dim)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_is_the_sparse_sum_of_its_maps(self):
         # S is summed on the maps' data in place; it equals the plain sparse
         # sum of R and the branch maps bit for bit, exact zeros dropped
         cfg = HilbertConfig(n_max=8)
-        for cavity in (CavityParams(), None):
-            k_gg, k_ee, k_ge, k_eg = res._branch_maps(CAT2, cfg, cavity)
-            r_map = res.build_sample_superop(
-                res.ReservoirConfig(profile=CAT2, u=0.0, cavity=cavity, p_at=0.0), cfg
-            )
-            for u in (0.0, *U_VALUES):
-                for p_at in (0.3, 1.0):
-                    config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity, p_at=p_at)
-                    psi_g, psi_e = atom_ket(config.u)
-                    cross = psi_g * np.conj(psi_e)
-                    a_map = (
-                        abs(psi_g) ** 2 * k_gg
-                        + abs(psi_e) ** 2 * k_ee
-                        + cross * k_ge
-                        + np.conj(cross) * k_eg
-                    )
-                    want = (1.0 - p_at) * r_map + p_at * a_map
-                    want.eliminate_zeros()
-                    got = res.build_sample_superop(config, cfg)
-                    assert got.nnz == want.nnz
-                    assert (got != want).nnz == 0
+        cavity = CavityParams()
+        k_gg, k_ee, k_ge, k_eg = res._branch_maps(CAT2, cfg, cavity)
+        r_map = res.build_sample_superop(
+            res.ReservoirConfig(profile=CAT2, u=0.0, cavity=cavity, p_at=0.0), cfg
+        )
+        for u in (0.0, *U_VALUES):
+            for p_at in (0.3, 1.0):
+                config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity, p_at=p_at)
+                psi_g, psi_e = atom_ket(config.u)
+                cross = psi_g * np.conj(psi_e)
+                a_map = (
+                    abs(psi_g) ** 2 * k_gg
+                    + abs(psi_e) ** 2 * k_ee
+                    + cross * k_ge
+                    + np.conj(cross) * k_eg
+                )
+                want = (1.0 - p_at) * r_map + p_at * a_map
+                want.eliminate_zeros()
+                got = res.build_sample_superop(config, cfg)
+                assert got.nnz == want.nnz
+                assert (got != want).nnz == 0
 
     def test_branch_maps_are_built_once_for_all_u(self, monkeypatch, tmp_path):
         # the branch maps hold no u: three values of u cost one build, read
         # off the adjoint crossing two probes to a matrix (ceil(dim/2) in
-        # all) with or without a cavity, whether built directly or by a
-        # serial sweep; R is read off ceil(dim/2) field matrices through the
-        # relaxation at each build.  A push takes as many matrices as fit in
-        # the joint entries of 8 at n_max 60, and at least 8: all 9 at once
-        # at n_max 16, 8 at a time at n_max 60
+        # all), whether built directly or by a serial sweep; R is read off
+        # ceil(dim/2) field matrices through the relaxation at each build.
+        # A push takes as many matrices as fit in the joint entries of 8 at
+        # n_max 60, and at least 8: all 9 at once at n_max 16, 8 at a time
+        # at n_max 60
         pushed, relaxed = [], []
         propagate = TransitKernel.propagate_batched
         apply_batched = ThermalPropagator.apply_batched
@@ -678,16 +679,13 @@ class TestSuperoperatorCache:
         monkeypatch.setattr(TransitKernel, "propagate_batched", spy)
         monkeypatch.setattr(ThermalPropagator, "apply_batched", spy_relax)
         cfg = HilbertConfig(n_max=8)
-        # one call of five field matrices per build with a cavity, none without
-        for cavity, relaxations in ((CavityParams(), [5] * len(U_VALUES)), (None, [])):
-            pushed.clear()
-            relaxed.clear()
-            res._branch_maps.cache_clear()
-            for u in U_VALUES:
-                config = res.ReservoirConfig(profile=CAT2, u=u, cavity=cavity)
-                res.build_sample_superop(config, cfg)
-            assert pushed == [5]
-            assert relaxed == relaxations
+        # one call of five field matrices per build
+        res._branch_maps.cache_clear()
+        for u in U_VALUES:
+            config = res.ReservoirConfig(profile=CAT2, u=u)
+            res.build_sample_superop(config, cfg)
+        assert pushed == [5]
+        assert relaxed == [5] * len(U_VALUES)
 
         pushed.clear()
         res._branch_maps.cache_clear()
@@ -720,7 +718,7 @@ class TestSuperoperatorCache:
     def test_a_serial_sweep_keeps_one_build_per_cache(self, tmp_path):
         # each value of a profile.v sweep builds anew, and the caches keep
         # only the scenario running now
-        caches = (get_kernel, res._branch_maps, res._relax_propagator, res._analytic_map)
+        caches = (get_kernel, res._branch_maps, res._relax_propagator, res._kraus_map)
         for cache in caches:
             cache.cache_clear()
         dim = 17
@@ -855,6 +853,69 @@ class TestSuperoperatorCache:
             rho = res.sample_map(rho, config)
             assert met.mean_photon(rho) == pytest.approx(cached.records[j].n_bar, abs=1e-10)
         assert np.max(np.abs(rho - cached.final_state)) < 1e-10
+
+
+class TestLossFreeKrausMap:
+    """Without a cavity a crossing is one excitation-conserving unitary, so
+    both backends act on the field through its two bidiagonal Kraus
+    operators, held in one cached map."""
+
+    @pytest.mark.parametrize("n_max", [16, 30])
+    @pytest.mark.parametrize("name", ["cat2", "cat3", "squeeze", "banana"])
+    def test_numeric_map_matches_kernel_unitary(self, name, n_max):
+        # the kernel's slices composed into one set of pair coefficients,
+        # against the Kraus pair sliced out of the dense product of the same
+        # slices; the map has the analytic map's banded pattern
+        profile = sc.preset(name).reservoir.profile
+        cfg = HilbertConfig(n_max=n_max)
+        dim = cfg.dim
+        u_mat = kernel_unitary(TransitKernel(profile, cfg))
+        for u in U_VALUES:
+            for p_at in (0.3, 1.0):
+                config = res.ReservoirConfig(profile=profile, u=u, cavity=None, p_at=p_at)
+                got = res.build_sample_superop(config, cfg)
+                assert got.nnz == 2 * (2 * dim - 1) ** 2 - dim**2
+                assert abs(got - kraus_map(u_mat, u, p_at)).max() <= 1e-15
+
+    @pytest.mark.parametrize("backend", ["numeric", "analytic"])
+    @pytest.mark.parametrize("mixing_mode, seed", [("deterministic", None), ("monte_carlo", 5)])
+    def test_runs_push_no_state_through_the_kernel(self, monkeypatch, backend, mixing_mode, seed):
+        # 3 dim samples: a deterministic numeric run takes the operator, and
+        # every run takes the one cached Kraus map, built once
+        calls = []
+        propagate, branch_maps = TransitKernel.propagate_batched, res._branch_maps
+        monkeypatch.setattr(
+            TransitKernel, "propagate_batched",
+            lambda kernel, stack: calls.append("propagate") or propagate(kernel, stack),
+        )
+        monkeypatch.setattr(
+            res, "_branch_maps", lambda *a: calls.append("branch maps") or branch_maps(*a)
+        )
+        res._kraus_map.cache_clear()
+        cfg = HilbertConfig(n_max=10)
+        config = res.ReservoirConfig(
+            profile=CAT2, u=0.3 * np.pi, cavity=None, n_samples=3 * cfg.dim,
+            mixing_mode=mixing_mode, seed=seed, backend=backend,
+        )
+        res.run_trajectory(density(fock_state(0, cfg)), config)
+        assert calls == []
+        assert res._kraus_map.cache_info().misses == 1
+
+    def test_numeric_switch_off_builds_no_kernel(self, monkeypatch, builds):
+        # a switch-off of 3 dim steps takes the operator, which without a
+        # cavity and with p_at = 0 is the identity
+        built = []
+        monkeypatch.setattr(dyn, "TransitKernel", lambda *a, **kw: built.append(a))
+        get_kernel.cache_clear()
+        cfg = HilbertConfig(n_max=10)
+        config = res.ReservoirConfig(profile=CAT2, u=0.3 * np.pi, cavity=None, n_samples=0)
+        rho0 = density(fock_state(2, cfg))
+        traj = res.run_trajectory(rho0, config)
+        off = res.switch_off_decay(traj, 3 * cfg.dim * CAT2.t_i, config)
+        assert built == []
+        assert len(builds) == 1
+        assert len(off.records) == 3 * cfg.dim + 1
+        assert np.array_equal(off.final_state, rho0)
 
 
 class TestMicromaser:
