@@ -143,9 +143,16 @@ def _config_from_args(args: argparse.Namespace) -> sc.ScenarioConfig:
     if args.out:
         raw["output.dir"] = args.out
     config = sc.build_config(raw, preset_name=args.preset)
-    # checked before anything runs: a run writes its directory only at the end
-    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
-        raise sc.ConfigError(f"output path {config.out_dir!r} exists and is not a directory")
+    # checked before anything runs, and nothing is made: a run makes its
+    # directory only at the end, under the output path's nearest existing
+    # ancestor, which must be a directory
+    nearest = os.path.abspath(config.out_dir)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise sc.ConfigError(
+            f"output path {config.out_dir!r}: {nearest!r} exists and is not a directory"
+        )
     return config
 
 

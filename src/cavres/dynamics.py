@@ -57,7 +57,6 @@ __all__ = [
     "TransitProfile",
     "atom_ket",
     "TransitOptions",
-    "ZeroDetuningError",
     "theta_of",
     "phi0_of",
     "embed_with_atom",
@@ -65,9 +64,6 @@ __all__ = [
     "TransitKernel",
     "get_kernel",
 ]
-
-class ZeroDetuningError(ValueError):
-    """Dispersive phase requested for a schedule with no detuning."""
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def phi0_of(profile: TransitProfile) -> float:
     where erf(b) - erf(a) would cancel.
     """
     if profile.delta_disp == 0:
-        raise ZeroDetuningError("dispersive phase undefined for delta_disp = 0")
+        raise ValueError("dispersive phase undefined for delta_disp = 0")
     t_lo, t_hi, delta = _segments(profile)[2]
     w, v = profile.w, profile.v
     tails = math.erfc(math.sqrt(2) * v * t_lo / w) - math.erfc(math.sqrt(2) * v * t_hi / w)

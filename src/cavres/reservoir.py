@@ -25,17 +25,18 @@ A = sum_m K_m (x) conj(K_m) (25,561 nonzeros at n_max 60), then one
 relaxation R when there is a cavity.  A Monte-Carlo draw is the same map at
 p_at 1 or 0.
 
-The deterministic numeric map is linear in the state, so a numeric run long
-enough to pay for it (n_samples >= 3 dim) first builds the map as one
-sparse (dim^2, dim^2) operator and then iterates sparse matrix-vector
-products; Monte-Carlo runs, analytic runs and shorter runs apply sample_map
-directly.  The operator serves numeric crossings only, and without a cavity
-it is the loss-free Kraus map itself.  Transit and loss conserve the joint
-excitation difference, so the lossy numeric crossing maps each field
-diagonal only to its neighbours: the operator is assembled from four branch
-maps K_gg, K_ee, K_ge and K_eg read off probe propagations
-(column grouping over the known diagonal structure, as for sparse
-Jacobians; Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 117 (1974)).
+The sample map is linear in the state, and build_sample_superop gives it
+for every config as one sparse (dim^2, dim^2) operator S, the ensemble
+average for a Monte-Carlo config: without a cavity the loss-free Kraus map
+itself, and with one R times that map for an analytic crossing.  Only a
+deterministic numeric run long enough to pay for the build
+(n_samples >= 3 dim) iterates S; every other run applies sample_map
+directly.  Transit and loss conserve the joint excitation difference, so
+the lossy numeric crossing maps each field diagonal only to its
+neighbours: its S is assembled from four branch maps K_gg, K_ee, K_ge and
+K_eg read off probe propagations (column grouping over the known diagonal
+structure, as for sparse Jacobians; Curtis, Powell and Reid, J. Inst.
+Math. Appl. 13, 117 (1974)).
 The probes cross the adjoint of the crossing, where one image holds a
 probe's read-off for all four maps as its four atom blocks, and R is read
 the same way off the adjoint relaxation.  Two probes share each
@@ -370,34 +371,28 @@ def _branch_maps(
 def build_sample_superop(config: ReservoirConfig, cfg: HilbertConfig) -> sparse.csr_matrix:
     """Sparse matrix S of the deterministic sample map on vectorized states.
 
-    Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  Without a
-    cavity S is the loss-free Kraus map that sample_map applies (_kraus_map),
-    the identity at p_at 0.  With one, R is the thermal relaxation over t_i
-    and S = (1 - p_at) R + p_at A_u, with the lossy crossing
-    A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge + c.c. built
-    from the cached u-independent branch maps.  R is read like them, off
-    paired probes pushed through its adjoint (_probe_images, _read_map), so
-    it shares the diagonal-k-to-k pattern of K_gg and K_ee.  Every map is
-    read off the same steps as the direct path, so the two agree to
-    rounding.  The operator serves numeric crossings only: an analytic
-    sample is already one sparse product (see sample_map).
+    Row-major vec convention: vec(rho)[i * dim + j] = rho[i, j].  S exists
+    for every config; a Monte-Carlo config gets its ensemble average, the
+    map of its deterministic twin.  Without a cavity S is the loss-free
+    Kraus map that sample_map applies (_kraus_map), the identity at p_at 0.
+    With one, R is the thermal relaxation over t_i, read off paired probes
+    pushed through its adjoint (_probe_images, _read_map).  An analytic
+    crossing gives S = R (_kraus_map), the order in which sample_map applies
+    the two.  A numeric one gives S = (1 - p_at) R + p_at A_u, with the
+    lossy crossing A_u = |psi_g|^2 K_gg + |psi_e|^2 K_ee + psi_g psi_e* K_ge
+    + c.c. built from the cached u-independent branch maps, whose read-off
+    shares R's diagonal-k-to-k pattern for K_gg and K_ee.  Every map is read
+    off the same steps as the direct path, so the two agree to rounding.
+    Which runs iterate S is run_trajectory's rule alone.
     """
-    if config.mixing_mode != "deterministic":
-        raise ValueError(
-            "the sample operator applies to deterministic mixing only, "
-            f"got {config.mixing_mode!r} mixing"
-        )
-    if config.backend != "numeric":
-        raise ValueError(
-            "the sample operator serves the numeric backend only, "
-            f"got {config.backend!r}"
-        )
     if config.cavity is None:
         # a copy: the cached map is the one every loss-free sample applies
         return _kraus_map(config.profile, config.backend, config.u, config.p_at, cfg.dim).copy()
     relaxation = _relax_propagator(config.profile.t_i, config.cavity, cfg.dim).adjoint()
     s_map = _read_map(_probe_images(relaxation.apply_batched, cfg.dim), shift=0)
-    if config.p_at > 0.0:
+    if config.backend == "analytic":
+        s_map = s_map @ _kraus_map(config.profile, config.backend, config.u, config.p_at, cfg.dim)
+    elif config.p_at > 0.0:
         k_gg, k_ee, k_ge, k_eg = _branch_maps(config.profile, cfg, config.cavity)
         psi_g, psi_e = atom_ket(config.u)
         cross = psi_g * np.conj(psi_e)
@@ -467,10 +462,11 @@ def run_trajectory(
     operator of build_sample_superop.  With a cavity its ceil(dim/2) probe
     propagations cost about as much as 0.2-0.3 dim direct samples at n_max
     16 and 0.5-0.6 dim at n_max 60; without one it is the Kraus map that
-    sample_map applies.  All other runs call sample_map each sample; an
-    analytic or loss-free sample there is one sparse product with a cached
-    map plus at most one relaxation, as cheap as an operator product
-    (README, Long runs).  The two paths agree to rounding.
+    sample_map applies.  All other runs call sample_map each sample, though
+    the operator exists for them too; an analytic or loss-free sample there
+    is one sparse product with a cached map plus at most one relaxation, as
+    cheap as an operator product (README, Long runs).  The two paths agree
+    to rounding.
     """
     cfg = HilbertConfig(n_max=rho0.shape[0] - 1)
     rho = rho0.astype(complex)

@@ -529,8 +529,6 @@ def run_scenario(
     traj = run_trajectory(rho0, config.reservoir, observer=observer)
     rho = traj.final_state
 
-    nbar = met.mean_photon(rho)
-    pur = met.purity(rho)
     sq_db, sq_angle = met.squeezing_db(rho)
     fit = met.fit_cat(rho, config.analysis.cat_k) if want_fit else None
 
@@ -544,8 +542,9 @@ def run_scenario(
     summary = {
         "name": config.name,
         "n_samples": config.reservoir.n_samples,
-        "nbar": nbar,
-        "purity": pur,
+        # the final state's own record holds both
+        "nbar": traj.records[-1].n_bar,
+        "purity": traj.records[-1].purity,
         "fidelity": fit.fidelity if fit is not None else math.nan,
         "squeezing_db": sq_db,
         "squeezing_angle": sq_angle if config.analysis.squeezing else None,

@@ -156,14 +156,20 @@ class TestRun:
         assert "exists and is not a directory" in capsys.readouterr().err
         assert taken.read_text() == "kept\n"
 
-    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys):
-        # the directory check passes, and the write at the end fails
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # a path under a file is caught at its nearest existing ancestor,
+        # before the trajectory runs
+        def no_trajectory(*args, **kwargs):
+            raise AssertionError("the trajectory ran")
+
+        monkeypatch.setattr(sc, "run_trajectory", no_trajectory)
         (tmp_path / "taken").write_text("")
-        out = tmp_path / "taken" / "r"
+        out = tmp_path / "taken" / "r" / "s"
         assert cli.main(["run", "--preset", "cat2", *TINY, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error: cannot write artifacts" in err
-        assert str(out) in err
+        assert "config error: output path" in err
+        assert str(out) in err and "exists and is not a directory" in err
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_unknown_preset_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -132,7 +132,7 @@ class TestSchedule:
         flat = dyn.TransitProfile(
             omega0=OMEGA0, w=WAIST, v=70.0, delta_disp=0.0, t_r=5e-6
         )
-        with pytest.raises(dyn.ZeroDetuningError):
+        with pytest.raises(ValueError, match="dispersive phase undefined for delta_disp = 0"):
             dyn.phi0_of(flat)
 
 

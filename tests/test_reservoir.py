@@ -571,21 +571,49 @@ class TestSuperoperatorCache:
         got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_rejects_monte_carlo(self):
-        # the operator holds the deterministic map only; the path rule in
-        # run_trajectory never sends Monte-Carlo runs here
-        cfg = HilbertConfig(n_max=8)
-        config = res.ReservoirConfig(profile=CAT2, u=0.1, mixing_mode="monte_carlo", seed=1)
-        with pytest.raises(ValueError):
-            res.build_sample_superop(config, cfg)
+    @pytest.mark.parametrize("n_max", [16, 30])
+    @pytest.mark.parametrize("name", ["cat2", "cat3", "squeeze", "banana"])
+    def test_lossy_analytic_operator_matches_sample_map(self, name, n_max):
+        # S = R times the cached Kraus map, the order in which the sample
+        # applies the two
+        base = sc.preset(name).reservoir
+        cfg = HilbertConfig(n_max=n_max)
+        rho = random_density(cfg.dim, seed=n_max)
+        for p_at in (0.3, 1.0):
+            config = replace(base, backend="analytic", p_at=p_at)
+            assert config.cavity is not None
+            s_mat = res.build_sample_superop(config, cfg)
+            want = res.sample_map(rho, config)
+            got = (s_mat @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
+            assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_rejects_analytic(self):
-        # the operator serves numeric crossings only; an analytic sample is
-        # already one sparse product
+    @pytest.mark.parametrize("cavity", [CavityParams(), None], ids=["lossy", "loss_free"])
+    @pytest.mark.parametrize("backend", ["numeric", "analytic"])
+    def test_monte_carlo_operator_is_its_deterministic_twins(self, backend, cavity):
+        # a Monte-Carlo config's S is the ensemble average: entry for entry
+        # the operator of the same config with deterministic mixing
         cfg = HilbertConfig(n_max=8)
-        config = res.ReservoirConfig(profile=RESONANT, u=0.1, cavity=None, backend="analytic")
-        with pytest.raises(ValueError):
-            res.build_sample_superop(config, cfg)
+        rho = random_density(cfg.dim, seed=21)
+        det = res.ReservoirConfig(profile=CAT2, u=0.45 * np.pi, cavity=cavity, backend=backend)
+        mc = replace(det, mixing_mode="monte_carlo", seed=4)
+        s_det = res.build_sample_superop(det, cfg)
+        s_mc = res.build_sample_superop(mc, cfg)
+        assert s_mc.nnz == s_det.nnz
+        assert (s_mc != s_det).nnz == 0
+        got = (s_mc @ rho.reshape(-1)).reshape(cfg.dim, cfg.dim)
+        assert np.max(np.abs(got - res.sample_map(rho, det))) < 1e-12
+
+    def test_loss_free_analytic_operator_is_the_kraus_map(self):
+        cfg = HilbertConfig(n_max=16)
+        for p_at in (0.0, 0.3, 1.0):
+            config = res.ReservoirConfig(
+                profile=CAT2, u=0.3 * np.pi, cavity=None, p_at=p_at, backend="analytic"
+            )
+            got = res.build_sample_superop(config, cfg)
+            want = res._kraus_map(CAT2, "analytic", config.u, p_at, cfg.dim)
+            assert got is not want
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
     def test_loss_free_analytic_operator_is_banded(self):
         # K_g is lower- and K_e upper-bidiagonal: (2 dim - 1)^2 entries per
@@ -800,25 +828,22 @@ class TestSuperoperatorCache:
         assert len(builds) == builds_expected
 
     def test_lossy_analytic_and_monte_carlo_runs_stay_direct(self, builds):
-        # the operator holds the deterministic numeric map only
+        # S exists for every config, yet at n_samples = 3 dim the path rule
+        # takes it for the deterministic numeric run only
         cfg = HilbertConfig(n_max=6)
         rho0 = density(fock_state(0, cfg))
+        numeric = res.ReservoirConfig(
+            profile=RESONANT, u=0.2, cavity=CavityParams(), n_samples=3 * cfg.dim
+        )
         for config in (
-            res.ReservoirConfig(
-                profile=RESONANT, u=0.2, cavity=CavityParams(), backend="analytic",
-                n_samples=4 * cfg.dim,
-            ),
-            res.ReservoirConfig(
-                profile=RESONANT, u=0.2, cavity=None, backend="analytic",
-                mixing_mode="monte_carlo", seed=5, n_samples=4 * cfg.dim,
-            ),
-            res.ReservoirConfig(
-                profile=RESONANT, u=0.2, cavity=CavityParams(),
-                mixing_mode="monte_carlo", seed=5, n_samples=4 * cfg.dim,
-            ),
+            replace(numeric, backend="analytic"),
+            replace(numeric, cavity=None, backend="analytic", mixing_mode="monte_carlo", seed=5),
+            replace(numeric, mixing_mode="monte_carlo", seed=5),
         ):
             res.run_trajectory(rho0, config)
         assert builds == []
+        res.run_trajectory(rho0, numeric)
+        assert len(builds) == 1
 
     def test_loss_free_analytic_trajectory_matches_direct(self, builds):
         # against the oracle's dense Kraus sample, so the run's own sparse
