@@ -309,10 +309,23 @@ def squeezing_db(rho: np.ndarray) -> tuple[float, float]:
 # cat fitting
 # ---------------------------------------------------------------------------
 
-# The amplitude search of fit_cat: the Nelder-Mead tolerances.  The
-# phase step: coordinate-ascent sweeps before the Newton finish, the cap on
-# Newton steps, and the cap on sweeps when the finish hands back to them.
-_SIMPLEX = {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000}
+# Largest cat fit order.  The fit's phase grid holds 8^(k-1) nodes: at n_max
+# 60 a k = 6 fit took 0.5 to 1.3 s and about 70 MB, a k = 7 fit built a
+# 617 MB phase table, and k = 9 would ask for 20 GiB.
+_CAT_K_MAX = 6
+
+# The amplitude search of fit_cat: the Nelder-Mead tolerances before the
+# Newton finish and after it hands back, the cap on simplex steps, the
+# central-difference step, and the eigenvalue ratio and the eigenvalue at or
+# below which the finish takes the Hessian for singular.  The phase step:
+# coordinate-ascent sweeps before the Newton finish, the cap on Newton steps
+# (of either finish), and the cap on sweeps when the finish hands back.
+_COARSE = {"xatol": 1e-3, "fatol": 1e-7}
+_FINE = {"xatol": 1e-7, "fatol": 1e-12}
+_MAXITER = 4000
+_FD_STEP = 1e-4
+_FLAT = 1e-2
+_MIN_CURVATURE = 1e-3
 _NEWTON_SWEEPS = 2
 _NEWTON_STEPS = 10
 _MAX_SWEEPS = 200
@@ -580,98 +593,144 @@ def _cat_profile(rho: np.ndarray, alpha: complex, k: int) -> tuple[float, list[f
     return max(value, 0.0), theta
 
 
-def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
-    """(x, f(x)): the lowest vertex that a Nelder-Mead simplex search of f
-    from the two-coordinate x0 reaches.
+class _Simplex:
+    """A Nelder-Mead simplex search of f from the two-coordinate x0 that a
+    later run can resume at tighter tolerances.
 
     The unbounded, non-adaptive method of scipy.optimize.minimize(method=
-    "Nelder-Mead", options=_SIMPLEX), step for step: reflection 1,
-    expansion 2, contraction and shrink 1/2; the first simplex moves each
-    coordinate of x0 in turn by 5 %, or to 0.00025 where it is zero; the
-    search stops once every vertex lies within xatol of the best in each
-    coordinate and every value within fatol of its value, or after
-    maxiter - 1 steps.  The three vertices and their values are Python
-    floats, where numpy's per-call cost would dominate, and every new
-    coordinate is the same one rounding of the same expression as scipy's.
-    They are ordered by a stable sort with NaN last, twice after the first
-    evaluations, as scipy orders them by np.argsort, which on three entries
-    is stable too, so ties fall as they do there; f gets each point as a
-    new array.
+    "Nelder-Mead"), step for step: reflection 1, expansion 2, contraction
+    and shrink 1/2; the first simplex moves each coordinate of x0 in turn by
+    5 %, or to 0.00025 where it is zero.  run(xatol, fatol) steps until
+    every vertex lies within xatol of the best in each coordinate and every
+    value within fatol of its value, or until _MAXITER - 1 steps have been
+    taken since the start.  The test at tighter tolerances implies the one
+    at looser ones, so a run resumed at tighter tolerances ends where one
+    run at those tolerances from x0 would.  The three vertices and their
+    values are Python floats, where numpy's per-call cost would dominate,
+    and every new coordinate is the same one rounding of the same
+    expression as scipy's.  They are ordered by a stable sort with NaN last,
+    twice after the first evaluations, as scipy orders them by np.argsort,
+    which on three entries is stable too, so ties fall as they do there; f
+    gets each point as a new array.
     """
-    xatol, fatol, maxiter = _SIMPLEX["xatol"], _SIMPLEX["fatol"], _SIMPLEX["maxiter"]
-    x, y = (float(v) for v in x0)
-    sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)]
-    fsim = [f(np.array(p)) for p in sim]
 
-    def ordered(sim, fsim):
+    def __init__(self, f, x0) -> None:
+        x, y = (float(v) for v in x0)
+        self.f = f
+        self.sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y),
+                    (x, 1.05 * y if y != 0 else 0.00025)]
+        self.fsim = [f(np.array(p)) for p in self.sim]
+        self._order()
+        self._order()
+        self.steps_left = _MAXITER - 1
+
+    def _order(self) -> None:
+        fsim = self.fsim
         order = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
-        return [sim[i] for i in order], [fsim[i] for i in order]
+        self.sim[:] = [self.sim[i] for i in order]
+        self.fsim[:] = [fsim[i] for i in order]
 
-    sim, fsim = ordered(*ordered(sim, fsim))
-    for _ in range(maxiter - 1):
-        (bx, by), (mx, my), (wx, wy) = sim  # best, middle, worst
-        # written so that a NaN fails the test, as it fails scipy's max
-        if all(abs(v) <= xatol for v in (mx - bx, my - by, wx - bx, wy - by)) and all(
-            abs(fsim[0] - v) <= fatol for v in fsim[1:]
-        ):
-            break
-        xbar, ybar = (bx + mx) / 2, (by + my) / 2
-        xr = (2 * xbar - wx, 2 * ybar - wy)
-        fxr = f(np.array(xr))
-        if fxr < fsim[0]:
-            xe = (3 * xbar - 2 * wx, 3 * ybar - 2 * wy)
-            fxe = f(np.array(xe))
-            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[1]:
-            sim[2], fsim[2] = xr, fxr
-        else:
-            if fxr < fsim[2]:  # outside contraction
-                xc = (1.5 * xbar - 0.5 * wx, 1.5 * ybar - 0.5 * wy)
-                fxc = f(np.array(xc))
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = (0.5 * xbar + 0.5 * wx, 0.5 * ybar + 0.5 * wy)
-                fxc = f(np.array(xc))
-                accept = fxc < fsim[2]
-            if accept:
-                sim[2], fsim[2] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in (1, 2):
-                    sim[j] = (bx + 0.5 * (sim[j][0] - bx), by + 0.5 * (sim[j][1] - by))
-                    fsim[j] = f(np.array(sim[j]))
-        sim, fsim = ordered(sim, fsim)
-    return np.array(sim[0]), float(np.min(fsim))
+    def run(self, xatol: float, fatol: float) -> tuple[np.ndarray, float]:
+        """(x, f(x)): the best vertex once the search stops."""
+        f, sim, fsim = self.f, self.sim, self.fsim
+        while self.steps_left:
+            (bx, by), (mx, my), (wx, wy) = sim  # best, middle, worst
+            # written so that a NaN fails the test, as it fails scipy's max
+            if all(abs(v) <= xatol for v in (mx - bx, my - by, wx - bx, wy - by)) and all(
+                abs(fsim[0] - v) <= fatol for v in fsim[1:]
+            ):
+                break
+            self.steps_left -= 1
+            xbar, ybar = (bx + mx) / 2, (by + my) / 2
+            xr = (2 * xbar - wx, 2 * ybar - wy)
+            fxr = f(np.array(xr))
+            if fxr < fsim[0]:
+                xe = (3 * xbar - 2 * wx, 3 * ybar - 2 * wy)
+                fxe = f(np.array(xe))
+                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            else:
+                if fxr < fsim[2]:  # outside contraction
+                    xc = (1.5 * xbar - 0.5 * wx, 1.5 * ybar - 0.5 * wy)
+                    fxc = f(np.array(xc))
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (0.5 * xbar + 0.5 * wx, 0.5 * ybar + 0.5 * wy)
+                    fxc = f(np.array(xc))
+                    accept = fxc < fsim[2]
+                if accept:
+                    sim[2], fsim[2] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in (1, 2):
+                        sim[j] = (bx + 0.5 * (sim[j][0] - bx), by + 0.5 * (sim[j][1] - by))
+                        fsim[j] = f(np.array(sim[j]))
+            self._order()
+        return np.array(sim[0]), float(np.min(fsim))
 
 
-def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
-    """Best ideal k-component cat approximation of rho.
+def _newton_polish(f, x: np.ndarray, fx: float) -> tuple[np.ndarray, float] | None:
+    """(x, f(x)) after Newton steps on f's local quadratic model from x, or
+    None where they hand back.
 
-    Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
-    (1973)): for a fixed component amplitude alpha the best k-1 relative
-    phases are solved exactly (_cat_profile), so Nelder-Mead searches only
-    (Re alpha, Im alpha); _nelder_mead is scipy's simplex method and
-    tolerances in a few lines, which keeps scipy.optimize out of the import.
-    An evaluation builds one coherent vector, turns it into the k components
-    with the shared table of roots omega^(j n) (_root_table) and makes one
-    product with rho; the phases then take one closed-form step for k = 2,
-    and for k >= 3 two coordinate-ascent sweeps from the best node of the
-    8^(k-1) phase grid and a Newton finish.  The profile can hold more than
-    one local maximum in alpha, and on random states each of the two starts
-    finds maxima the other misses: the k-th-moment direction at |alpha| =
-    sqrt(nbar), and the best node of a 16 x 16 rake over |Re alpha|,
-    |Im alpha| <= sqrt(nbar) + 1, ranked by the phase grid alone.
-    Deterministic; the better search's fidelity is re-evaluated from
-    ideal_mfss.  Of the k relabelings alpha omega^s of one cat, the fit
-    reports the one with -pi/k < arg alpha <= pi/k.
+    Central differences at _FD_STEP give the gradient and the Hessian from
+    six evaluations about x, the mixed derivative from the diagonal pair
+    x + (h, h) and x - (h, h); _solve_definite solves for the step.  As in
+    _newton_finish, the decrease the model predicts, P, stops the steps: at
+    P <= 1e-15 untaken, or after a step taken with P <= 1e-10.  They hand
+    back where the Hessian's smaller eigenvalue is at most _FLAT times the
+    larger or at most _MIN_CURVATURE, where a step that does not lower f is
+    proposed, and after _NEWTON_STEPS steps without a stop.  A small
+    eigenvalue means f is flat along a direction (past the coherent guard,
+    along the circle of a rotation-invariant state, at a quartic maximum),
+    where the step would follow rounding: f's rounding of about 1e-15 leaves
+    x undetermined by sqrt(1e-15 / lambda), 1e-6 at lambda = 1e-3.
     """
-    if k < 2:
-        raise ValueError("a cat needs at least 2 components")
-    cfg = HilbertConfig(n_max=rho.shape[0] - 1)
+    h = _FD_STEP
+    x0, y0 = (float(v) for v in x)
+    for _ in range(_NEWTON_STEPS):
+        fxp, fxm = f((x0 + h, y0)), f((x0 - h, y0))
+        fyp, fym = f((x0, y0 + h)), f((x0, y0 - h))
+        fpp, fmm = f((x0 + h, y0 + h)), f((x0 - h, y0 - h))
+        gx, gy = (fxp - fxm) / (2 * h), (fyp - fym) / (2 * h)
+        hxx, hyy = (fxp - 2 * fx + fxm) / h**2, (fyp - 2 * fx + fym) / h**2
+        hxy = (fpp + fmm - fxp - fxm - fyp - fym + 2 * fx) / (2 * h**2)
+        mean, spread = (hxx + hyy) / 2, math.hypot((hxx - hyy) / 2, hxy)
+        if mean - spread <= max(_FLAT * (mean + spread), _MIN_CURVATURE):
+            return None
+        sx, sy = _solve_definite([[hxx, hxy], [hxy, hyy]], [-gx, -gy])
+        predicted = -0.5 * (gx * sx + gy * sy)
+        if predicted <= 1e-15:
+            return np.array([x0, y0]), fx
+        trial = (x0 + sx, y0 + sy)
+        f_trial = f(trial)
+        if not f_trial < fx:
+            return None
+        (x0, y0), fx = trial, f_trial
+        if predicted <= 1e-10:
+            return np.array([x0, y0]), fx
+    return None
 
+
+def _amplitude_search(f, x0) -> tuple[np.ndarray, float]:
+    """(x, f(x)): the simplex search of f from x0 to the coarse tolerances,
+    finished by _newton_polish; where that hands back, the simplex resumes
+    from where it stopped to the fine tolerances."""
+    search = _Simplex(f, x0)
+    x, fx = search.run(**_COARSE)
+    return _newton_polish(f, x, fx) or search.run(**_FINE)
+
+
+def _cat_starts(rho: np.ndarray, k: int) -> list[list[float]]:
+    """The two starts of fit_cat's amplitude search as (Re alpha, Im alpha):
+    the k-th-moment direction at |alpha| = sqrt(nbar), and the best node of
+    a 16 x 16 rake over |Re alpha|, |Im alpha| <= sqrt(nbar) + 1, ranked by
+    the phase grid alone."""
+    n_max = rho.shape[0] - 1
     mag = math.sqrt(max(mean_photon(rho), 1e-6))
     # <a^k> of an equally spaced cat is alpha^k regardless of the phases,
     # so the k-th moment pins the pointer direction up to relabeling
-    log_fact = _log_factorials(cfg.dim)
+    log_fact = _log_factorials(n_max + 1)
     a_k = complex(np.sum(np.exp(0.5 * (log_fact[k:] - log_fact[:-k])) * np.diag(rho, k=-k)))
     direction = np.angle(a_k) / k if abs(a_k) > 1e-12 else 0.0
     axis = np.linspace(-(mag + 1.0), mag + 1.0, 16)
@@ -681,17 +740,15 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     coarse = np.concatenate(
         [_phase_grid(*_cat_matrices(rho, part, k))[0] for part in np.split(rake, 4)]
     )
-    coarse[_past_guard(rake, cfg.n_max)] = 0.0
+    coarse[_past_guard(rake, n_max)] = 0.0
+    return [[a0.real, a0.imag]
+            for a0 in (mag * np.exp(1j * direction), rake[int(np.argmax(coarse))])]
 
-    def loss(x: np.ndarray) -> float:
-        return -_cat_profile(rho, complex(x[0], x[1]), k)[0]
 
-    runs = [
-        _nelder_mead(loss, [a0.real, a0.imag])
-        for a0 in (mag * np.exp(1j * direction), rake[int(np.argmax(coarse))])
-    ]
-    x, _ = min(runs, key=lambda run: run[1])  # the first on a tie
-    alpha = complex(x[0], x[1])
+def _cat_result(rho: np.ndarray, alpha: complex, k: int) -> CatFitResult:
+    """The fit at amplitude alpha: its best phases, relabeled so that
+    -pi/k < arg alpha <= pi/k, and the fidelity re-evaluated from
+    ideal_mfss."""
     theta = [0.0, *_cat_profile(rho, alpha, k)[1]]
     # alpha omega^s with theta'_j = theta_(j+s) - theta_s is the same cat:
     # report the one with -pi/k < arg alpha <= pi/k, so the answer does not
@@ -700,13 +757,50 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     if s:
         alpha *= cmath.exp(2j * math.pi * s / k)
     phases = tuple(float((theta[(j + s) % k] - theta[s]) % (2 * np.pi)) for j in range(1, k))
-    reference = ideal_mfss(alpha, k, phases, cfg)
+    reference = ideal_mfss(alpha, k, phases, HilbertConfig(n_max=rho.shape[0] - 1))
     return CatFitResult(
         alpha=alpha,
         rel_phases=phases,
         fidelity=overlap_fidelity(rho, reference),
         reference=reference,
     )
+
+
+def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
+    """Best ideal k-component cat approximation of rho, for 2 <= k <=
+    _CAT_K_MAX.
+
+    Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): for a fixed component amplitude alpha the best k-1 relative
+    phases are solved exactly (_cat_profile), so the search runs over
+    (Re alpha, Im alpha) only.  An evaluation builds one coherent vector,
+    turns it into the k components with the shared table of roots
+    omega^(j n) (_root_table) and makes one product with rho; the phases
+    then take one closed-form step for k = 2, and for k >= 3 two
+    coordinate-ascent sweeps from the best node of the 8^(k-1) phase grid
+    and a Newton finish.  The profile can hold more than one local maximum
+    in alpha, and on random states each of the two starts (_cat_starts)
+    finds maxima the other misses.  From each, Nelder-Mead (_Simplex,
+    scipy's method in a few lines, which keeps scipy.optimize out of the
+    import) runs to xatol 1e-3 and Newton steps on central differences
+    finish (_newton_polish); where the profile is flat or the steps fail,
+    the simplex goes on to xatol 1e-7, as a full simplex search would.
+    Deterministic; the better search's fidelity is re-evaluated from
+    ideal_mfss.  Of the k relabelings alpha omega^s of one cat, the fit
+    reports the one with -pi/k < arg alpha <= pi/k.  At n_max 60 a fit of a
+    dephased cat with |alpha| near 2 takes about 3.8 ms for k = 2, 12-13 ms
+    for k = 3 and 20 ms for k = 4 (one BLAS thread, 2-core VM); the simplex
+    run on to xatol 1e-7 took 6.1-6.5, 22-26 and 32-33 ms.
+    """
+    if not 2 <= k <= _CAT_K_MAX:
+        raise ValueError(f"a cat fit takes from 2 to {_CAT_K_MAX} components, not {k}")
+
+    def loss(x) -> float:
+        return -_cat_profile(rho, complex(x[0], x[1]), k)[0]
+
+    runs = [_amplitude_search(loss, x0) for x0 in _cat_starts(rho, k)]
+    x, _ = min(runs, key=lambda run: run[1])  # the first on a tie
+    return _cat_result(rho, complex(x[0], x[1]), k)
 
 
 # ---------------------------------------------------------------------------

@@ -62,21 +62,16 @@ class ConfigError(ValueError):
     """Raised for malformed configuration text, keys, values, or files."""
 
 
-# Largest cat fit order.  The fit's phase grid holds 8^(k-1) nodes: at n_max
-# 60 a k = 6 fit took 0.5 to 1.3 s and about 70 MB, k = 7 would take about 8
-# times that, and k = 9 asked for 20 GiB.
-_CAT_K_MAX = 6
-
-
 @dataclass(frozen=True)
 class AnalysisSpec:
     """Which analyses a scenario runs on its final state.
 
     wigner_grid is (xmin, xmax, step) applied to both quadrature axes, or
-    None (``off`` in a config) to skip the map.  cat_k from 2 to _CAT_K_MAX
-    requests a coherent-component fit of that order.  The squeezing flag marks
-    quadrature squeezing as the scenario's figure of merit; the value is
-    reported in every summary regardless since it is closed-form cheap.
+    None (``off`` in a config) to skip the map.  cat_k from 2 to
+    metrics._CAT_K_MAX requests a coherent-component fit of that order.
+    The squeezing flag marks quadrature squeezing as the scenario's figure
+    of merit; the value is reported in every summary regardless since it is
+    closed-form cheap.
     """
 
     wigner_grid: tuple[float, float, float] | None = (-3.5, 3.5, 0.07)
@@ -86,8 +81,8 @@ class AnalysisSpec:
     def __post_init__(self):
         if self.wigner_grid is not None:
             _check_grid(*self.wigner_grid)
-        if self.cat_k != 0 and not 2 <= self.cat_k <= _CAT_K_MAX:
-            raise ValueError(f"cat_k must be 0 (off) or from 2 to {_CAT_K_MAX}")
+        if self.cat_k != 0 and not 2 <= self.cat_k <= met._CAT_K_MAX:
+            raise ValueError(f"cat_k must be 0 (off) or from 2 to {met._CAT_K_MAX}")
 
 
 @dataclass(frozen=True)

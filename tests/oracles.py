@@ -15,8 +15,10 @@ as dense Kraus products with each branch relaxed on its own, the
 dissipator in plain matrix form, the Wigner function summed term by term
 from scipy's Laguerre polynomials and by one Clenshaw recurrence per
 diagonal and point, truncated coherent amplitudes in mpmath arithmetic, the
-cat fit's phase grid as one einsum, scipy's Nelder-Mead search, and the cat
-fit as a Nelder-Mead search over the amplitude and the phases together.
+cat fit's phase grid as one einsum, scipy's Nelder-Mead search, the cat
+fit's amplitude search as a full simplex search without the Newton finish,
+and the cat fit as a Nelder-Mead search over the amplitude and the phases
+together.
 None of this runs in the library: every pulse area and dispersive phase
 there is a closed erf form, every transit goes through the exact pair-block
 kernel, every loss-free crossing is a Kraus pair built from pair
@@ -27,7 +29,7 @@ one Clenshaw recurrence per distinct |xi| for all diagonals at once, every
 coherent vector is one cumulative product in double precision, every phase
 grid one real matrix product, and every cat fit goes through the
 amplitude-only search with exact phases, driven by the library's own
-Nelder-Mead steps.  Tests compare
+Nelder-Mead steps and finished by Newton steps.  Tests compare
 those fast paths with the brute-force forms kept here.
 """
 
@@ -58,7 +60,16 @@ from cavres.fock import (
     canonical_phase,
     ideal_mfss,
 )
-from cavres.metrics import _SIMPLEX, CatFitResult, field_moments, overlap_fidelity
+from cavres.metrics import (
+    _FINE,
+    _MAXITER,
+    CatFitResult,
+    _cat_profile,
+    _cat_result,
+    _cat_starts,
+    field_moments,
+    overlap_fidelity,
+)
 from cavres.thermal import CavityParams, ThermalPropagator, _aadag_diag
 
 
@@ -481,10 +492,25 @@ def phase_grid_einsum(m: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
     return vals.max(axis=1), nodes[vals.argmax(axis=1)]
 
 
-def scipy_nelder_mead(f, x0):
-    """scipy's Nelder-Mead search of f from x0 with fit_cat's tolerances;
-    the OptimizeResult holds x, fun, nit and nfev."""
-    return minimize(f, x0, method="Nelder-Mead", options=_SIMPLEX)
+def scipy_nelder_mead(f, x0, tol):
+    """scipy's Nelder-Mead search of f from x0 with fit_cat's cap on steps
+    and the tolerances tol (metrics._COARSE, at which fit_cat's search hands
+    over to the Newton finish, or metrics._FINE); the OptimizeResult holds
+    x, fun, nit and nfev."""
+    return minimize(f, x0, method="Nelder-Mead", options={**tol, "maxiter": _MAXITER})
+
+
+def fit_cat_full_simplex(rho: np.ndarray, k: int) -> CatFitResult:
+    """fit_cat with the amplitude search it made before the Newton finish:
+    from each of its two starts, one Nelder-Mead search to the fine
+    tolerances; the better search (the first on a tie) gives the fit."""
+
+    def loss(x: np.ndarray) -> float:
+        return -_cat_profile(rho, complex(x[0], x[1]), k)[0]
+
+    runs = [scipy_nelder_mead(loss, x0, _FINE) for x0 in _cat_starts(rho, k)]
+    best = min(runs, key=lambda run: run.fun)
+    return _cat_result(rho, complex(best.x[0], best.x[1]), k)
 
 
 def _cat_overlap(x: np.ndarray, rho: np.ndarray, k: int, cfg: HilbertConfig) -> float:

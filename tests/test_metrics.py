@@ -20,6 +20,7 @@ import cavres.metrics as met
 from cavres.scenarios import grid_axes
 from oracles import (
     coherent_state,
+    fit_cat_full_simplex,
     fit_cat_nelder_mead,
     kerr_propagator,
     make_ladder,
@@ -70,6 +71,42 @@ def squeezed_vacuum(r, phi, cfg):
     ket = np.zeros(cfg.dim, dtype=complex)
     ket[2 * j] = np.exp(log_mag) * (-np.exp(1j * phi)) ** j
     return ket / np.linalg.norm(ket)
+
+
+def oracle_state(label, n_max, k):
+    """The states of the cat fit's oracle comparisons: seeded dephased cats
+    (|alpha| ~ 4 where the label says so; dcat<k>-<seed> takes the seed
+    whole), rotation-invariant states, a coherent state and a seeded rank-3
+    state."""
+    cfg = HilbertConfig(n_max=n_max)
+    if label.startswith("dcat"):
+        return dephased_cat(k, int(label.split("-")[1]), cfg)
+    if label.startswith("cat"):
+        size = (3.9, 4.1) if "alpha4" in label else (1.2, 1.65)
+        return dephased_cat(k, int(label[-1]), cfg, size)
+    return {
+        "fock0": lambda: density(fock_state(0, cfg)),
+        "fock3": lambda: density(fock_state(3, cfg)),
+        "thermal1": lambda: thermal_state(1.0, cfg),
+        "coherent1.5": lambda: density(coherent_state(1.5, cfg)),
+        "rank3": lambda: random_density(cfg.dim, 3, rank=3),
+    }[label]()
+
+
+ORACLE_STATES = [
+    ("cat2-seed1", 40, 2),
+    ("cat2-seed2", 60, 2),
+    ("cat3-seed1", 40, 3),
+    ("cat3-seed2", 60, 3),
+    ("cat2-alpha4-seed1", 60, 2),
+    ("cat3-alpha4-seed1", 60, 3),
+    ("fock0", 30, 2),
+    ("fock3", 30, 2),
+    ("thermal1", 30, 2),
+    ("coherent1.5", 40, 3),
+    ("rank3", 60, 2),
+    ("rank3", 60, 3),
+]
 
 
 def guard_coherent_density(cfg):
@@ -452,20 +489,7 @@ class TestCatFit:
             met.overlap_fidelity(rho, fit.reference), abs=1e-14
         )
 
-    @pytest.mark.parametrize("label, n_max, k", [
-        ("cat2-seed1", 40, 2),
-        ("cat2-seed2", 60, 2),
-        ("cat3-seed1", 40, 3),
-        ("cat3-seed2", 60, 3),
-        ("cat2-alpha4-seed1", 60, 2),
-        ("cat3-alpha4-seed1", 60, 3),
-        ("fock0", 30, 2),
-        ("fock3", 30, 2),
-        ("thermal1", 30, 2),
-        ("coherent1.5", 40, 3),
-        ("rank3", 60, 2),
-        ("rank3", 60, 3),
-    ])
+    @pytest.mark.parametrize("label, n_max, k", ORACLE_STATES)
     def test_matches_nelder_mead_oracle(self, label, n_max, k):
         # the amplitude-only search with exact phases reaches what the joint
         # Nelder-Mead search over amplitude and phases reaches, or more; the
@@ -473,20 +497,39 @@ class TestCatFit:
         # (with k = 2 the rank-3 state needs the k-th-moment start, the
         # coherent state and the rank-3 state with k = 3 need the rake); the
         # |alpha| ~ 4 cats check the rake where its nodes lie 0.67 apart
-        cfg = HilbertConfig(n_max=n_max)
-        if label.startswith("cat"):
-            size = (3.9, 4.1) if "alpha4" in label else (1.2, 1.65)
-            rho = dephased_cat(k, int(label[-1]), cfg, size)
-        else:
-            rho = {
-                "fock0": lambda: density(fock_state(0, cfg)),
-                "fock3": lambda: density(fock_state(3, cfg)),
-                "thermal1": lambda: thermal_state(1.0, cfg),
-                "coherent1.5": lambda: density(coherent_state(1.5, cfg)),
-                "rank3": lambda: random_density(cfg.dim, 3, rank=3),
-            }[label]()
+        rho = oracle_state(label, n_max, k)
         fit = met.fit_cat(rho, k)
         assert fit.fidelity >= fit_cat_nelder_mead(rho, k).fidelity - 1e-12
+
+    @pytest.mark.parametrize("label, n_max, k", ORACLE_STATES + [
+        (f"dcat{k}-{seed}", 60, k) for k in (2, 3) for seed in range(100, 104)
+    ])
+    def test_matches_the_full_simplex_search(self, label, n_max, k):
+        # the Newton finish lands where the simplex run on to xatol 1e-7
+        # lands: as high, and at the same cat.  The cat is compared up to
+        # relabeling: the coherent state's best 3-cat has arg alpha = -pi/3,
+        # on the edge of the reported range, where rounding picks the side.
+        # On the rotation-invariant states the finish hands back, and the
+        # fit is the full search's to the bit.
+        rho = oracle_state(label, n_max, k)
+        fit, ref = met.fit_cat(rho, k), fit_cat_full_simplex(rho, k)
+        assert fit.fidelity >= ref.fidelity - 1e-12
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        assert np.min(np.abs(fit.alpha - ref.alpha * roots)) <= 1e-6
+        if label in ("fock0", "fock3", "thermal1"):
+            assert (fit.alpha, fit.fidelity) == (ref.alpha, ref.fidelity)
+
+    def test_rejects_orders_past_the_cap(self):
+        # a k = 7 fit built a 617 MB phase table before the library capped k
+        rho = density(fock_state(0, HilbertConfig(n_max=10)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="from 2 to 6"):
+                met.fit_cat(rho, met._CAT_K_MAX + 1)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert used < 1e6
 
     @pytest.mark.parametrize("k, alpha0, theta", [
         (2, 1.1 * np.exp(1.2j), (0.7,)),
@@ -535,21 +578,21 @@ class TestCatFit:
 
 
 class TestNelderMead:
-    """_nelder_mead against scipy's Nelder-Mead with the same tolerances:
-    the same points evaluated in the same order, and the same (x, fun) to
-    the bit."""
+    """_Simplex against scipy's Nelder-Mead with the same tolerances: the
+    same points evaluated in the same order, and the same (x, fun) to the
+    bit."""
 
     @staticmethod
-    def same_search(rho, k, x0):
-        def recorded(points):
-            def loss(x):
-                points.append(x.tobytes())
-                return -met._cat_profile(rho, complex(x[0], x[1]), k)[0]
-            return loss
+    def recorded(rho, k, points):
+        def loss(x):
+            points.append(x.tobytes())
+            return -met._cat_profile(rho, complex(x[0], x[1]), k)[0]
+        return loss
 
+    def same_search(self, rho, k, x0, tol=met._FINE):
         ours, theirs = [], []
-        x, fun = met._nelder_mead(recorded(ours), x0)
-        ref = scipy_nelder_mead(recorded(theirs), x0)
+        x, fun = met._Simplex(self.recorded(rho, k, ours), x0).run(**tol)
+        ref = scipy_nelder_mead(self.recorded(rho, k, theirs), x0, tol)
         assert ours == theirs
         assert x.tobytes() == ref.x.tobytes() and fun == ref.fun
         return ref
@@ -562,7 +605,8 @@ class TestNelderMead:
             # a drawn start, and one on the real axis, whose zero coordinate
             # starts its simplex edge at 0.00025
             for x0 in (list(rng.normal(size=2)), [rng.normal(), 0.0]):
-                self.same_search(rho, k, x0)
+                for tol in (met._COARSE, met._FINE):
+                    self.same_search(rho, k, x0, tol)
 
     def test_bit_identical_through_shrinks(self):
         # a step evaluates one or two points and a shrink four, so more than
@@ -573,7 +617,51 @@ class TestNelderMead:
             ref = self.same_search(rho, 2, x0)
             assert ref.nfev - 3 > 2 * (ref.nit - 1)
 
+    def test_resumed_search_is_one_search(self):
+        # stopped at the coarse tolerances and resumed at the fine ones, the
+        # simplex evaluates the points of one search to the fine tolerances
+        rho = dephased_cat(3, 7, HilbertConfig(n_max=30))
+        for x0 in ([1.1, 0.4], [4.0, 4.0]):
+            ours, theirs = [], []
+            search = met._Simplex(self.recorded(rho, 3, ours), x0)
+            search.run(**met._COARSE)
+            x, fun = search.run(**met._FINE)
+            ref = scipy_nelder_mead(self.recorded(rho, 3, theirs), x0, met._FINE)
+            assert ours == theirs
+            assert x.tobytes() == ref.x.tobytes() and fun == ref.fun
+
+    def test_flat_start_hands_back_to_the_simplex(self, monkeypatch):
+        # past the coherent guard the profile is 0 all around, so the Newton
+        # finish finds no curvature and the search is the full simplex's
+        rho = random_density(31, 22, rank=3)
+
+        def loss(x):
+            return -met._cat_profile(rho, complex(x[0], x[1]), 2)[0]
+
+        polish, outcomes = met._newton_polish, []
+        monkeypatch.setattr(met, "_newton_polish",
+                            lambda *args: (outcomes.append(polish(*args)), outcomes[-1])[1])
+        x, fun = met._amplitude_search(loss, [4.0, 4.0])
+        ref = scipy_nelder_mead(loss, [4.0, 4.0], met._FINE)
+        assert outcomes == [None]
+        assert x.tobytes() == ref.x.tobytes() and fun == ref.fun
+
+    def test_uphill_step_hands_back(self):
+        # sqrt(1 + x^2) is convex, but from x = 1.5 Newton's step overshoots
+        # to x = -3.375, above the start: the finish hands back after the
+        # six difference points and that one trial
+        points = []
+
+        def f(x):
+            points.append(x)
+            return math.sqrt(1 + x[0] ** 2) + math.sqrt(1 + x[1] ** 2)
+
+        assert met._newton_polish(f, np.array([1.5, 0.0]), f((1.5, 0.0))) is None
+        assert len(points) == 1 + 7
+
     def test_fit_equals_the_scipy_driven_fit(self, monkeypatch):
+        # the simplex's two runs replaced by scipy's from the same start at
+        # the same tolerances (a resumed run is one run to the fine ones)
         # (n_max, rank, k) of seeded random states
         cases = [(30, 1, 2), (45, 2, 3), (60, 3, 2), (30, 3, 3), (45, 1, 2), (60, 2, 3),
                  (30, 2, 4)]
@@ -581,11 +669,15 @@ class TestNelderMead:
                   for seed, (n_max, rank, k) in enumerate(cases)]
         fits = [met.fit_cat(rho, k) for rho, k in states]
 
-        def scipy_search(f, x0):
-            ref = scipy_nelder_mead(f, x0)
-            return ref.x, ref.fun
+        class ScipySimplex:
+            def __init__(self, f, x0):
+                self.f, self.x0 = f, x0
 
-        monkeypatch.setattr(met, "_nelder_mead", scipy_search)
+            def run(self, **tol):
+                ref = scipy_nelder_mead(self.f, self.x0, tol)
+                return ref.x, ref.fun
+
+        monkeypatch.setattr(met, "_Simplex", ScipySimplex)
         for fit, (rho, k) in zip(fits, states):
             ref = met.fit_cat(rho, k)
             assert 0 <= fit.fidelity <= 1
@@ -669,16 +761,18 @@ class TestPhaseStep:
         for value, reference in zip(finished, swept):
             assert value >= reference - 1e-14
 
-    def test_fit_makes_as_many_evaluations(self, monkeypatch):
-        # the amplitude search is unchanged by the cheaper phase step: with
-        # the phase step of coordinate ascent alone this fit made 182 profile
-        # evaluations (181 Nelder-Mead steps and the final one)
-        rho = dephased_cat(3, 1, HilbertConfig(n_max=60))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fit_makes_at_most_as_many_evaluations(self, k, monkeypatch):
+        # the Newton finish cut this k = 2 fit from 184 profile evaluations
+        # (the simplex run on to xatol 1e-7) to 102, and the k = 3 fit from
+        # 182 to 100; the 5 spare evaluations allow for rounding elsewhere
+        bound = {2: 102, 3: 100}[k] + 5
+        rho = dephased_cat(k, 1, HilbertConfig(n_max=60))
         profile, calls = met._cat_profile, []
         monkeypatch.setattr(met, "_cat_profile",
                             lambda *args: (calls.append(1), profile(*args))[1])
-        met.fit_cat(rho, 3)
-        assert abs(len(calls) - 182) <= 5
+        met.fit_cat(rho, k)
+        assert len(calls) <= bound
 
 
 class TestSmallAmplitude:
