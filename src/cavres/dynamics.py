@@ -306,7 +306,9 @@ class TransitKernel:
     squared) and half a slice plus half the resonant span on either side of
     the resonant slice.  A loss step acts alike on a state and on its
     transpose, since diagonal k of atom block (a, b) and diagonal -k of
-    block (b, a) relax by one real block.
+    block (b, a) relax by one real block.  The held state is U Z U' or its
+    transpose at every loss step, Hermitian when Z is, so a Hermitian stack
+    can be relaxed from its diagonals k >= 0 alone (hermitian=True).
     """
 
     def __init__(
@@ -361,17 +363,20 @@ class TransitKernel:
         adj.loss_steps = [adjoints[step] for step in self.loss_steps[::-1]]
         return adj
 
-    def propagate(self, rho_joint: np.ndarray) -> np.ndarray:
-        return self.propagate_batched(rho_joint[None])[0]
+    def propagate(self, rho_joint: np.ndarray, hermitian: bool = False) -> np.ndarray:
+        return self.propagate_batched(rho_joint[None], hermitian)[0]
 
-    def propagate_batched(self, stack: np.ndarray) -> np.ndarray:
-        """Propagate a stack (M, 2 dim, 2 dim) of joint states through the crossing."""
+    def propagate_batched(self, stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
+        """Propagate a stack (M, 2 dim, 2 dim) of joint matrices through the
+        crossing.  hermitian=True is for Hermitian matrices only: the loss
+        steps then relax half of each (ThermalPropagator.apply_hermitian).
+        Otherwise any matrix is propagated exactly."""
         dim = self.cfg.dim
         # states as (2 dim, 2 dim, M): row pairs on axis 0, column pairs on
         # axis 1, and the batch last, where the loss steps' gather wants it
         out = np.ascontiguousarray(np.moveaxis(stack, 0, -1), dtype=complex)
         for k, (coeffs, conj) in enumerate(zip(self.slices, self._slices_conj)):
-            out = self._loss_step(k, out)
+            out = self._loss_step(k, out, hermitian)
             # both halves of U Z U' are contiguous row updates.  Held as Z,
             # rows with U, a transposed copy and rows with conj(U) leave
             # (U Z U')^T; held as Z^T, conj(U) first and U second leave
@@ -380,13 +385,15 @@ class TransitKernel:
             out = _apply_left(first, out, dim)
             out = np.ascontiguousarray(out.swapaxes(0, 1))
             out = _apply_left(second, out, dim)
-        out = self._loss_step(len(self.slices), out)
+        out = self._loss_step(len(self.slices), out, hermitian)
         # 2 loss_slices + 1 slices, an odd count, leave the state transposed
         return np.moveaxis(out.swapaxes(0, 1), -1, 0)
 
-    def _loss_step(self, k: int, states: np.ndarray) -> np.ndarray:
+    def _loss_step(self, k: int, states: np.ndarray, hermitian: bool) -> np.ndarray:
         if not self.loss_steps:
             return states
+        if hermitian:
+            return self.loss_steps[k].apply_hermitian(states)
         relaxed = self.loss_steps[k].apply_batched(np.moveaxis(states, -1, 0))
         return np.moveaxis(relaxed, 0, -1)
 

@@ -329,6 +329,11 @@ _MIN_CURVATURE = 1e-3
 _NEWTON_SWEEPS = 2
 _NEWTON_STEPS = 10
 _MAX_SWEEPS = 200
+# How far the search leaves alpha undetermined: f's rounding of about 1e-15
+# at the smallest curvature the Newton finish takes (see _newton_polish).
+# An alpha this close to the edge arg alpha = -pi/k of the reported range
+# counts as on it (_cat_result).
+_ALPHA_TOL = math.sqrt(1e-15 / _MIN_CURVATURE)
 
 
 def _best_phase(
@@ -747,13 +752,17 @@ def _cat_starts(rho: np.ndarray, k: int) -> list[list[float]]:
 
 def _cat_result(rho: np.ndarray, alpha: complex, k: int) -> CatFitResult:
     """The fit at amplitude alpha: its best phases, relabeled so that
-    -pi/k < arg alpha <= pi/k, and the fidelity re-evaluated from
-    ideal_mfss."""
+    -pi/k + d < arg alpha <= pi/k + d with d = _ALPHA_TOL / |alpha|, and
+    the fidelity re-evaluated from ideal_mfss."""
     theta = [0.0, *_cat_profile(rho, alpha, k)[1]]
     # alpha omega^s with theta'_j = theta_(j+s) - theta_s is the same cat:
-    # report the one with -pi/k < arg alpha <= pi/k, so the answer does not
-    # depend on which relabeling the search happened to reach
-    s = (1 - math.ceil(k * cmath.phase(alpha) / (2 * math.pi) + 0.5)) % k
+    # report one of them, so the answer does not depend on which relabeling
+    # the search happened to reach.  A state symmetric under alpha <-> alpha*
+    # can have its best cat on the edge arg alpha = -pi/k, which the search
+    # finds only to within _ALPHA_TOL on either side; the tie band d, the
+    # angle that tolerance subtends, sends both sides to arg alpha = +pi/k
+    tie = _ALPHA_TOL / abs(alpha) if alpha else 0.0
+    s = (1 - math.ceil(k * (cmath.phase(alpha) - tie) / (2 * math.pi) + 0.5)) % k
     if s:
         alpha *= cmath.exp(2j * math.pi * s / k)
     phases = tuple(float((theta[(j + s) % k] - theta[s]) % (2 * np.pi)) for j in range(1, k))
@@ -787,7 +796,11 @@ def fit_cat(rho: np.ndarray, k: int) -> CatFitResult:
     the simplex goes on to xatol 1e-7, as a full simplex search would.
     Deterministic; the better search's fidelity is re-evaluated from
     ideal_mfss.  Of the k relabelings alpha omega^s of one cat, the fit
-    reports the one with -pi/k < arg alpha <= pi/k.  At n_max 60 a fit of a
+    reports the one with -pi/k < arg alpha <= pi/k, except that an alpha
+    within _ALPHA_TOL (1e-6, what the search resolves) of the edge
+    arg alpha = -pi/k counts as on it and is reported at arg alpha near
+    +pi/k: the band is -pi/k + d < arg alpha <= pi/k + d with
+    d = _ALPHA_TOL / |alpha|.  At n_max 60 a fit of a
     dephased cat with |alpha| near 2 takes about 3.8 ms for k = 2, 12-13 ms
     for k = 3 and 20 ms for k = 4 (one BLAS thread, 2-core VM); the simplex
     run on to xatol 1e-7 took 6.1-6.5, 22-26 and 32-33 ms.

@@ -242,7 +242,8 @@ def sample_map(
     is the deterministic map at p_at 1 or 0.  An analytic or loss-free
     sample is one product with the Kraus map (_kraus_map), then one
     relaxation if there is a cavity; a lossy numeric sample propagates the
-    joint state through the kernel.
+    joint state through the kernel, whose loss steps read only the
+    Hermitian half of it (rho is a density matrix).
     """
     p_at = config.p_at
     if config.mixing_mode == "monte_carlo":
@@ -258,9 +259,11 @@ def sample_map(
         if config.cavity is None:
             return out
         return relax(out, config.profile.t_i, config.cavity)
-    # one numeric crossing by one atom, loss interleaved
+    # one numeric crossing by one atom, loss interleaved; the joint state
+    # |u><u| (x) rho is Hermitian, so the loss steps relax half of it
     kernel = get_kernel(config.profile, HilbertConfig(n_max=rho.shape[0] - 1), config.cavity)
-    atom_part = trace_atom(kernel.propagate(embed_with_atom(rho, atom_ket(config.u))))
+    joint = embed_with_atom(rho, atom_ket(config.u))
+    atom_part = trace_atom(kernel.propagate(joint, hermitian=True))
     if p_at == 1.0:
         return atom_part
     return (1.0 - p_at) * relax(rho, config.profile.t_i, config.cavity) + p_at * atom_part
@@ -460,8 +463,8 @@ def run_trajectory(
     against.  rho0 is policed before anything is built.
     Deterministic numeric runs with n_samples >= 3 dim iterate the sparse
     operator of build_sample_superop.  With a cavity its ceil(dim/2) probe
-    propagations cost about as much as 0.2-0.3 dim direct samples at n_max
-    16 and 0.5-0.6 dim at n_max 60; without one it is the Kraus map that
+    propagations cost about as much as 0.25-0.3 dim direct samples at n_max
+    16 and 0.75-0.85 dim at n_max 60; without one it is the Kraus map that
     sample_map applies.  All other runs call sample_map each sample, though
     the operator exists for them too; an analytic or loss-free sample there
     is one sparse product with a cached map plus at most one relaxation, as

@@ -29,7 +29,12 @@ blocks side by side, since the jumps act on the field factor only.
 Propagators of different durations share the gather tables (one set per
 dim and atom levels) and the rate blocks (one set per dim and cavity).
 exp(L 2t) is exactly exp(L t) squared, so squared() doubles a step with one
-matmul per stack in place of dim expm calls.
+matmul per stack in place of dim expm calls.  A Hermitian joint matrix is
+fixed by the diagonals +k >= 0 of its four atom blocks, so apply_hermitian
+gathers only those, through one flat index, and writes each -k diagonal
+back as the conjugate of its relaxed mirror: half the columns of
+apply_batched, read from and written to the transit kernel's batch-last
+layout as it is.
 """
 
 from __future__ import annotations
@@ -161,8 +166,50 @@ def _stack_indices(
     return tuple(gathers), tuple(bounds), scatter
 
 
-# apply_batched's gather and matmul buffers: scratch memory, one block per
-# thread, which every propagator reuses and no call reads before writing.
+@lru_cache(maxsize=16)
+def _half_plan(dim: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Gather and scatter indices of apply_hermitian on joint (2 dim)-square
+    matrices flattened row-major.
+
+    A Hermitian joint matrix is fixed by the field diagonals +k >= 0 of its
+    four atom blocks: diagonal -k of block (a, b) is the conjugate of
+    diagonal +k of block (b, a), and each real block maps conjugates to
+    conjugates.  gather holds the flat index of entry m of diagonal +k in
+    atom block q = 2a + b, laid out (slot, m, q) for each stack and the
+    stacks end to end, stack j at positions bounds[j] to bounds[j+1];
+    entries past the end of a diagonal point at 0 and meet zero columns of
+    the stack.  Read from the relaxed entries followed by their conjugates,
+    scatter[i] is the position of flat entry i: its own on a diagonal
+    k >= 0, its mirror's plus bounds[-1] on k < 0.  Read-only, shared by
+    every propagator.
+    """
+    a, b = np.divmod(np.arange(4), 2)
+    size = 2 * dim
+    buckets = _bucket_offsets(dim)
+    half = 4 * sum(len(offsets) * (dim - offsets[0]) for offsets in buckets)
+    gathers, bounds = [], [0]
+    scatter = np.empty(size * size, dtype=np.intp)
+    for offsets in buckets:
+        k = offsets[:, None, None]
+        m = np.arange(dim - offsets[0])[None, :, None]
+        # entry (a dim + m, b dim + m + k), and its mirror on diagonal -k of
+        # block (b, a), which diagonal 0 leaves to block (b, a) itself
+        gather = (a * dim + m) * size + b * dim + m + k
+        mirror = (b * dim + m + k) * size + a * dim + m
+        inside = np.broadcast_to(m + k < dim, gather.shape)
+        below = inside & (k > 0)
+        scatter[gather[inside]] = bounds[-1] + np.flatnonzero(inside)
+        scatter[mirror[below]] = half + bounds[-1] + np.flatnonzero(below)
+        gathers.append(np.where(inside, gather, 0).ravel())
+        bounds.append(bounds[-1] + gather.size)
+    gather = np.concatenate(gathers)
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, tuple(bounds), scatter
+
+
+# apply_batched's and apply_hermitian's gather and matmul buffers: scratch
+# memory, one block of each per thread, which every propagator reuses and no
+# call reads before writing.
 # Allocated afresh on each call, arrays of this size were handed back to the
 # operating system and page-faulted in again each time, which made the loss
 # steps up to five times slower per matrix at some batch sizes (see
@@ -178,6 +225,26 @@ def _workspace(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     if buf is None or buf.size < 2 * size:
         buf = _WORKSPACE.buf = np.empty(2 * size, dtype=complex)
     return buf[:size].reshape(rows, count), buf[size:2 * size].reshape(rows, count)
+
+
+def _half_workspace(dim: int, count: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """apply_hermitian's buffers from this thread's workspace: the gathered
+    entries, the relaxed ones followed by their conjugates, and for each
+    stack the real views its matmul reads and writes, made once rather than
+    at every step.  One set per thread, for the last (dim, count) asked,
+    kept for every later call."""
+    held = getattr(_WORKSPACE, "half", None)
+    if held is None or held[0] != (dim, count):
+        bounds = _half_plan(dim)[1]
+        picked = np.empty((bounds[-1], count), dtype=complex)
+        both = np.empty((2 * bounds[-1], count), dtype=complex)
+        views = []
+        for offsets, lo, hi in zip(_bucket_offsets(dim), bounds, bounds[1:]):
+            shape = (len(offsets), dim - offsets[0], -1)
+            views.append((picked[lo:hi].reshape(shape).view(float),
+                          both[lo:hi].reshape(shape).view(float)))
+        held = _WORKSPACE.half = ((dim, count), picked, both, views)
+    return held[1:]
 
 
 class ThermalPropagator:
@@ -248,3 +315,25 @@ class ThermalPropagator:
             )
         out = relaxed.take(scatter, axis=0)
         return out.T.reshape(count, size, size)
+
+    def apply_hermitian(self, held: np.ndarray) -> np.ndarray:
+        """exp(L t) applied to Hermitian joint matrices held batch last,
+        shape (2 dim, 2 dim, M), C-contiguous complex, as
+        TransitKernel.propagate_batched holds them; the result comes in the
+        same layout.
+
+        Only the diagonals +k >= 0 of the four atom blocks are gathered and
+        relaxed, on half the columns of apply_batched; every -k entry is
+        written back as the conjugate of its relaxed mirror (_half_plan), so
+        a non-Hermitian input loses its anti-Hermitian part off the field
+        diagonal.
+        """
+        gather, bounds, scatter = _half_plan(self.dim)
+        count, half = held.shape[-1], bounds[-1]
+        picked, both, views = _half_workspace(self.dim, count)
+        # every index is in range; mode "raise" would buffer the output
+        np.take(held.reshape(-1, count), gather, axis=0, out=picked, mode="clip")
+        for stack, (operand, relaxed) in zip(self.stacks, views):
+            np.matmul(stack, operand, out=relaxed)
+        np.conjugate(both[:half], out=both[half:])
+        return both.take(scatter, axis=0).reshape(held.shape)

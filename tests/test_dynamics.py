@@ -1,6 +1,8 @@
 """Transit schedule, analytic propagators, and the numeric integrators."""
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -436,6 +438,61 @@ class TestKernelAgainstDenseOracle:
         assert len({id(p) for p in kernel.loss_steps}) == 3
         total = sum(p.duration for p in kernel.loss_steps)
         assert total == pytest.approx(CAT2.t_i, rel=1e-12)
+
+
+class TestHermitianLossSteps:
+    # sample_map's crossing relaxes only the independent half of its
+    # Hermitian joint state (ThermalPropagator.apply_hermitian)
+
+    # n_max 4 and 16: one loss stack; n_max 60: four, as in the presets
+    @pytest.mark.parametrize("n_max", [4, 16, 60])
+    def test_matches_the_full_loss_steps(self, n_max):
+        cfg = HilbertConfig(n_max=n_max)
+        kernel = dyn.TransitKernel(CAT2, cfg, CavityParams())
+        states = random_joint_states(cfg.dim, 3, seed=n_max)
+        want = kernel.propagate_batched(states)
+        got = kernel.propagate_batched(states, hermitian=True)
+        assert np.max(np.abs(got - want)) < 1e-13
+        for state, one in zip(states, want):
+            assert np.max(np.abs(kernel.propagate(state, hermitian=True) - one)) < 1e-13
+
+    def test_threads_get_the_serial_results(self):
+        # more threads than cores, switching often: a shared scratch buffer
+        # would hand one thread's relaxed entries to another
+        cfg = HilbertConfig(n_max=16)
+        kernel = dyn.TransitKernel(CAT2, cfg, CavityParams())
+        workers = 3
+        inputs = [random_joint_states(cfg.dim, 8, seed=100 + t) for t in range(workers)]
+        wants = [[kernel.propagate(x, hermitian=True) for x in states] for states in inputs]
+
+        def work(t):
+            return max(
+                np.max(np.abs(kernel.propagate(x, hermitian=True) - want))
+                for _ in range(3)
+                for x, want in zip(inputs[t], wants[t])
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(work, t) for t in range(workers)]
+                errors = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(errors) == 0.0
+
+    def test_non_hermitian_matrices_stay_exact(self):
+        # propagate keeps the full loss steps by default, also after the half
+        # path has run; the half path would drop the anti-Hermitian part
+        cfg = HilbertConfig(n_max=8)
+        cavity = CavityParams()
+        kernel = dyn.TransitKernel(CAT2, cfg, cavity)
+        kernel.propagate(random_joint_states(cfg.dim, 1, seed=1)[0], hermitian=True)
+        x = random_matrices(2 * cfg.dim, 1, np.random.default_rng(8))[0]
+        want = oracle_propagate(x[None], CAT2, cfg, cavity)[0]
+        assert np.max(np.abs(kernel.propagate(x) - want)) < 1e-12
+        assert np.max(np.abs(kernel.propagate(x, hermitian=True) - want)) > 1e-3
 
 
 def preset_profiles():

@@ -163,6 +163,22 @@ class TestThermalPropagator:
                 for k in range(count):
                     assert np.max(np.abs(prop.apply(mats[k]) - want[k])) < 1e-13
 
+    def test_hermitian_half_matches_the_full_step(self):
+        # Hermitian joint matrices held batch last, as the kernel holds them:
+        # the half gather equals apply_batched, for the propagator and its
+        # adjoint (transposed stacks), with one stack and with several
+        cav = CavityParams(n_t=0.1)
+        for dim in (1, 2, 20, 21, 61):
+            prop = ThermalPropagator(0.02, cav, dim)
+            rng = np.random.default_rng(dim)
+            for step, count in itertools.product((prop, prop.adjoint()), (1, 3)):
+                shape = (count, 2 * dim, 2 * dim)
+                mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                mats = mats + mats.conj().transpose(0, 2, 1)
+                held = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+                got = np.moveaxis(step.apply_hermitian(held), -1, 0)
+                assert np.max(np.abs(got - step.apply_batched(mats))) < 1e-13
+
     @pytest.mark.parametrize("dim", [9, 21, 41])
     def test_adjoint_inner_products_match(self, dim):
         # <Y, exp(L t) X> = <adjoint(Y), X> for non-Hermitian field and
